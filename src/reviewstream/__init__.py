@@ -10,6 +10,7 @@ are ranked and mined for near-identical review pairs.
 __version__ = "0.1.0"
 
 from .clusters import (
+    EmbeddingFileError,
     FileEmbedder,
     InconsistentRunError,
     LexicalEmbedder,
@@ -81,6 +82,7 @@ __all__ = [
     "DegenerateSamplesError",
     "EcdfPoints",
     "EmptySampleError",
+    "EmbeddingFileError",
     "FileEmbedder",
     "InconsistentRunError",
     "Injection",

@@ -6,26 +6,30 @@ can be rerun independently; `pipeline` chains them and records a run
 manifest with input digests and the full effective configuration.
 
 Exit codes: 0 success; 2 data failure (parse error rate above the
-threshold, or inconsistent stage inputs); 3 configuration failure
-(bad flags or config file, missing input files, invalid parameters).
+threshold, inconsistent stage inputs, malformed embedding sidecar);
+3 configuration failure (bad flags or config file, missing input files,
+invalid parameters).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import logging
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .clusters import (
+    EmbeddingFileError,
     FileEmbedder,
     InconsistentRunError,
     LexicalEmbedder,
@@ -38,6 +42,7 @@ from .clusters import (
 from .detector import (
     AnomalyRecord,
     DetectorConfig,
+    MicroclusterEvent,
     read_events_jsonl,
     read_scores_csv,
     run_detector,
@@ -45,15 +50,18 @@ from .detector import (
     write_scores_csv,
 )
 from .ingest import (
+    REVIEW_FORMATS,
+    AppCatalog,
     BeforeOriginError,
     LineError,
+    ReviewEdge,
     parse_apps,
     parse_reviews,
     write_app_catalog_csv,
     write_line_errors,
     write_reviews_jsonl,
 )
-from .partition import SubstreamLabel, partition_stream
+from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .stats import (
     DegenerateSamplesError,
     TooSmallError,
@@ -99,64 +107,119 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _check_error_rate(
-    n_valid: int, errors: Sequence[LineError], threshold: float, what: str
-) -> None:
-    total = n_valid + len(errors)
-    if total == 0:
-        return
-    rate = len(errors) / total
-    if rate > threshold:
+def _load(parse, path: Path, effective: dict, what: str, errors_out: str | None = None,
+          **kwargs):
+    """Parse an input file; abort if too many of its lines were rejected,
+    after appending them to ``errors_out`` if given."""
+    with open(path, "r", encoding="utf-8") as fh:
+        items, errors = parse(fh, **kwargs)
+    if errors_out:
+        write_line_errors(errors, errors_out, source=str(path))
+    total = len(items) + len(errors)
+    threshold = effective["max_error_rate"]
+    if total and len(errors) / total > threshold:
         raise DataFailure(
             f"{what}: {len(errors)} of {total} records rejected "
-            f"({rate:.2%} > {threshold:.2%})"
+            f"({len(errors) / total:.2%} > {threshold:.2%})"
         )
+    return items, errors
 
 
-def _load_reviews(path: Path, fmt: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_reviews(fh, format=fmt)
-
-
-def _load_catalog(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_apps(fh)
+def _load_reviews(path: Path, effective: dict, errors_out: str | None = None):
+    return _load(parse_reviews, path, effective, "reviews", errors_out,
+                 format=effective["format"])
 
 
 def _print_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _ecdf_csv(values: Sequence[float]) -> str:
+    """`value,fraction` CSV of the empirical CDF; only the header if empty."""
+    rows = ((repr(v), repr(f)) for v, f in ecdf(values).rows()) if values else ()
+    return _csv_text(["value", "fraction"], rows)
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Configuration merging: defaults < JSON config file < explicit flags.
 
-_CONFIG_KEYS = (
-    "origin", "period", "burst_factor", "decay", "filter_threshold",
-    "min_prior", "rows", "cols", "sketch_seed",
-    "provider", "tau", "top", "embeddings", "max_error_rate", "format",
-)
+class _Key(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
 
-_CONFIG_DEFAULTS = {
-    "origin": None,
-    "period": 86_400,
-    "burst_factor": 2.0,
-    "decay": 0.6,
-    "filter_threshold": 1000.0,
-    "min_prior": 1.0,
-    "rows": 2,
-    "cols": 1024,
-    "sketch_seed": 7,
-    "provider": "lexical",
-    "tau": None,
-    "top": 50,
-    "embeddings": None,
-    "max_error_rate": 0.01,
-    "format": "jsonl",
+
+_DETECTOR_HELP = {
+    "origin": "tick 1 anchor, seconds (required)",
+    "period": "tick width in seconds",
+    "burst_factor": "burst ratio threshold, > 1",
+    "decay": "per-tick history decay in [0,1]",
+    "filter_threshold": "score above which a tick is excluded from history",
+    "min_prior": "denominator guard for the burst ratio",
+    "rows": "sketch hash rows",
+    "cols": "sketch counters per row",
+    "sketch_seed": "master seed for the per-row hash seeds",
 }
 
 
+# The detector keys are DetectorConfig's fields, with their types and
+# defaults; ``seeds`` has no key, it derives from sketch_seed.
+_DETECTOR_TYPES = typing.get_type_hints(DetectorConfig)
+_DETECTOR_KEYS = tuple(name for name in _DETECTOR_TYPES if name != "seeds")
+_CONFIG = {
+    **{
+        f.name: _Key(_DETECTOR_TYPES[f.name], None if f.default is dataclasses.MISSING
+                     else f.default, _DETECTOR_HELP[f.name])
+        for f in dataclasses.fields(DetectorConfig) if f.name in _DETECTOR_KEYS
+    },
+    "max_error_rate": _Key(float, 0.01, "tolerated parse error fraction before aborting"),
+    "format": _Key(str, "jsonl", "reviews file format", REVIEW_FORMATS),
+    "top": _Key(int, 50, "clusters to report"),
+    "tau": _Key(float, None, "near-identical similarity threshold (default per provider)"),
+    "provider": _Key(str, LexicalEmbedder.name, "embedding provider",
+                     (LexicalEmbedder.name, FileEmbedder.name)),
+    "embeddings": _Key(str, None, "JSONL sidecar of {review_id, vector}"),
+}
+_PAIR_KEYS = ("tau", "provider", "embeddings")
+
+
+def _coerce(key: str, value):
+    """``value`` as the key's type; wrong types and non-finite floats fail."""
+    spec = _CONFIG[key]
+    if spec.type is float and type(value) is int:
+        value = float(value)
+    if type(value) is not spec.type:  # also keeps JSON true/false out of ints
+        raise ConfigFailure(f"{key} must be {spec.type.__name__}, got {value!r}")
+    if spec.type is float and not math.isfinite(value):
+        raise ConfigFailure(f"{key} must be finite, got {value}")
+    if spec.choices is not None and value not in spec.choices:
+        raise ConfigFailure(f"{key} must be one of {list(spec.choices)}, got {value!r}")
+    return value
+
+
 def _effective_config(args: argparse.Namespace) -> dict:
-    effective = dict(_CONFIG_DEFAULTS)
+    effective = {key: spec.default for key, spec in _CONFIG.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         path = _require_file(config_path, "config")
@@ -166,14 +229,22 @@ def _effective_config(args: argparse.Namespace) -> dict:
             raise ConfigFailure(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigFailure(f"config file {path} must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = set(loaded) - set(_CONFIG)
         if unknown:
             raise ConfigFailure(f"unknown config keys: {sorted(unknown)}")
         effective.update(loaded)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for key in _CONFIG:
+        flag = getattr(args, key, None)
+        value = effective[key] if flag is None else flag
         if value is not None:
-            effective[key] = value
+            effective[key] = _coerce(key, value)
+    if effective["top"] < 1:
+        raise ConfigFailure(f"top must be at least 1, got {effective['top']}")
+    if not 0.0 <= effective["max_error_rate"] <= 1.0:
+        raise ConfigFailure(f"max_error_rate must be in [0, 1], got {effective['max_error_rate']}")
+    tau = effective["tau"]
+    if tau is not None and not 0.0 < tau <= 1.0:
+        raise ConfigFailure(f"tau must be in (0, 1], got {tau}")
     return effective
 
 
@@ -183,17 +254,7 @@ def _detector_config(effective: dict) -> DetectorConfig:
             "origin is required (tick 1 anchor, seconds); pass --origin or "
             "set it in the config file"
         )
-    config = DetectorConfig(
-        origin=int(effective["origin"]),
-        period=int(effective["period"]),
-        burst_factor=float(effective["burst_factor"]),
-        decay=float(effective["decay"]),
-        filter_threshold=float(effective["filter_threshold"]),
-        min_prior=float(effective["min_prior"]),
-        rows=int(effective["rows"]),
-        cols=int(effective["cols"]),
-        sketch_seed=int(effective["sketch_seed"]),
-    )
+    config = DetectorConfig(**{key: effective[key] for key in _DETECTOR_KEYS})
     try:
         config.validate()
     except ValueError as exc:
@@ -202,20 +263,17 @@ def _detector_config(effective: dict) -> DetectorConfig:
 
 
 def _provider(effective: dict):
-    name = effective["provider"]
-    if name == "lexical":
-        provider = LexicalEmbedder()
-    elif name == "file":
+    if effective["provider"] == FileEmbedder.name:
         if not effective["embeddings"]:
             raise ConfigFailure("provider 'file' requires --embeddings <path>")
-        provider = FileEmbedder.load(_require_file(effective["embeddings"], "embeddings"))
+        try:
+            provider = FileEmbedder.load(_require_file(effective["embeddings"], "embeddings"))
+        except EmbeddingFileError as exc:
+            raise DataFailure(str(exc))
     else:
-        raise ConfigFailure(f"unknown provider {name!r}")
+        provider = LexicalEmbedder()
     tau = effective["tau"]
-    tau = provider.default_tau if tau is None else float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ConfigFailure(f"tau must be in (0, 1], got {tau}")
-    return provider, tau
+    return provider, provider.default_tau if tau is None else tau
 
 
 def _parse_column_ref(ref: str, default_column: str = "score") -> tuple[Path, str]:
@@ -245,65 +303,87 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Stages shared by the subcommands. They call the layer entry points
+# through this module's globals, where the benchmark's layer trace wraps them.
+
+@dataclasses.dataclass
+class _Scored:
+    reviews_path: Path
+    catalog_path: Path
+    edges: list[ReviewEdge]
+    review_errors: list[LineError]
+    catalog: AppCatalog
+    catalog_errors: list[LineError]
+    partitioned: PartitionResult
+    records: list[AnomalyRecord]
+    events: list[MicroclusterEvent]
+
+
+def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorConfig,
+                    **logged) -> _Scored:
+    """Load reviews and catalog, check their error rates, and score the
+    boost then the sink sub-stream."""
+    reviews_path = _require_file(args.reviews, "reviews")
+    catalog_path = _require_file(args.catalog, "catalog")
+    logger.info("effective config: %s",
+                json.dumps({**config.to_dict(), **logged}, sort_keys=True))
+    edges, review_errors = _load_reviews(reviews_path, effective)
+    catalog, catalog_errors = _load(parse_apps, catalog_path, effective, "catalog")
+    ordered = sorted(edges, key=lambda e: e.timestamp)  # stable: ties keep input order
+    partitioned = partition_stream(ordered, catalog)
+    try:
+        records, events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
+        sink_records, sink_events = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
+    except BeforeOriginError as exc:
+        raise ConfigFailure(f"{exc}; lower --origin to at or before the first timestamp")
+    records.extend(sink_records)
+    events.extend(sink_events)
+    return _Scored(reviews_path, catalog_path, edges, review_errors, catalog, catalog_errors,
+                   partitioned, records, events)
+
+
+def _cluster_report(events, records, provider, tau: float, top: int):
+    """Collect, rank and report clusters; returns (clusters formed, report)."""
+    try:
+        clusters = collect_clusters(events, records)
+    except InconsistentRunError as exc:
+        raise DataFailure(str(exc))
+    ranked = rank_clusters(clusters, top) if clusters else []
+    try:
+        report = build_cluster_report(ranked, provider, tau)
+    except MissingEmbeddingError as exc:
+        raise DataFailure(str(exc))
+    return len(clusters), report
+
+
+# ---------------------------------------------------------------------------
 # Subcommands.
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    effective = _effective_config(args)
     reviews_path = _require_file(args.reviews, "reviews")
-    edges, errors = _load_reviews(reviews_path, args.format)
     if args.errors:
         Path(args.errors).unlink(missing_ok=True)
-        write_line_errors(errors, args.errors, source=str(reviews_path))
-    _check_error_rate(len(edges), errors, args.max_error_rate, "reviews")
+    edges, errors = _load_reviews(reviews_path, effective, args.errors)
     write_reviews_jsonl(edges, args.out)
     _print_json({"reviews": len(edges), "errors": len(errors)})
     return EXIT_OK
 
 
-def _run_substreams(partitioned, config: DetectorConfig):
-    """Run the boost and sink detectors concurrently."""
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        boost_future = pool.submit(
-            run_detector, partitioned.boost, config, SubstreamLabel.BOOST
-        )
-        sink_future = pool.submit(
-            run_detector, partitioned.sink, config, SubstreamLabel.SINK
-        )
-        boost_records, boost_events = boost_future.result()
-        sink_records, sink_events = sink_future.result()
-    return boost_records + sink_records, boost_events + sink_events
-
-
-def _score_stream(edges, catalog, config: DetectorConfig):
-    ordered = sorted(edges, key=lambda e: e.timestamp)  # stable: ties keep input order
-    partitioned = partition_stream(ordered, catalog)
-    try:
-        records, events = _run_substreams(partitioned, config)
-    except BeforeOriginError as exc:
-        raise ConfigFailure(f"{exc}; lower --origin to at or before the first timestamp")
-    return partitioned, records, events
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     config = _detector_config(effective)
-    reviews_path = _require_file(args.reviews, "reviews")
-    catalog_path = _require_file(args.catalog, "catalog")
-    logger.info("effective config: %s", json.dumps(config.to_dict(), sort_keys=True))
-    edges, review_errors = _load_reviews(reviews_path, effective["format"])
-    catalog, catalog_errors = _load_catalog(catalog_path)
-    _check_error_rate(len(edges), review_errors, effective["max_error_rate"], "reviews")
-    _check_error_rate(len(catalog), catalog_errors, effective["max_error_rate"], "catalog")
-    partitioned, records, events = _score_stream(edges, catalog, config)
-    write_scores_csv(records, config, args.out_scores)
-    write_events_jsonl(events, args.out_events)
-    _print_json(partitioned.counts())
+    run = _load_and_score(args, effective, config)
+    write_scores_csv(run.records, config, args.out_scores)
+    write_events_jsonl(run.events, args.out_events)
+    _print_json(run.partitioned.counts())
     return EXIT_OK
 
 
-def _records_from_files(reviews_path: Path, scores_path: Path):
-    edges, _ = _load_reviews(reviews_path, "jsonl")
+def _records_from_files(reviews_path: Path, scores_path: Path, effective: dict):
+    edges, _ = _load_reviews(reviews_path, effective)
     by_id = {e.review_id: e for e in edges}
-    rows, config = read_scores_csv(scores_path)
+    rows, _ = read_scores_csv(scores_path)
     records = []
     for row in rows:
         edge = by_id.get(row.review_id)
@@ -313,7 +393,7 @@ def _records_from_files(reviews_path: Path, scores_path: Path):
                 "scores and reviews files do not belong together"
             )
         records.append(AnomalyRecord(edge, row.substream, row.tick, row.score))
-    return records, config
+    return records
 
 
 def cmd_clusters(args: argparse.Namespace) -> int:
@@ -322,29 +402,18 @@ def cmd_clusters(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
     scores_path = _require_file(args.scores, "scores")
     events_path = _require_file(args.events, "events")
-    records, _ = _records_from_files(reviews_path, scores_path)
+    records = _records_from_files(reviews_path, scores_path, effective)
     events = read_events_jsonl(events_path)
-    try:
-        clusters = collect_clusters(events, records)
-    except InconsistentRunError as exc:
-        raise DataFailure(str(exc))
-    ranked = rank_clusters(clusters, effective["top"]) if clusters else []
-    try:
-        report = build_cluster_report(ranked, provider, tau)
-    except MissingEmbeddingError as exc:
-        raise DataFailure(str(exc))
-    Path(args.out).write_text(
-        json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    _print_json({"clusters": len(clusters), "reported": len(report), "tau": tau})
+    formed, report = _cluster_report(events, records, provider, tau, effective["top"])
+    Path(args.out).write_text(_json_text(report), encoding="utf-8")
+    _print_json({"clusters": formed, "reported": len(report), "tau": tau})
     return EXIT_OK
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     provider, tau = _provider(effective)
-    reviews_path = _require_file(args.reviews, "reviews")
-    edges, _ = _load_reviews(reviews_path, "jsonl")
+    edges, _ = _load_reviews(_require_file(args.reviews, "reviews"), effective)
     try:
         analysis = pairwise_similarity(edges, provider, tau)
     except MissingEmbeddingError as exc:
@@ -360,12 +429,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
             for p in analysis.pairs
         ],
     }
-    out = json.dumps(result, sort_keys=True, indent=1) + "\n"
+    _emit(_json_text(result), args.out)
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
         _print_json({"pairs": len(analysis.pairs), "flagged": len(analysis.flagged_review_ids)})
-    else:
-        sys.stdout.write(out)
     return EXIT_OK
 
 
@@ -389,32 +455,16 @@ def cmd_stats_cdf(args: argparse.Namespace) -> int:
     values = _read_csv_column(path, column)
     if not values:
         raise DataFailure(f"{path}: no values in column {column!r}")
-    points = ecdf(values)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["value", "fraction"])
-    for value, fraction in points.rows():
-        writer.writerow([repr(value), repr(fraction)])
-    if args.out:
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit(_ecdf_csv(values), args.out)
     return EXIT_OK
 
 
 def cmd_stats_network(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
-    edges, _ = _load_reviews(reviews_path, "jsonl")
+    edges, _ = _load_reviews(reviews_path, _effective_config(args))
     graph = shared_reviewer_graph(edges)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["app_a", "app_b", "weight"])
-    for item in graph:
-        writer.writerow([item.app_a, item.app_b, item.weight])
-    if args.out:
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
+    rows = ((item.app_a, item.app_b, item.weight) for item in graph)
+    _emit(_csv_text(["app_a", "app_b", "weight"], rows), args.out)
     return EXIT_OK
 
 
@@ -443,33 +493,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     config = _detector_config(effective)
     provider, tau = _provider(effective)
-    top = int(effective["top"])
-    reviews_path = _require_file(args.reviews, "reviews")
-    catalog_path = _require_file(args.catalog, "catalog")
-    logger.info(
-        "effective config: %s",
-        json.dumps({**config.to_dict(), "provider": provider.name, "tau": tau,
-                    "top": top}, sort_keys=True),
-    )
+    top = effective["top"]
+    run = _load_and_score(args, effective, config, provider=provider.name, tau=tau, top=top)
+    summary_counts = summarize(run.edges, run.catalog)
+    _, report = _cluster_report(run.events, run.records, provider, tau, top)
 
-    edges, review_errors = _load_reviews(reviews_path, effective["format"])
-    catalog, catalog_errors = _load_catalog(catalog_path)
-    _check_error_rate(len(edges), review_errors, effective["max_error_rate"], "reviews")
-    _check_error_rate(len(catalog), catalog_errors, effective["max_error_rate"], "catalog")
-
-    summary_counts = summarize(edges, catalog)
-    partitioned, records, events = _score_stream(edges, catalog, config)
-
-    clusters = collect_clusters(events, records)
-    ranked = rank_clusters(clusters, top) if clusters else []
-    try:
-        report = build_cluster_report(ranked, provider, tau)
-    except MissingEmbeddingError as exc:
-        raise DataFailure(str(exc))
-
-    boost_scores = [r.score for r in records if r.substream is SubstreamLabel.BOOST]
-    sink_scores = [r.score for r in records if r.substream is SubstreamLabel.SINK]
-    welch: dict | None = None
+    boost_scores = [r.score for r in run.records if r.substream is SubstreamLabel.BOOST]
+    sink_scores = [r.score for r in run.records if r.substream is SubstreamLabel.SINK]
     try:
         welch = welch_t(boost_scores, sink_scores).to_dict()
     except (TooSmallError, DegenerateSamplesError):
@@ -488,37 +518,27 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         errors_path = target("parse_errors.jsonl")
         errors_path.unlink(missing_ok=True)
         errors_path.touch()
-        write_line_errors(review_errors, errors_path, source=str(reviews_path))
-        write_line_errors(catalog_errors, errors_path, source=str(catalog_path))
-        write_scores_csv(records, config, target("scores.csv"))
-        write_events_jsonl(events, target("events.jsonl"))
-        target("clusters.json").write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        write_line_errors(run.review_errors, errors_path, source=str(run.reviews_path))
+        write_line_errors(run.catalog_errors, errors_path, source=str(run.catalog_path))
+        write_scores_csv(run.records, config, target("scores.csv"))
+        write_events_jsonl(run.events, target("events.jsonl"))
+        target("clusters.json").write_text(_json_text(report), encoding="utf-8")
         for name, scores in (("cdf_boost.csv", boost_scores), ("cdf_sink.csv", sink_scores)):
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["value", "fraction"])
-            if scores:
-                for value, fraction in ecdf(scores).rows():
-                    writer.writerow([repr(value), repr(fraction)])
-            target(name).write_text(buf.getvalue(), encoding="utf-8")
+            target(name).write_text(_ecdf_csv(scores), encoding="utf-8")
         summary = {
             "counts": summary_counts.to_dict(),
-            "partition": partitioned.counts(),
-            "events": len(events),
+            "partition": run.partitioned.counts(),
+            "events": len(run.events),
             "clusters_reported": len(report),
             "welch_boost_vs_sink": welch,
         }
-        target("summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        target("summary.json").write_text(_json_text(summary), encoding="utf-8")
         manifest = {
             "tool": "reviewstream",
             "version": __version__,
             "inputs": {
-                "reviews": {"path": str(reviews_path), "sha256": _sha256(reviews_path)},
-                "catalog": {"path": str(catalog_path), "sha256": _sha256(catalog_path)},
+                name: {"path": str(path), "sha256": _sha256(path)}
+                for name, path in (("reviews", run.reviews_path), ("catalog", run.catalog_path))
             },
             "config": {
                 **config.to_dict(),
@@ -530,9 +550,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             },
             "runtime_seconds": round(time.monotonic() - started, 3),
         }
-        target("manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        target("manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -544,31 +562,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
-def _add_config_flags(parser: argparse.ArgumentParser, with_clusters: bool) -> None:
+def _add_flags(parser, *keys: str) -> None:
+    """One ``--key`` flag per config key, declared from ``_CONFIG``."""
+    for key in keys:
+        spec = _CONFIG[key]
+        text = spec.help if spec.default is None else f"{spec.help} (default {spec.default})"
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text,
+                            type=None if spec.type is str else spec.type, choices=spec.choices)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("detector configuration")
     group.add_argument("--config", help="JSON file mirroring these flags; flags override it")
-    group.add_argument("--origin", type=int, help="tick 1 anchor, seconds (required)")
-    group.add_argument("--period", type=int, help="tick width in seconds (default 86400)")
-    group.add_argument("--burst-factor", dest="burst_factor", type=float,
-                       help="burst ratio threshold, > 1 (default 2.0)")
-    group.add_argument("--decay", type=float, help="per-tick history decay in [0,1] (default 0.6)")
-    group.add_argument("--filter-threshold", dest="filter_threshold", type=float,
-                       help="score above which a tick is excluded from history (default 1000)")
-    group.add_argument("--min-prior", dest="min_prior", type=float,
-                       help="denominator guard for the burst ratio (default 1.0)")
-    group.add_argument("--rows", type=int, help="sketch hash rows (default 2)")
-    group.add_argument("--cols", type=int, help="sketch counters per row (default 1024)")
-    group.add_argument("--sketch-seed", dest="sketch_seed", type=int,
-                       help="master seed for the per-row hash seeds (default 7)")
-    group.add_argument("--max-error-rate", dest="max_error_rate", type=float,
-                       help="tolerated parse error fraction before aborting (default 0.01)")
-    if with_clusters:
-        group.add_argument("--top", type=int, help="clusters to report (default 50)")
-        group.add_argument("--tau", type=float,
-                           help="near-identical similarity threshold (default per provider)")
-        group.add_argument("--provider", choices=["lexical", "file"],
-                           help="embedding provider (default lexical)")
-        group.add_argument("--embeddings", help="JSONL sidecar of {review_id, vector}")
+    _add_flags(group, *_DETECTOR_KEYS, "max_error_rate")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,19 +585,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate raw reviews into canonical JSONL")
     p.add_argument("--reviews", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    _add_flags(p, "format")
     p.add_argument("--out", required=True, help="canonical reviews JSONL")
     p.add_argument("--errors", help="sidecar JSONL for rejected lines")
-    p.add_argument("--max-error-rate", dest="max_error_rate", type=float, default=0.01)
+    _add_flags(p, "max_error_rate")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("score", help="partition a stream and score both sub-streams")
     p.add_argument("--reviews", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"])
+    _add_flags(p, "format")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out-scores", dest="out_scores", required=True)
     p.add_argument("--out-events", dest="out_events", required=True)
-    _add_config_flags(p, with_clusters=False)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("clusters", help="rank suspicious clusters and analyze pairs")
@@ -598,17 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores CSV from `score`")
     p.add_argument("--events", required=True, help="events JSONL from `score`")
     p.add_argument("--out", required=True, help="cluster report JSON")
-    p.add_argument("--top", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--provider", choices=["lexical", "file"])
-    p.add_argument("--embeddings")
+    _add_flags(p, "top", *_PAIR_KEYS)
     p.set_defaults(func=cmd_clusters)
 
     p = sub.add_parser("pairs", help="pairwise near-duplicate analysis of a review file")
     p.add_argument("--reviews", required=True)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--provider", choices=["lexical", "file"])
-    p.add_argument("--embeddings")
+    _add_flags(p, *_PAIR_KEYS)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_pairs)
 
@@ -638,10 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="ingest, partition, score, cluster, summarize")
     p.add_argument("--reviews", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"])
+    _add_flags(p, "format")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_config_flags(p, with_clusters=True)
+    _add_flags(_add_config_flags(p), "top", *_PAIR_KEYS)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -38,6 +38,10 @@ class MissingEmbeddingError(KeyError):
     """The external embedding sidecar lacks a required review_id."""
 
 
+class EmbeddingFileError(ValueError):
+    """An embedding sidecar line is malformed; the message names file:line."""
+
+
 @dataclass(frozen=True)
 class SuspiciousCluster:
     app_id: str
@@ -136,26 +140,35 @@ class FileEmbedder:
 
     @classmethod
     def load(cls, path: str | Path) -> "FileEmbedder":
+        """Read a sidecar; any malformed line raises EmbeddingFileError."""
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # json.loads reports undecodable bytes per line
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
-                vec = np.asarray(obj["vector"], dtype=np.float64)
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                    review_id, vec = obj["review_id"], np.asarray(obj["vector"], dtype=np.float64)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise EmbeddingFileError(
+                        f"{where}: not a {{review_id, vector}} object: {exc!r}"
+                    ) from None
+                if not isinstance(review_id, str):
+                    raise EmbeddingFileError(f"{where}: review_id must be a string")
                 if vec.ndim != 1:
-                    raise ValueError(f"{path}:{lineno}: vector must be 1-D")
+                    raise EmbeddingFileError(f"{where}: vector must be 1-D")
                 if dim is None:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:
-                    raise ValueError(
-                        f"{path}:{lineno}: dimension {vec.shape[0]} != {dim}"
-                    )
+                    raise EmbeddingFileError(f"{where}: dimension {vec.shape[0]} != {dim}")
+                if not np.isfinite(vec).all():
+                    raise EmbeddingFileError(f"{where}: vector has non-finite values")
                 norm = float(np.linalg.norm(vec))
                 if norm > 0:
                     vec = vec / norm
-                vectors[obj["review_id"]] = vec
+                vectors[review_id] = vec
         return cls(vectors)
 
     def vector(self, review_id: str, text: str) -> np.ndarray:

@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
 from .ingest import ReviewEdge, to_tick
 from .partition import SubstreamLabel
-from .sketch import CountMinSketch, derive_row_seeds
+from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
 
 class TimeRegressionError(ValueError):
@@ -75,10 +76,14 @@ class DetectorConfig:
     min_prior: float = 1.0
     rows: int = 2
     cols: int = 1024
-    sketch_seed: int = 7
+    sketch_seed: int = DEFAULT_SEED
     seeds: tuple[int, ...] | None = None
 
     def validate(self) -> None:
+        for f in fields(self):  # NaN fails no comparison below; inf is allowed
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must be a number, got {value}")
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.burst_factor <= 1.0:
@@ -102,17 +107,10 @@ class DetectorConfig:
         return derive_row_seeds(self.sketch_seed, self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "origin": self.origin,
-            "period": self.period,
-            "burst_factor": self.burst_factor,
-            "decay": self.decay,
-            "filter_threshold": self.filter_threshold,
-            "min_prior": self.min_prior,
-            "rows": self.rows,
-            "cols": self.cols,
-            "seeds": list(self.row_seeds()),
-        }
+        """Every field, with the derived ``seeds`` in place of ``sketch_seed``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sketch_seed"}
+        out["seeds"] = list(self.row_seeds())
+        return out
 
 
 @dataclass(frozen=True)
@@ -155,6 +153,7 @@ def evaluate_burst(
 
 @dataclass
 class _AppRegister:
+    slots: tuple[int, ...]  # the app's sketch column in each row
     open_tick: int
     cur_raw: int = 0
     last_score: float = 0.0
@@ -166,7 +165,7 @@ class Detector:
     """Single-pass scorer for one ordered sub-stream.
 
     One instance per sub-stream; instances are independent and never
-    share state, so the boost and sink runs can execute in parallel.
+    share state.
     """
 
     def __init__(self, config: DetectorConfig, substream: SubstreamLabel):
@@ -178,7 +177,6 @@ class Detector:
         self._current = CountMinSketch(config.rows, config.cols, seeds)
         self._history = CountMinSketch(config.rows, config.cols, seeds)
         self._registers: dict[str, _AppRegister] = {}
-        self._slots: dict[str, tuple[int, ...]] = {}
         self._touched: list[str] = []
         self._tick = 0
         self._finished = False
@@ -189,14 +187,9 @@ class Detector:
 
     def historical_total(self, app_id: str) -> float:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
-        return self._history.estimate_at(self._locate(app_id))
-
-    def _locate(self, app_id: str) -> tuple[int, ...]:
-        slots = self._slots.get(app_id)
-        if slots is None:
-            slots = self._current.locate(app_id)
-            self._slots[app_id] = slots
-        return slots
+        register = self._registers.get(app_id)
+        slots = register.slots if register is not None else self._history.locate(app_id)
+        return self._history.estimate_at(slots)
 
     def process_edge(self, edge: ReviewEdge) -> AnomalyRecord:
         if self._finished:
@@ -211,7 +204,7 @@ class Detector:
 
         register = self._registers.get(edge.app_id)
         if register is None:
-            register = _AppRegister(open_tick=tick)
+            register = _AppRegister(self._current.locate(edge.app_id), tick)
             self._registers[edge.app_id] = register
             self._touched.append(edge.app_id)
         elif register.open_tick != tick:
@@ -221,7 +214,7 @@ class Detector:
             self._touched.append(edge.app_id)
         register.cur_raw += 1
 
-        slots = self._locate(edge.app_id)
+        slots = register.slots
         self._current.insert_at(slots, 1.0)
         cur = self._current.estimate_at(slots)
         total = self._history.estimate_at(slots) + cur
@@ -267,7 +260,7 @@ class Detector:
                         burst_count=register.cur_raw,
                         ratio=ratio,
                     ))
-            slots = self._locate(app_id)
+            slots = register.slots
             if register.last_score > cfg.filter_threshold and closing >= 2:
                 expected = self._history.estimate_at(slots) / (closing - 1)
                 self._history.insert_at(slots, expected)

@@ -24,6 +24,7 @@ from hashlib import blake2b
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+DEFAULT_SEED = 7  # master seed of the per-row hash seeds
 
 
 def derive_row_seeds(master_seed: int, rows: int) -> tuple[int, ...]:
@@ -34,11 +35,11 @@ def derive_row_seeds(master_seed: int, rows: int) -> tuple[int, ...]:
 class CountMinSketch:
     __slots__ = ("rows", "cols", "seeds", "counters", "_seed_keys")
 
-    def __init__(self, rows: int = 2, cols: int = 1024, seeds: tuple[int, ...] | None = None):
+    def __init__(self, rows: int, cols: int, seeds: tuple[int, ...] | None = None):
         if rows < 1 or cols < 1:
             raise ValueError(f"rows and cols must be positive, got {rows}x{cols}")
         if seeds is None:
-            seeds = derive_row_seeds(7, rows)
+            seeds = derive_row_seeds(DEFAULT_SEED, rows)
         seeds = tuple(int(s) & _MASK64 for s in seeds)
         if len(seeds) != rows:
             raise ValueError(f"need {rows} seeds, got {len(seeds)}")

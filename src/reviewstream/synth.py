@@ -15,12 +15,13 @@ on any platform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .detector import DetectorConfig
 from .ingest import AppCatalog, AppRecord, ReviewEdge
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -69,7 +70,7 @@ class SynthSpec:
     injections: tuple[Injection, ...] = ()
     seed: int = 0
     origin: int = 0
-    period: int = 86_400
+    period: int = DetectorConfig.period  # ticks line up with the detector's default
     base_rating: float = 3.5
 
     def validate(self) -> None:
@@ -114,27 +115,13 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
+        """Validated spec from JSON; absent keys take the field defaults."""
         injections = tuple(
-            Injection(
-                app_id=i["app_id"],
-                tick=i["tick"],
-                n_edges=i["n_edges"],
-                n_reviewers_used=i["n_reviewers_used"],
-                score_mode=i["score_mode"],
-            )
+            Injection(**{f.name: i[f.name] for f in fields(Injection)})
             for i in obj.get("injections", ())
         )
-        spec = cls(
-            n_apps=obj["n_apps"],
-            n_reviewers=obj["n_reviewers"],
-            ticks=obj["ticks"],
-            background_rate=obj["background_rate"],
-            injections=injections,
-            seed=obj.get("seed", 0),
-            origin=obj.get("origin", 0),
-            period=obj.get("period", 86_400),
-            base_rating=obj.get("base_rating", 3.5),
-        )
+        values = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+        spec = cls(**{**values, "injections": injections})
         spec.validate()
         return spec
 
@@ -223,7 +210,7 @@ def make_injection_edges(
     injection: Injection,
     rng: np.random.Generator,
     origin: int = 0,
-    period: int = 86_400,
+    period: int = SynthSpec.period,
     injection_index: int = 0,
 ) -> list[ReviewEdge]:
     """The burst edges for one injection, before merging into a stream.
@@ -254,7 +241,7 @@ def inject_lockstep(
     injection: Injection,
     rng: np.random.Generator,
     origin: int = 0,
-    period: int = 86_400,
+    period: int = SynthSpec.period,
     injection_index: int = 0,
 ) -> list[ReviewEdge]:
     """Append one injection to a stream and re-sort by timestamp.

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from reviewstream.detector import DetectorConfig
 
 SPEC = {
     "n_apps": 10,
@@ -57,6 +58,8 @@ class TestPipeline:
         assert manifest["tool"] == "reviewstream"
         assert manifest["config"]["origin"] == 0
         assert len(manifest["config"]["seeds"]) == manifest["config"]["rows"]
+        detector_config = DetectorConfig(origin=0).to_dict()
+        assert {k: manifest["config"][k] for k in detector_config} == detector_config
         assert manifest["inputs"]["reviews"]["sha256"]
         header = (out_dir / "scores.csv").read_text().splitlines()[1]
         assert header.startswith("# config ")
@@ -129,6 +132,28 @@ class TestPipeline:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["burst_factor"] == 2.5  # flag wins
         assert manifest["config"]["top"] == 5  # file wins over default
+
+    @pytest.mark.parametrize("bad", [
+        {"period": "day"}, {"tau": "x"}, {"rows": 2.7}, {"top": True}, {"format": "xml"},
+    ])
+    def test_config_value_of_wrong_type_exits_3(self, synth_files, tmp_path, bad):
+        reviews, _, catalog = synth_files
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"origin": 0, **bad}))
+        out_dir = tmp_path / "out"
+        code = main([
+            "pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+            "--out-dir", str(out_dir), "--config", str(config_path),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--burst-factor", "--min-prior", "--filter-threshold", "--max-error-rate",
+    ])
+    def test_non_finite_flag_exits_3(self, synth_files, tmp_path, flag):
+        reviews, _, catalog = synth_files
+        assert run_pipeline(reviews, catalog, tmp_path / "out", flag, "nan") == EXIT_CONFIG
 
     def test_unknown_config_key_exits_3(self, synth_files, tmp_path):
         reviews, _, catalog = synth_files
@@ -235,6 +260,80 @@ class TestStages:
             "synth", "--spec", str(bad), "--out", str(tmp_path / "r.jsonl"),
             "--truth", str(tmp_path / "t.jsonl"),
         ]) == EXIT_CONFIG
+
+
+def score_files(reviews, catalog, tmp_path, *extra):
+    scores, events = tmp_path / "scores.csv", tmp_path / "events.jsonl"
+    assert main([
+        "score", "--reviews", str(reviews), "--catalog", str(catalog),
+        "--out-scores", str(scores), "--out-events", str(events), "--origin", "0", *extra,
+    ]) == EXIT_OK
+    return scores, events
+
+
+class TestStagedEqualsPipeline:
+    def test_score_then_clusters_matches_pipeline(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        config = ("--burst-factor", "2.5", "--cols", "64")
+        out_dir = tmp_path / "out"
+        assert run_pipeline(reviews, catalog, out_dir, *config, "--top", "3") == EXIT_OK
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        scores, events = score_files(reviews, catalog, staged, *config)
+        report = staged / "clusters.json"
+        assert main([
+            "clusters", "--reviews", str(reviews), "--scores", str(scores),
+            "--events", str(events), "--out", str(report), "--top", "3",
+        ]) == EXIT_OK
+        for name in ("scores.csv", "events.jsonl", "clusters.json"):
+            assert (staged / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+
+class TestRejections:
+    def test_top_below_one_exits_3_for_pipeline(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        out_dir = tmp_path / "out"
+        assert run_pipeline(reviews, catalog, out_dir, "--top", "0") == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_top_below_one_exits_3_for_clusters(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        scores, events = score_files(reviews, catalog, tmp_path)
+        report = tmp_path / "clusters.json"
+        assert main([
+            "clusters", "--reviews", str(reviews), "--scores", str(scores),
+            "--events", str(events), "--out", str(report), "--top", "0",
+        ]) == EXIT_CONFIG
+        assert not report.exists()
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        '{"vector": [1.0, 0.0]}',
+        '{"review_id": "x"}',
+        '{"review_id": "x", "vector": [[1.0, 0.0]]}',
+        '{"review_id": "x", "vector": [1.0, 0.0, 2.0]}',
+        '{"review_id": "x", "vector": [NaN, 1.0]}',
+        '{"review_id": "x", "vector": [[1.0], [1.0, 2.0]]}',
+    ], ids=["bad-json", "no-review-id", "no-vector", "not-1d", "ragged-dim", "nan",
+            "ragged-nested"])
+    def test_bad_embedding_sidecar_exits_2_naming_the_line(self, synth_files, tmp_path,
+                                                          caplog, line):
+        reviews, _, _ = synth_files
+        sidecar = tmp_path / "vectors.jsonl"
+        sidecar.write_text('{"review_id": "ok", "vector": [1.0, 0.0]}\n' + line + "\n")
+        assert main([
+            "pairs", "--reviews", str(reviews), "--provider", "file",
+            "--embeddings", str(sidecar),
+        ]) == EXIT_DATA
+        assert f"{sidecar}:2: " in caplog.text
+
+    @pytest.mark.parametrize("command", [
+        ["stats", "network"], ["pairs"],
+    ])
+    def test_all_lines_malformed_exits_2(self, tmp_path, command):
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_text("{broken\n" * 5)
+        assert main([*command, "--reviews", str(reviews)]) == EXIT_DATA
 
 
 class TestTopLevel:

@@ -231,6 +231,10 @@ class TestConfigValidation:
         dict(rows=0),
         dict(cols=0),
         dict(seeds=(1,)),
+        dict(burst_factor=math.nan),
+        dict(decay=math.nan),
+        dict(filter_threshold=math.nan),
+        dict(min_prior=math.nan),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
