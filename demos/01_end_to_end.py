@@ -35,12 +35,11 @@ result = gen_stream(spec)
 print(f"generated {len(result.edges)} reviews "
       f"({len(result.injected_ids())} injected, hidden from the detector)")
 
-summary = summarize(result.edges, result.catalog)
-print(f"stream summary: {summary.to_dict()}")
-
 # Split by intent. An edge boosts its app when the star score is at or
 # above the app's overall rating, otherwise it sinks it.
 partitioned = partition_stream(result.edges, result.catalog)
+summary = summarize(partitioned)
+print(f"stream summary: {summary.to_dict()}")
 print(f"partition: {partitioned.counts()}")
 
 config = DetectorConfig(origin=0)  # one-day ticks, default decay/filter

@@ -6,7 +6,8 @@ can be rerun independently; `pipeline` chains them and records a run
 manifest with input digests and the full effective configuration.
 
 Exit codes: 0 success; 2 data failure (parse error rate above the
-threshold, inconsistent stage inputs, malformed embedding sidecar);
+threshold, inconsistent stage inputs, a malformed or undecodable input
+file, malformed embedding sidecar);
 3 configuration failure (bad flags or config file, missing input files,
 invalid parameters).
 """
@@ -51,10 +52,8 @@ from .detector import (
 )
 from .ingest import (
     REVIEW_FORMATS,
-    AppCatalog,
     BeforeOriginError,
     LineError,
-    ReviewEdge,
     parse_apps,
     parse_reviews,
     write_app_catalog_csv,
@@ -111,8 +110,11 @@ def _load(parse, path: Path, effective: dict, what: str, errors_out: str | None 
           **kwargs):
     """Parse an input file; abort if too many of its lines were rejected,
     after appending them to ``errors_out`` if given."""
-    with open(path, "r", encoding="utf-8") as fh:
-        items, errors = parse(fh, **kwargs)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            items, errors = parse(fh, **kwargs)
+    except UnicodeDecodeError as exc:
+        raise DataFailure(f"{what} file {path} is not UTF-8 text: {exc}")
     if errors_out:
         write_line_errors(errors, errors_out, source=str(path))
     total = len(items) + len(errors)
@@ -310,9 +312,7 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
 class _Scored:
     reviews_path: Path
     catalog_path: Path
-    edges: list[ReviewEdge]
     review_errors: list[LineError]
-    catalog: AppCatalog
     catalog_errors: list[LineError]
     partitioned: PartitionResult
     records: list[AnomalyRecord]
@@ -338,8 +338,8 @@ def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorC
         raise ConfigFailure(f"{exc}; lower --origin to at or before the first timestamp")
     records.extend(sink_records)
     events.extend(sink_events)
-    return _Scored(reviews_path, catalog_path, edges, review_errors, catalog, catalog_errors,
-                   partitioned, records, events)
+    return _Scored(reviews_path, catalog_path, review_errors, catalog_errors, partitioned,
+                   records, events)
 
 
 def _cluster_report(events, records, provider, tau: float, top: int):
@@ -383,7 +383,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 def _records_from_files(reviews_path: Path, scores_path: Path, effective: dict):
     edges, _ = _load_reviews(reviews_path, effective)
     by_id = {e.review_id: e for e in edges}
-    rows, _ = read_scores_csv(scores_path)
+    try:
+        rows, _ = read_scores_csv(scores_path)
+    except (ValueError, IndexError) as exc:  # also bad JSON or UTF-8
+        raise DataFailure(f"scores file {scores_path} is malformed: {exc}")
     records = []
     for row in rows:
         edge = by_id.get(row.review_id)
@@ -403,7 +406,10 @@ def cmd_clusters(args: argparse.Namespace) -> int:
     scores_path = _require_file(args.scores, "scores")
     events_path = _require_file(args.events, "events")
     records = _records_from_files(reviews_path, scores_path, effective)
-    events = read_events_jsonl(events_path)
+    try:
+        events = read_events_jsonl(events_path)
+    except (ValueError, KeyError, TypeError) as exc:  # also bad JSON or UTF-8
+        raise DataFailure(f"events file {events_path} is malformed: {exc!r}")
     formed, report = _cluster_report(events, records, provider, tau, effective["top"])
     Path(args.out).write_text(_json_text(report), encoding="utf-8")
     _print_json({"clusters": formed, "reported": len(report), "tau": tau})
@@ -495,7 +501,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     provider, tau = _provider(effective)
     top = effective["top"]
     run = _load_and_score(args, effective, config, provider=provider.name, tau=tau, top=top)
-    summary_counts = summarize(run.edges, run.catalog)
+    summary_counts = summarize(run.partitioned)
     _, report = _cluster_report(run.events, run.records, provider, tau, top)
 
     boost_scores = [r.score for r in run.records if r.substream is SubstreamLabel.BOOST]

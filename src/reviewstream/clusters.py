@@ -3,7 +3,11 @@
 A cluster is the set of scored edges for one (app, sub-stream, burst
 tick) triple, materialized from a microcluster event. Clusters are
 ranked by mean anomaly score; within a cluster every pair of review
-texts is compared by cosine similarity to quantify copy-paste behavior.
+texts whose cosine similarity reaches tau is found, to quantify
+copy-paste behavior. Members with equal vectors are grouped, a Gram
+product over one vector per group proposes candidate pairs, and each
+candidate is checked with ``cosine`` itself, so the pairs and their
+similarities are exactly those of scoring every pair.
 
 Embeddings are pluggable. The default is a deterministic lexical model:
 lowercase, strip punctuation, collapse whitespace, then an L2-normalized
@@ -14,13 +18,15 @@ a JSONL sidecar keyed by review_id.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations, islice
 from math import sqrt
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -220,6 +226,120 @@ def rank_clusters(
     return ordered[:k]
 
 
+class _NearDuplicates:
+    """The pairs with similarity >= tau among a set of reviews, held as
+    groups of members with equal vectors (every pair inside a group
+    scores exactly 1.0) plus the verified pairs across groups."""
+
+    def __init__(self, reviews, provider, tau: float):
+        if not 0.0 < tau <= 1.0:
+            raise ValueError(f"tau must be in (0, 1], got {tau}")
+        reviews = list(reviews)
+        with_text = [r for r in reviews if r.text is not None]
+        vectors = [provider.vector(r.review_id, r.text) for r in with_text]
+        self.ids = [r.review_id for r in with_text]
+        self.textless_count = len(reviews) - len(with_text)
+        self.groups = _equal_vector_groups(vectors)
+        self.scored: list[tuple[float, int, int]] = []  # (similarity, i, j), i < j
+        for g, h in _candidate_groups([vectors[m[0]] for m in self.groups], tau):
+            for x in self.groups[g]:
+                for y in self.groups[h]:
+                    i, j = (x, y) if x < y else (y, x)
+                    # cosine itself, with its arguments in member order: equal
+                    # dicts may iterate in different orders, so the float sum,
+                    # and with it the threshold decision, depends on the order.
+                    sim = cosine(vectors[i], vectors[j])
+                    if sim >= tau:
+                        self.scored.append((sim, i, j))
+
+    @property
+    def pair_count(self) -> int:
+        return sum(len(m) * (len(m) - 1) // 2 for m in self.groups) + len(self.scored)
+
+    def flagged(self) -> frozenset[str]:
+        members = {i for m in self.groups if len(m) > 1 for i in m}
+        members.update(i for _, a, b in self.scored for i in (a, b))
+        return frozenset(self.ids[i] for i in members)
+
+    def ordered(self) -> Iterator[SimilarityPair]:
+        """Every pair, by similarity desc then ids asc, built lazily."""
+        ids = self.ids
+        within = [  # combinations of sorted ids come out in id order
+            ((-1.0, a, b) for a, b in combinations(sorted(ids[i] for i in m), 2))
+            for m in self.groups if len(m) > 1
+        ]
+        across = sorted((-sim, *sorted((ids[i], ids[j]))) for sim, i, j in self.scored)
+        for neg_sim, a, b in heapq.merge(across, *within):
+            yield SimilarityPair(a, b, -neg_sim)
+
+
+def _equal_vector_groups(vectors: Sequence) -> list[list[int]]:
+    """Indices of the non-empty, non-zero vectors grouped by equality, in
+    order of first appearance. The keys agree with cosine's ``u == v``
+    test: dict equality for lexical vectors, ``np.array_equal`` for
+    arrays (the floats of ``tolist`` compare -0.0 equal to 0.0 and NaN
+    unequal to itself, as array_equal does). Empty and zero vectors are
+    left out: cosine scores them 0, below any tau."""
+    groups: dict = {}
+    for i, v in enumerate(vectors):
+        if isinstance(v, dict):
+            if v:
+                groups.setdefault(frozenset(v.items()), []).append(i)
+        elif np.any(v):
+            groups.setdefault(tuple(v.tolist()), []).append(i)
+    return list(groups.values())
+
+
+_GRAM_BLOCK_ENTRIES = 1 << 22  # 32 MB of float64 Gram entries per block
+
+
+def _candidate_groups(reps: Sequence, tau: float) -> Iterator[tuple[int, int]]:
+    """Group pairs (g, h), g < h, whose representatives' dot product
+    comes within a rounding margin of tau; a superset of the pairs whose
+    cosine reaches tau.
+
+    A float sum of d products is within gamma_d * sum|x_k y_k| <=
+    gamma_d * |x| |y| of the exact dot product (gamma_d = d u / (1 - d u),
+    u = 2**-53; Cauchy-Schwarz for the second step). cosine and the Gram
+    product below each sum at most d products, so they differ by at most
+    2 gamma_d max|x|^2, which 4 d u max|x|^2 covers. A NaN margin or Gram
+    entry makes the pair a candidate, so non-finite vectors fall back to
+    the exact check.
+    """
+    if len(reps) < 2:
+        return
+    if isinstance(reps[0], dict):
+        from scipy.sparse import csr_matrix
+
+        vocab: dict = {}
+        indices: list[int] = []
+        data: list[float] = []
+        indptr = [0]
+        for v in reps:
+            for term, w in v.items():
+                indices.append(vocab.setdefault(term, len(vocab)))
+                data.append(w)
+            indptr.append(len(indices))
+        matrix = csr_matrix((data, indices, indptr), shape=(len(reps), len(vocab)))
+        d = max(len(v) for v in reps)
+        norm2 = matrix.multiply(matrix).sum(axis=1)
+    else:
+        matrix = np.stack(reps)
+        d = matrix.shape[1]
+        norm2 = np.einsum("ij,ij->i", matrix, matrix)
+    threshold = tau - 4 * d * 2.0**-53 * float(np.max(norm2))
+    transposed = matrix.T
+    block = max(1, _GRAM_BLOCK_ENTRIES // len(reps))
+    for start in range(0, len(reps), block):
+        gram = matrix[start:start + block] @ transposed
+        if not isinstance(gram, np.ndarray):
+            gram = gram.toarray()
+        rows, cols = np.nonzero(~(gram < threshold))
+        rows += start
+        keep = cols > rows
+        yield from zip(rows[keep].tolist(), cols[keep].tolist())
+
+
 def pairwise_similarity(reviews, provider, tau: float) -> PairAnalysis:
     """Evaluate all unordered text pairs among a set of reviews.
 
@@ -227,29 +347,12 @@ def pairwise_similarity(reviews, provider, tau: float) -> PairAnalysis:
     pairs with similarity >= tau, sorted by similarity desc then ids
     asc, plus the set of reviews appearing in at least one pair.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    reviews = list(reviews)
-    with_text = [r for r in reviews if r.text is not None]
-    vectors = [provider.vector(r.review_id, r.text) for r in with_text]
-    pairs: list[SimilarityPair] = []
-    flagged: set[str] = set()
-    for i in range(len(with_text)):
-        for j in range(i + 1, len(with_text)):
-            sim = cosine(vectors[i], vectors[j])
-            if sim >= tau:
-                id_a, id_b = sorted(
-                    (with_text[i].review_id, with_text[j].review_id)
-                )
-                pairs.append(SimilarityPair(id_a, id_b, sim))
-                flagged.add(id_a)
-                flagged.add(id_b)
-    pairs.sort(key=lambda p: (-p.similarity, p.review_id_a, p.review_id_b))
+    found = _NearDuplicates(reviews, provider, tau)
     return PairAnalysis(
-        pairs=tuple(pairs),
-        flagged_review_ids=frozenset(flagged),
-        evaluated_count=len(with_text),
-        textless_count=len(reviews) - len(with_text),
+        pairs=tuple(found.ordered()),
+        flagged_review_ids=found.flagged(),
+        evaluated_count=len(found.ids),
+        textless_count=found.textless_count,
     )
 
 
@@ -271,19 +374,19 @@ def build_cluster_report(
     """JSON-ready report entries, one per cluster, in rank order."""
     report = []
     for cluster in ranked:
-        analysis = near_identical_pairs(cluster, provider, tau)
+        found = _NearDuplicates((m.edge for m in cluster.members), provider, tau)
         report.append({
             "app_id": cluster.app_id,
             "substream": cluster.substream.value,
             "tick": cluster.tick,
             "size": cluster.size,
             "mean_score": cluster.mean_score,
-            "textless_count": analysis.textless_count,
-            "flagged_count": len(analysis.flagged_review_ids),
-            "pair_count": len(analysis.pairs),
+            "textless_count": found.textless_count,
+            "flagged_count": len(found.flagged()),
+            "pair_count": found.pair_count,
             "top_pairs": [
                 {"a": p.review_id_a, "b": p.review_id_b, "similarity": p.similarity}
-                for p in analysis.pairs[:max_pairs_listed]
+                for p in islice(found.ordered(), max_pairs_listed)
             ],
             "provider": provider.name,
             "tau": tau,

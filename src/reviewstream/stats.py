@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
 
-from .ingest import AppCatalog, ReviewEdge
-from .partition import SubstreamLabel, classify
+from .ingest import ReviewEdge
+from .partition import PartitionResult
 
 
 class TooSmallError(ValueError):
@@ -65,6 +64,9 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     The one-sided p-value is the upper tail, i.e. evidence for
     mean_a > mean_b; swap the samples for the opposite direction.
     """
+    # Imported here: scipy.stats adds about a second to every command's start.
+    from scipy.stats import t as t_dist
+
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     n_a, n_b = a.shape[0], b.shape[0]
@@ -161,22 +163,18 @@ class StreamSummary:
         }
 
 
-def summarize(edges: Iterable[ReviewEdge], catalog: AppCatalog) -> StreamSummary:
-    """Exact headline counts for a stream; distinctness by id."""
+def summarize(partitioned: PartitionResult) -> StreamSummary:
+    """Exact headline counts for a partitioned stream; distinctness by id."""
     reviewers: set[str] = set()
     apps: set[str] = set()
-    counts = {label: 0 for label in SubstreamLabel}
-    total = 0
-    for edge in edges:
-        total += 1
-        reviewers.add(edge.reviewer_id)
-        apps.add(edge.app_id)
-        counts[classify(edge, catalog)] += 1
+    for edges in (partitioned.boost, partitioned.sink, partitioned.unpartitioned):
+        for edge in edges:
+            reviewers.add(edge.reviewer_id)
+            apps.add(edge.app_id)
+    counts = partitioned.counts()
     return StreamSummary(
-        reviews=total,
+        reviews=sum(counts.values()),
         reviewers=len(reviewers),
         apps=len(apps),
-        boost=counts[SubstreamLabel.BOOST],
-        sink=counts[SubstreamLabel.SINK],
-        unpartitioned=counts[SubstreamLabel.UNPARTITIONED],
+        **counts,
     )

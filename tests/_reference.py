@@ -2,7 +2,9 @@
 
 These re-derive the documented behavior with plain dicts and exact
 counts (no sketches), so detector outputs can be checked against an
-implementation that shares no code with the package under test.
+implementation that shares no code with the package under test. The
+pair oracle shares only ``cosine``, the definition of similarity, and
+replaces the pair search with a check of every pair.
 """
 
 from __future__ import annotations
@@ -100,3 +102,25 @@ def brute_force_events(
             if denom > 0 and burst / denom > burst_factor:
                 fired.append((app_id, burst_tick - 1, prior, burst))
     return sorted(fired)
+
+
+def all_pairs_similarity(reviews, provider, tau: float):
+    """Near-identical pairs by scoring every unordered pair of reviews
+    with text: (pairs as (id_a, id_b, similarity) sorted by similarity
+    desc then ids asc, flagged ids, reviews with text, reviews without)."""
+    from reviewstream.clusters import cosine
+
+    reviews = list(reviews)
+    with_text = [r for r in reviews if r.text is not None]
+    vectors = [provider.vector(r.review_id, r.text) for r in with_text]
+    pairs = []
+    flagged = set()
+    for i in range(len(with_text)):
+        for j in range(i + 1, len(with_text)):
+            sim = cosine(vectors[i], vectors[j])
+            if sim >= tau:
+                id_a, id_b = sorted((with_text[i].review_id, with_text[j].review_id))
+                pairs.append((id_a, id_b, sim))
+                flagged.update((id_a, id_b))
+    pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
+    return pairs, frozenset(flagged), len(with_text), len(reviews) - len(with_text)

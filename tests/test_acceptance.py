@@ -316,7 +316,7 @@ def test_full_dataset_headline_counts():
     catalog_path = os.path.join(DATASET_DIR, "apps.csv")
     edges, _ = read_reviews_jsonl(reviews_path)
     catalog, _ = read_app_catalog_csv(catalog_path)
-    summary = summarize(edges, catalog)
+    summary = summarize(partition_stream(edges, catalog))
     counts_ok = (
         summary.reviews == 319_198
         and summary.reviewers == 301_188

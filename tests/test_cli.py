@@ -335,6 +335,34 @@ class TestRejections:
         reviews.write_text("{broken\n" * 5)
         assert main([*command, "--reviews", str(reviews)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("bad", ["scores", "events"])
+    def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
+                                                               caplog, bad):
+        reviews, _, catalog = synth_files
+        scores, events = score_files(reviews, catalog, tmp_path)
+        broken = {"scores": scores, "events": events}[bad]
+        broken.write_text({"scores": "x,y\n", "events": "{bad\n"}[bad])
+        report = tmp_path / "clusters.json"
+        assert main([
+            "clusters", "--reviews", str(reviews), "--scores", str(scores),
+            "--events", str(events), "--out", str(report),
+        ]) == EXIT_DATA
+        assert str(broken) in caplog.text
+        assert not report.exists()
+
+    @pytest.mark.parametrize("which", ["reviews", "catalog"])
+    def test_undecodable_input_exits_2_naming_the_file(self, synth_files, tmp_path,
+                                                       caplog, which):
+        reviews, _, catalog = synth_files
+        broken = {"reviews": reviews, "catalog": catalog}[which]
+        broken.write_bytes(b"\xff\xfe" + broken.read_bytes())
+        if which == "reviews":
+            assert main(["stats", "network", "--reviews", str(reviews)]) == EXIT_DATA
+        out_dir = tmp_path / "out"
+        assert run_pipeline(reviews, catalog, out_dir) == EXIT_DATA
+        assert f"{which} file {broken} is not UTF-8 text" in caplog.text
+        assert not out_dir.exists()
+
 
 class TestTopLevel:
     def test_version(self, capsys):

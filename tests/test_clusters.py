@@ -1,24 +1,30 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewstream import clusters as clusters_module
 from reviewstream.clusters import (
     FileEmbedder,
     InconsistentRunError,
     LexicalEmbedder,
     MissingEmbeddingError,
     SuspiciousCluster,
+    build_cluster_report,
     collect_clusters,
     cosine,
     lexical_vector,
     near_identical_pairs,
+    pairwise_similarity,
     rank_clusters,
 )
 from reviewstream.detector import AnomalyRecord, MicroclusterEvent
 from reviewstream.ingest import ReviewEdge
 from reviewstream.partition import SubstreamLabel
+
+from _reference import all_pairs_similarity
 
 BOOST = SubstreamLabel.BOOST
 SINK = SubstreamLabel.SINK
@@ -228,3 +234,149 @@ class TestFileEmbedder:
         provider = FileEmbedder.load(path)
         vec = provider.vector("m0", None)
         assert cosine(vec, vec) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Pair mining against the all-pairs oracle.
+
+# Equal lexical vectors whose dicts iterate in different orders, and a
+# third text that scores 1 ulp apart against each (see test below).
+ORDER_TWINS = ("d f a d a", "d a d f a")
+ORDER_PROBE = "a c b d f"
+
+
+def members_with_ids(values, id_order):
+    """Cluster of reviews carrying ``values`` as text, with review ids
+    ranked by ``id_order`` so id order differs from member order."""
+    members = tuple(
+        record(f"r{rank:02d}", text=value) for rank, value in zip(id_order, values)
+    )
+    return SuspiciousCluster("a1", BOOST, 5, members, 1.0)
+
+
+def assert_matches_oracle(c, provider, tau):
+    reviews = [m.edge for m in c.members]
+    pairs, flagged, evaluated, textless = all_pairs_similarity(reviews, provider, tau)
+    analysis = pairwise_similarity(reviews, provider, tau)
+    got = [(p.review_id_a, p.review_id_b, p.similarity) for p in analysis.pairs]
+    assert got == pairs  # floats compared with ==: bit-identical similarities
+    assert analysis.flagged_review_ids == flagged
+    assert (analysis.evaluated_count, analysis.textless_count) == (evaluated, textless)
+    (entry,) = build_cluster_report([c], provider, tau)
+    assert entry["pair_count"] == len(pairs)
+    assert entry["flagged_count"] == len(flagged)
+    assert entry["textless_count"] == textless
+    assert [(e["a"], e["b"], e["similarity"]) for e in entry["top_pairs"]] == pairs[:10]
+
+
+def observed_similarities(c, provider):
+    vectors = [provider.vector(m.edge.review_id, m.edge.text)
+               for m in c.members if m.edge.text is not None]
+    sims = {cosine(vectors[i], vectors[j])
+            for i in range(len(vectors)) for j in range(i + 1, len(vectors))}
+    return sorted(x for x in sims if 0.0 < x <= 1.0)
+
+
+TAU_GRID = st.sampled_from([1.0, 0.95, 0.5, "observed"])
+lexical_member = st.one_of(
+    st.lists(st.sampled_from(["good", "app", "very", "a", "b", "c"]), max_size=5).map(" ".join),
+    st.sampled_from([*ORDER_TWINS, ORDER_PROBE, "", "...", "!?", None]),
+)
+
+
+def draw_cluster(data, values):
+    id_order = data.draw(st.permutations(range(len(values))))
+    return members_with_ids(values, id_order)
+
+
+def draw_tau(data, tau, c, provider):
+    if tau != "observed":
+        return tau
+    observed = observed_similarities(c, provider)
+    return data.draw(st.sampled_from(observed)) if observed else 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(lexical_member, max_size=14), tau=TAU_GRID, data=st.data())
+def test_lexical_pairs_match_all_pairs_oracle(texts, tau, data):
+    c = draw_cluster(data, texts)
+    provider = LexicalEmbedder()
+    assert_matches_oracle(c, provider, draw_tau(data, tau, c, provider))
+
+
+BASE_VECTORS = (
+    np.array([0.6, 0.8, 0.0]),
+    np.array([1 / 3, 2 / 3, 2 / 3]),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
+@st.composite
+def file_vector(draw):
+    """Unit vectors, their -0.0 and 1-ulp variants, zero vectors and
+    random directions."""
+    kind = draw(st.sampled_from(["base", "neg-zero", "ulp", "zero", "random"]))
+    v = BASE_VECTORS[draw(st.integers(0, len(BASE_VECTORS) - 1))].copy()
+    if kind == "neg-zero":
+        v[v == 0.0] = -0.0
+    elif kind == "ulp":
+        k = draw(st.integers(0, 2))
+        v[k] = np.nextafter(v[k], draw(st.sampled_from([-np.inf, np.inf])))
+    elif kind == "zero":
+        v = np.array([0.0, -0.0, 0.0])
+    elif kind == "random":
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            v = v / norm
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=st.lists(file_vector(), max_size=12), textless=st.lists(st.booleans(), max_size=12),
+       tau=TAU_GRID, data=st.data())
+def test_file_vector_pairs_match_all_pairs_oracle(vectors, textless, tau, data):
+    texts = [None if i < len(textless) and textless[i] else "t" for i in range(len(vectors))]
+    c = draw_cluster(data, texts)
+    provider = FileEmbedder({m.edge.review_id: v for m, v in zip(c.members, vectors)})
+    assert_matches_oracle(c, provider, draw_tau(data, tau, c, provider))
+
+
+class TestPairMining:
+    def test_argument_order_decides_a_tie_with_tau(self):
+        # The twins are equal dicts, but each scores the probe 1 ulp apart
+        # from the other, so only the pair with the higher score reaches tau.
+        provider = LexicalEmbedder()
+        twin_a, twin_b, probe = (lexical_vector(t) for t in (*ORDER_TWINS, ORDER_PROBE))
+        assert twin_a == twin_b and cosine(twin_a, probe) != cosine(twin_b, probe)
+        tau = max(cosine(twin_a, probe), cosine(twin_b, probe))
+        c = members_with_ids([*ORDER_TWINS, ORDER_PROBE], [0, 1, 2])
+        analysis = pairwise_similarity([m.edge for m in c.members], provider, tau)
+        assert len(analysis.pairs) == 2  # the twins, and one twin with the probe
+        assert_matches_oracle(c, provider, tau)
+
+    def test_pair_whose_gram_entry_rounds_below_tau_is_found(self):
+        # The sparse product sums these two vectors' common terms in another
+        # order than cosine does and lands 1 ulp lower; with tau at the
+        # cosine the pair must still be found, through the rounding margin.
+        texts = ["d e g d f e d g", "d f b a e"]
+        tau = cosine(*(lexical_vector(t) for t in texts))
+        c = members_with_ids(texts, [0, 1])
+        assert len(pairwise_similarity([m.edge for m in c.members], LexicalEmbedder(), tau).pairs) == 1
+        assert_matches_oracle(c, LexicalEmbedder(), tau)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.95, 0.6, 0.3])
+    def test_gram_blocks_match_oracle(self, monkeypatch, tau):
+        monkeypatch.setattr(clusters_module, "_GRAM_BLOCK_ENTRIES", 50)
+        words = ["good", "app", "very", "nice", "bad", "earn"]
+        rng = np.random.default_rng(7)
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 5))) for _ in range(40)]
+        c = members_with_ids(texts, rng.permutation(len(texts)).tolist())
+        assert_matches_oracle(c, LexicalEmbedder(), tau)
+
+    def test_report_lists_ten_of_many_pairs(self):
+        c = members_with_ids(["same text"] * 8 + ["other words"] * 6, range(14))
+        (entry,) = build_cluster_report([c], LexicalEmbedder(), 1.0)
+        assert entry["pair_count"] == 28 + 15
+        assert len(entry["top_pairs"]) == 10
+        assert_matches_oracle(c, LexicalEmbedder(), 1.0)

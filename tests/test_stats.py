@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewstream.ingest import AppCatalog, AppRecord, ReviewEdge
+from reviewstream.partition import partition_stream
 from reviewstream.stats import (
     DegenerateSamplesError,
     EmptySampleError,
@@ -164,12 +165,12 @@ class TestSummarize:
             edge("r2", "u1", "A", score=1),
             edge("r3", "u2", "A", score=4),
         ]
-        summary = summarize(edges, self.CATALOG)
+        summary = summarize(partition_stream(edges, self.CATALOG))
         assert summary.to_dict() == {
             "reviews": 3, "reviewers": 2, "apps": 1,
             "boost": 2, "sink": 1, "unpartitioned": 0,
         }
 
     def test_empty_stream(self):
-        summary = summarize([], self.CATALOG)
+        summary = summarize(partition_stream([], self.CATALOG))
         assert summary.reviews == 0 and summary.reviewers == 0 and summary.apps == 0
