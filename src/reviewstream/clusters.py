@@ -241,16 +241,25 @@ class _NearDuplicates:
         self.textless_count = len(reviews) - len(with_text)
         self.groups = _equal_vector_groups(vectors)
         self.scored: list[tuple[float, int, int]] = []  # (similarity, i, j), i < j
+        # Each pair is scored by cosine itself, with its arguments in member
+        # order: equal dicts may iterate in different orders, and the float
+        # sum, with it the threshold decision, follows the order. Between two
+        # groups the result depends only on which member comes first and on
+        # the key order of each dict (equal arrays give equal dot products),
+        # so one call serves every pair that agrees on those.
+        key_orders: dict = {}
+        order = [key_orders.setdefault(tuple(v), len(key_orders)) if isinstance(v, dict) else 0
+                 for v in vectors]
         for g, h in _candidate_groups([vectors[m[0]] for m in self.groups], tau):
+            sims: dict = {}
             for x in self.groups[g]:
                 for y in self.groups[h]:
                     i, j = (x, y) if x < y else (y, x)
-                    # cosine itself, with its arguments in member order: equal
-                    # dicts may iterate in different orders, so the float sum,
-                    # and with it the threshold decision, depends on the order.
-                    sim = cosine(vectors[i], vectors[j])
-                    if sim >= tau:
-                        self.scored.append((sim, i, j))
+                    key = (x < y, order[x], order[y])
+                    if key not in sims:
+                        sims[key] = cosine(vectors[i], vectors[j])
+                    if sims[key] >= tau:
+                        self.scored.append((sims[key], i, j))
 
     @property
     def pair_count(self) -> int:

@@ -343,17 +343,25 @@ def test_file_vector_pairs_match_all_pairs_oracle(vectors, textless, tau, data):
 
 
 class TestPairMining:
-    def test_argument_order_decides_a_tie_with_tau(self):
-        # The twins are equal dicts, but each scores the probe 1 ulp apart
-        # from the other, so only the pair with the higher score reaches tau.
-        provider = LexicalEmbedder()
-        twin_a, twin_b, probe = (lexical_vector(t) for t in (*ORDER_TWINS, ORDER_PROBE))
-        assert twin_a == twin_b and cosine(twin_a, probe) != cosine(twin_b, probe)
-        tau = max(cosine(twin_a, probe), cosine(twin_b, probe))
-        c = members_with_ids([*ORDER_TWINS, ORDER_PROBE], [0, 1, 2])
-        analysis = pairwise_similarity([m.edge for m in c.members], provider, tau)
-        assert len(analysis.pairs) == 2  # the twins, and one twin with the probe
-        assert_matches_oracle(c, provider, tau)
+    @pytest.mark.parametrize("texts", [
+        [*ORDER_TWINS, ORDER_PROBE],
+        [ORDER_PROBE, *ORDER_TWINS],
+        # equal lengths: cosine walks its first argument, so the two cross
+        # pairs are summed in different orders
+        ["c a d f a", "e d d a c", "c a d f a"],
+    ], ids=["twins-first", "twins-second", "argument-order"])
+    def test_summation_order_decides_a_tie_with_tau(self, texts):
+        # One member pair has equal vectors; the two cross pairs score 1 ulp
+        # apart only through the order of the float sum, so with tau at the
+        # higher one exactly one of them is a pair.
+        vectors = [lexical_vector(t) for t in texts]
+        cross = [cosine(vectors[i], vectors[j]) for i in range(3) for j in range(i + 1, 3)
+                 if vectors[i] != vectors[j]]
+        assert len(cross) == 2 and cross[0] != cross[1]
+        c = members_with_ids(texts, [0, 1, 2])
+        analysis = pairwise_similarity([m.edge for m in c.members], LexicalEmbedder(), max(cross))
+        assert len(analysis.pairs) == 2
+        assert_matches_oracle(c, LexicalEmbedder(), max(cross))
 
     def test_pair_whose_gram_entry_rounds_below_tau_is_found(self):
         # The sparse product sums these two vectors' common terms in another
