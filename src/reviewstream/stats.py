@@ -64,7 +64,8 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     The one-sided p-value is the upper tail, i.e. evidence for
     mean_a > mean_b; swap the samples for the opposite direction.
     """
-    # Imported here: scipy.stats adds about a second to every command's start.
+    # Imported here, not at module level: scipy.stats takes about a second
+    # to import, and only the t-test needs it.
     from scipy.stats import t as t_dist
 
     a = np.asarray(sample_a, dtype=np.float64)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 
+from reviewstream.clusters import cosine
+
 
 def tick_of(timestamp: int, origin: int, period: int) -> int:
     delta = timestamp - origin
@@ -108,8 +110,6 @@ def all_pairs_similarity(reviews, provider, tau: float):
     """Near-identical pairs by scoring every unordered pair of reviews
     with text: (pairs as (id_a, id_b, similarity) sorted by similarity
     desc then ids asc, flagged ids, reviews with text, reviews without)."""
-    from reviewstream.clusters import cosine
-
     reviews = list(reviews)
     with_text = [r for r in reviews if r.text is not None]
     vectors = [provider.vector(r.review_id, r.text) for r in with_text]
