@@ -5,6 +5,8 @@ lockstep campaign, then find it with the library API.
 Run:  python3 demos/01_end_to_end.py
 """
 
+from dataclasses import asdict
+
 from reviewstream import (
     DetectorConfig,
     Injection,
@@ -39,7 +41,7 @@ print(f"generated {len(result.edges)} reviews "
 # above the app's overall rating, otherwise it sinks it.
 partitioned = partition_stream(result.edges, result.catalog)
 summary = summarize(partitioned)
-print(f"stream summary: {summary.to_dict()}")
+print(f"stream summary: {asdict(summary)}")
 print(f"partition: {partitioned.counts()}")
 
 config = DetectorConfig(origin=0)  # one-day ticks, default decay/filter

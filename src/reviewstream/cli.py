@@ -22,6 +22,7 @@ import io
 import json
 import logging
 import math
+import operator
 import sys
 import time
 import typing
@@ -63,6 +64,7 @@ from .ingest import (
 from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .stats import (
     DegenerateSamplesError,
+    SharedReviewerEdge,
     TooSmallError,
     ecdf,
     shared_reviewer_graph,
@@ -185,15 +187,14 @@ _DETECTOR_HELP = {
 }
 
 
-# The detector keys are DetectorConfig's fields, with their types and
-# defaults; ``seeds`` has no key, it derives from sketch_seed.
+# The detector keys are DetectorConfig's fields, with their types and defaults.
 _DETECTOR_TYPES = typing.get_type_hints(DetectorConfig)
-_DETECTOR_KEYS = tuple(name for name in _DETECTOR_TYPES if name != "seeds")
+_DETECTOR_KEYS = tuple(_DETECTOR_TYPES)
 _CONFIG = {
     **{
         f.name: _Key(_DETECTOR_TYPES[f.name], None if f.default is dataclasses.MISSING
                      else f.default, _DETECTOR_HELP[f.name])
-        for f in dataclasses.fields(DetectorConfig) if f.name in _DETECTOR_KEYS
+        for f in dataclasses.fields(DetectorConfig)
     },
     "max_error_rate": _Key(float, 0.01, "tolerated parse error fraction before aborting"),
     "format": _Key(str, "jsonl", "reviews file format", REVIEW_FORMATS),
@@ -227,6 +228,8 @@ def _effective_config(args: argparse.Namespace) -> dict:
         path = _require_file(config_path, "config")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigFailure(f"config file {path} is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigFailure(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
@@ -286,8 +289,11 @@ def _parse_column_ref(ref: str, default_column: str = "score") -> tuple[Path, st
 
 
 def _read_csv_column(path: Path, column: str) -> list[float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line for line in fh if not line.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DataFailure(f"csv file {path} is not UTF-8 text: {exc}")
     reader = csv.reader(rows)
     header = next(reader, None)
     if header is None or column not in header:
@@ -385,7 +391,7 @@ def _records_from_files(reviews_path: Path, scores_path: Path, effective: dict):
     by_id = {e.review_id: e for e in edges}
     try:
         rows, _ = read_scores_csv(scores_path)
-    except (ValueError, IndexError) as exc:  # also bad JSON or UTF-8
+    except ValueError as exc:  # also bad JSON or UTF-8
         raise DataFailure(f"scores file {scores_path} is malformed: {exc}")
     records = []
     for row in rows:
@@ -408,8 +414,8 @@ def cmd_clusters(args: argparse.Namespace) -> int:
     records = _records_from_files(reviews_path, scores_path, effective)
     try:
         events = read_events_jsonl(events_path)
-    except (ValueError, KeyError, TypeError) as exc:  # also bad JSON or UTF-8
-        raise DataFailure(f"events file {events_path} is malformed: {exc!r}")
+    except ValueError as exc:  # also bad JSON or UTF-8
+        raise DataFailure(f"events file {events_path} is malformed: {exc}")
     formed, report = _cluster_report(events, records, provider, tau, effective["top"])
     Path(args.out).write_text(_json_text(report), encoding="utf-8")
     _print_json({"clusters": formed, "reported": len(report), "tau": tau})
@@ -430,10 +436,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         "evaluated": analysis.evaluated_count,
         "textless": analysis.textless_count,
         "flagged": sorted(analysis.flagged_review_ids),
-        "pairs": [
-            {"a": p.review_id_a, "b": p.review_id_b, "similarity": p.similarity}
-            for p in analysis.pairs
-        ],
+        "pairs": [p.to_dict() for p in analysis.pairs],
     }
     _emit(_json_text(result), args.out)
     if args.out:
@@ -450,7 +453,7 @@ def cmd_stats_ttest(args: argparse.Namespace) -> int:
         result = welch_t(sample_a, sample_b)
     except (TooSmallError, DegenerateSamplesError) as exc:
         raise DataFailure(str(exc))
-    out = result.to_dict()
+    out = dataclasses.asdict(result)
     out["p"] = result.p_two_sided if args.two_sided else result.p_one_sided
     _print_json(out)
     return EXIT_OK
@@ -469,8 +472,8 @@ def cmd_stats_network(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
     edges, _ = _load_reviews(reviews_path, _effective_config(args))
     graph = shared_reviewer_graph(edges)
-    rows = ((item.app_a, item.app_b, item.weight) for item in graph)
-    _emit(_csv_text(["app_a", "app_b", "weight"], rows), args.out)
+    columns = [f.name for f in dataclasses.fields(SharedReviewerEdge)]
+    _emit(_csv_text(columns, map(operator.attrgetter(*columns), graph)), args.out)
     return EXIT_OK
 
 
@@ -507,7 +510,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     boost_scores = [r.score for r in run.records if r.substream is SubstreamLabel.BOOST]
     sink_scores = [r.score for r in run.records if r.substream is SubstreamLabel.SINK]
     try:
-        welch = welch_t(boost_scores, sink_scores).to_dict()
+        welch = dataclasses.asdict(welch_t(boost_scores, sink_scores))
     except (TooSmallError, DegenerateSamplesError):
         welch = None
 
@@ -532,7 +535,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         for name, scores in (("cdf_boost.csv", boost_scores), ("cdf_sink.csv", sink_scores)):
             target(name).write_text(_ecdf_csv(scores), encoding="utf-8")
         summary = {
-            "counts": summary_counts.to_dict(),
+            "counts": dataclasses.asdict(summary_counts),
             "partition": run.partitioned.counts(),
             "events": len(run.events),
             "clusters_reported": len(report),

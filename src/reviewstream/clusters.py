@@ -69,6 +69,10 @@ class SimilarityPair:
     review_id_b: str
     similarity: float
 
+    def to_dict(self) -> dict:
+        """The JSON form every report uses: ``{"a", "b", "similarity"}``."""
+        return {"a": self.review_id_a, "b": self.review_id_b, "similarity": self.similarity}
+
 
 @dataclass(frozen=True)
 class PairAnalysis:
@@ -393,10 +397,7 @@ def build_cluster_report(
             "textless_count": found.textless_count,
             "flagged_count": len(found.flagged()),
             "pair_count": found.pair_count,
-            "top_pairs": [
-                {"a": p.review_id_a, "b": p.review_id_b, "similarity": p.similarity}
-                for p in islice(found.ordered(), max_pairs_listed)
-            ],
+            "top_pairs": [p.to_dict() for p in islice(found.ordered(), max_pairs_listed)],
             "provider": provider.name,
             "tau": tau,
         })

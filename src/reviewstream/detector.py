@@ -44,9 +44,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 from .ingest import ReviewEdge, to_tick
 from .partition import SubstreamLabel
@@ -77,7 +78,6 @@ class DetectorConfig:
     rows: int = 2
     cols: int = 1024
     sketch_seed: int = DEFAULT_SEED
-    seeds: tuple[int, ...] | None = None
 
     def validate(self) -> None:
         for f in fields(self):  # NaN fails no comparison below; inf is allowed
@@ -98,17 +98,14 @@ class DetectorConfig:
             raise ValueError(f"min_prior must be non-negative, got {self.min_prior}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"sketch geometry must be positive, got {self.rows}x{self.cols}")
-        if self.seeds is not None and len(self.seeds) != self.rows:
-            raise ValueError(f"need {self.rows} seeds, got {len(self.seeds)}")
 
     def row_seeds(self) -> tuple[int, ...]:
-        if self.seeds is not None:
-            return tuple(self.seeds)
         return derive_row_seeds(self.sketch_seed, self.rows)
 
     def to_dict(self) -> dict:
         """Every field, with the derived ``seeds`` in place of ``sketch_seed``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sketch_seed"}
+        out = asdict(self)
+        del out["sketch_seed"]
         out["seeds"] = list(self.row_seeds())
         return out
 
@@ -282,10 +279,8 @@ def run_detector(
 
 
 # ---------------------------------------------------------------------------
-# File formats: scores CSV with a config comment header, events JSONL.
-
-SCORES_COLUMNS = ("review_id", "app_id", "reviewer_id", "tick", "substream", "score")
-
+# File formats: scores CSV with a config comment header, events JSONL. Each
+# record's dataclass fields name its columns or keys and give their types.
 
 @dataclass(frozen=True)
 class ScoreRow:
@@ -299,6 +294,18 @@ class ScoreRow:
     score: float
 
 
+SCORES_COLUMNS = tuple(f.name for f in fields(ScoreRow))
+_SCORE_TYPES = tuple(get_type_hints(ScoreRow)[name] for name in SCORES_COLUMNS)
+_EVENT_TYPES = get_type_hints(MicroclusterEvent)
+_RECORD_FIELDS = {f.name for f in fields(AnomalyRecord)}
+
+# A record's cells in column order: its own fields, the rest from its edge.
+# csv writes a float as its repr and a SubstreamLabel as its value.
+_score_cells = attrgetter(*(
+    name if name in _RECORD_FIELDS else f"edge.{name}" for name in SCORES_COLUMNS
+))
+
+
 def write_scores_csv(
     records: Iterable[AnomalyRecord], config: DetectorConfig, path: str | Path
 ) -> None:
@@ -307,18 +314,12 @@ def write_scores_csv(
         fh.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORES_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.edge.review_id,
-                rec.edge.app_id,
-                rec.edge.reviewer_id,
-                rec.tick,
-                rec.substream.value,
-                repr(rec.score),
-            ])
+        writer.writerows(map(_score_cells, records))
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[ScoreRow], dict]:
+    """Rows converted by ``ScoreRow``'s field types; a malformed row or
+    header raises ``ValueError``."""
     rows: list[ScoreRow] = []
     config: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -335,48 +336,47 @@ def read_scores_csv(path: str | Path) -> tuple[list[ScoreRow], dict]:
     for row in reader:
         if not row:
             continue
-        rows.append(ScoreRow(
-            review_id=row[0],
-            app_id=row[1],
-            reviewer_id=row[2],
-            tick=int(row[3]),
-            substream=SubstreamLabel(row[4]),
-            score=float(row[5]),
-        ))
+        if len(row) != len(SCORES_COLUMNS):
+            raise ValueError(f"scores row {row} has {len(row)} cells, not {len(SCORES_COLUMNS)}")
+        rows.append(ScoreRow(*[kind(cell) for kind, cell in zip(_SCORE_TYPES, row)]))
     return rows, config
-
-
-def event_to_dict(event: MicroclusterEvent) -> dict:
-    return {
-        "app_id": event.app_id,
-        "substream": event.substream.value,
-        "prior_tick": event.prior_tick,
-        "prior_count": event.prior_count,
-        "burst_count": event.burst_count,
-        "ratio": event.ratio,
-    }
 
 
 def write_events_jsonl(events: Iterable[MicroclusterEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for event in events:
-            fh.write(json.dumps(event_to_dict(event), sort_keys=True))
+            fh.write(json.dumps(asdict(event), sort_keys=True))
             fh.write("\n")
 
 
+def _event_from_json(obj: object) -> MicroclusterEvent:
+    """An event whose every field has its annotated type: ``int`` excludes
+    ``bool``, ``float`` also takes ``int``; otherwise ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    values = {}
+    for name, kind in _EVENT_TYPES.items():
+        if name not in obj:
+            raise ValueError(f"missing field {name!r}")
+        value = obj[name]
+        if kind is SubstreamLabel:
+            value = SubstreamLabel(value)
+        elif type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+        values[name] = value
+    return MicroclusterEvent(**values)
+
+
 def read_events_jsonl(path: str | Path) -> list[MicroclusterEvent]:
+    """Events of a JSONL file; a malformed line raises ``ValueError``
+    naming its line number."""
     events: list[MicroclusterEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            events.append(MicroclusterEvent(
-                app_id=obj["app_id"],
-                substream=SubstreamLabel(obj["substream"]),
-                prior_tick=obj["prior_tick"],
-                prior_count=obj["prior_count"],
-                burst_count=obj["burst_count"],
-                ratio=obj["ratio"],
-            ))
+            try:
+                events.append(_event_from_json(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
     return events

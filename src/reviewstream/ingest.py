@@ -16,12 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
-
-REQUIRED_REVIEW_FIELDS = ("review_id", "reviewer_id", "app_id", "timestamp", "score")
-REQUIRED_APP_FIELDS = ("app_id", "overall_rating")
 
 REVIEW_FORMATS = ("jsonl", "csv")
 
@@ -57,6 +55,11 @@ class AppRecord:
     overall_rating: float  # in [1.0, 5.0]
     install_count: int | None = None
     name: str | None = None
+
+
+# Every input record must give the fields its dataclass has no default for.
+REQUIRED_REVIEW_FIELDS = tuple(f.name for f in fields(ReviewEdge) if f.default is MISSING)
+REQUIRED_APP_FIELDS = tuple(f.name for f in fields(AppRecord) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -324,15 +327,11 @@ def to_tick(timestamp: int, origin: int, period: int) -> int:
 
 def review_to_dict(edge: ReviewEdge) -> dict:
     """Canonical JSON form of a review; ``text`` omitted when absent."""
-    obj = {
-        "review_id": edge.review_id,
-        "reviewer_id": edge.reviewer_id,
-        "app_id": edge.app_id,
-        "timestamp": edge.timestamp,
-        "score": edge.score,
-    }
-    if edge.text is not None:
-        obj["text"] = edge.text
+    # A copy of vars(), not asdict: asdict deep-copies every field, which
+    # costs more than encoding the line, once per review.
+    obj = dict(vars(edge))
+    if edge.text is None:
+        del obj["text"]
     return obj
 
 
@@ -353,16 +352,12 @@ def read_reviews_jsonl(path: str | Path) -> tuple[list[ReviewEdge], list[LineErr
 
 
 def write_app_catalog_csv(catalog: AppCatalog, path: str | Path) -> None:
+    columns = [f.name for f in fields(AppRecord)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["app_id", "overall_rating", "install_count", "name"])
-        for record in catalog:
-            writer.writerow([
-                record.app_id,
-                repr(record.overall_rating),
-                "" if record.install_count is None else record.install_count,
-                record.name or "",
-            ])
+        writer.writerow(columns)
+        # csv writes None as an empty cell and a float as its repr.
+        writer.writerows(map(attrgetter(*columns), catalog))
 
 
 def read_app_catalog_csv(path: str | Path) -> tuple[AppCatalog, list[LineError]]:
@@ -373,10 +368,11 @@ def read_app_catalog_csv(path: str | Path) -> tuple[AppCatalog, list[LineError]]
 def write_line_errors(
     errors: Iterable[LineError], path: str | Path, source: str | None = None
 ) -> None:
-    """Write the sidecar JSONL error report ({line, reason, raw})."""
+    """Append the sidecar JSONL error report: each ``LineError``'s fields,
+    plus ``file`` when ``source`` is given."""
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         for err in errors:
-            obj: dict = {"line": err.line, "reason": err.reason, "raw": err.raw}
+            obj = asdict(err)
             if source is not None:
                 obj["file"] = source
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))

@@ -8,7 +8,7 @@ three outputs always add back up to the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable
 
@@ -38,11 +38,7 @@ class PartitionResult:
     unpartitioned: list[ReviewEdge] = field(default_factory=list)
 
     def counts(self) -> dict[str, int]:
-        return {
-            "boost": len(self.boost),
-            "sink": len(self.sink),
-            "unpartitioned": len(self.unpartitioned),
-        }
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
 
 def partition_stream(
@@ -51,11 +47,8 @@ def partition_stream(
     """Partition an ordered edge stream into disjoint, order-preserving
     boost/sink/unpartitioned sequences whose union is the input."""
     result = PartitionResult()
-    buckets = {
-        SubstreamLabel.BOOST: result.boost,
-        SubstreamLabel.SINK: result.sink,
-        SubstreamLabel.UNPARTITIONED: result.unpartitioned,
-    }
+    # Each label's value names its PartitionResult field.
+    buckets = {label: getattr(result, label.value) for label in SubstreamLabel}
     for edge in edges:
         buckets[classify(edge, catalog)].append(edge)
     return result

@@ -91,28 +91,6 @@ class SynthSpec:
             if inj.score_mode not in SCORE_MODES:
                 raise ValueError(f"score_mode must be one of {SCORE_MODES}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_apps": self.n_apps,
-            "n_reviewers": self.n_reviewers,
-            "ticks": self.ticks,
-            "background_rate": self.background_rate,
-            "seed": self.seed,
-            "origin": self.origin,
-            "period": self.period,
-            "base_rating": self.base_rating,
-            "injections": [
-                {
-                    "app_id": inj.app_id,
-                    "tick": inj.tick,
-                    "n_edges": inj.n_edges,
-                    "n_reviewers_used": inj.n_reviewers_used,
-                    "score_mode": inj.score_mode,
-                }
-                for inj in self.injections
-            ],
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthSpec":
         """Validated spec from JSON; absent keys take the field defaults."""
@@ -279,24 +257,7 @@ def gen_stream(spec: SynthSpec) -> SynthResult:
 def write_truth_jsonl(truth: Iterable[TruthRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in truth:
-            fh.write(json.dumps({
-                "review_id": record.review_id,
-                "injected": record.injected,
-                "injection_index": record.injection_index,
-            }, sort_keys=True))
+            # vars(), not asdict: asdict deep-copies every field, which
+            # costs more than encoding the line, once per review.
+            fh.write(json.dumps(vars(record), sort_keys=True))
             fh.write("\n")
-
-
-def read_truth_jsonl(path: str | Path) -> list[TruthRecord]:
-    truth: list[TruthRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            truth.append(TruthRecord(
-                review_id=obj["review_id"],
-                injected=obj["injected"],
-                injection_index=obj["injection_index"],
-            ))
-    return truth

@@ -155,6 +155,19 @@ class TestPipeline:
         reviews, _, catalog = synth_files
         assert run_pipeline(reviews, catalog, tmp_path / "out", flag, "nan") == EXIT_CONFIG
 
+    def test_undecodable_config_exits_3_naming_the_file(self, synth_files, tmp_path, caplog):
+        reviews, _, catalog = synth_files
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(b"\xff\xfe" + json.dumps({"origin": 0}).encode())
+        out_dir = tmp_path / "out"
+        code = main([
+            "pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+            "--out-dir", str(out_dir), "--config", str(config_path),
+        ])
+        assert code == EXIT_CONFIG
+        assert f"config file {config_path} is not UTF-8 text" in caplog.text
+        assert not out_dir.exists()
+
     def test_unknown_config_key_exits_3(self, synth_files, tmp_path):
         reviews, _, catalog = synth_files
         config_path = tmp_path / "run.json"
@@ -335,13 +348,22 @@ class TestRejections:
         reviews.write_text("{broken\n" * 5)
         assert main([*command, "--reviews", str(reviews)]) == EXIT_DATA
 
-    @pytest.mark.parametrize("bad", ["scores", "events"])
+    @pytest.mark.parametrize("bad", [
+        "scores", "events", "scores-short-row", "events-str-tick", "events-bool-count",
+    ])
     def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
                                                                caplog, bad):
         reviews, _, catalog = synth_files
         scores, events = score_files(reviews, catalog, tmp_path)
-        broken = {"scores": scores, "events": events}[bad]
-        broken.write_text({"scores": "x,y\n", "events": "{bad\n"}[bad])
+        event = json.loads(events.read_text().splitlines()[0])
+        broken, text = {
+            "scores": (scores, "x,y\n"),
+            "events": (events, "{bad\n"),
+            "scores-short-row": (scores, scores.read_text() + "r1,a000,u1,3,boost\n"),
+            "events-str-tick": (events, json.dumps({**event, "prior_tick": "x"}) + "\n"),
+            "events-bool-count": (events, json.dumps({**event, "burst_count": True}) + "\n"),
+        }[bad]
+        broken.write_text(text)
         report = tmp_path / "clusters.json"
         assert main([
             "clusters", "--reviews", str(reviews), "--scores", str(scores),
@@ -349,6 +371,15 @@ class TestRejections:
         ]) == EXIT_DATA
         assert str(broken) in caplog.text
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["cdf", "ttest"])
+    def test_undecodable_csv_exits_2_naming_the_file(self, tmp_path, caplog, command):
+        broken = tmp_path / "s.csv"
+        broken.write_bytes(b"\xff\xfescore\n1\n2\n")
+        flags = {"cdf": ["--scores", str(broken)],
+                 "ttest": ["--a", str(broken), "--b", str(broken)]}
+        assert main(["stats", command, *flags[command]]) == EXIT_DATA
+        assert f"csv file {broken} is not UTF-8 text" in caplog.text
 
     @pytest.mark.parametrize("which", ["reviews", "catalog"])
     def test_undecodable_input_exits_2_naming_the_file(self, synth_files, tmp_path,

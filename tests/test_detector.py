@@ -230,7 +230,6 @@ class TestConfigValidation:
         dict(period=0),
         dict(rows=0),
         dict(cols=0),
-        dict(seeds=(1,)),
         dict(burst_factor=math.nan),
         dict(decay=math.nan),
         dict(filter_threshold=math.nan),

@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import t as t_dist  # the p-value oracle; welch_t does not import it
 
 from reviewstream.ingest import AppCatalog, AppRecord, ReviewEdge
 from reviewstream.partition import partition_stream
@@ -76,6 +84,34 @@ def test_welch_location_shift_invariance(a, b, shift):
     shifted = welch_t([x + shift for x in a], [x + shift for x in b])
     assert shifted.t == pytest.approx(base.t, rel=1e-6, abs=1e-9)
     assert shifted.df == pytest.approx(base.df, rel=1e-6)
+
+
+@settings(max_examples=200)
+@given(a=samples, b=samples)
+def test_welch_p_values_match_scipy_stats_bit_for_bit(a, b):
+    result = welch_t(a, b)
+    assert result.p_one_sided == float(t_dist.sf(result.t, result.df))
+    assert result.p_two_sided == float(2.0 * t_dist.sf(abs(result.t), result.df))
+
+
+def test_imports_load_no_scipy_stats():
+    """A bare package import loads no scipy module; a t-test loads scipy
+    but not the slow-to-import ``scipy.stats``."""
+    code = (
+        "import json, sys\n"
+        "import reviewstream\n"
+        "bare = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "reviewstream.welch_t([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])\n"
+        "print(json.dumps({'bare': bare, 'stats': 'scipy.stats' in sys.modules}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = json.loads(result.stdout)
+    assert loaded == {"bare": [], "stats": False}
 
 
 class TestEcdf:
@@ -166,7 +202,7 @@ class TestSummarize:
             edge("r3", "u2", "A", score=4),
         ]
         summary = summarize(partition_stream(edges, self.CATALOG))
-        assert summary.to_dict() == {
+        assert asdict(summary) == {
             "reviews": 3, "reviewers": 2, "apps": 1,
             "boost": 2, "sink": 1, "unpartitioned": 0,
         }
