@@ -230,6 +230,7 @@ class TestConfigValidation:
         dict(period=0),
         dict(rows=0),
         dict(cols=0),
+        dict(period=-86_400),
         dict(burst_factor=math.nan),
         dict(decay=math.nan),
         dict(filter_threshold=math.nan),
