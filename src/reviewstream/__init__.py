@@ -52,6 +52,7 @@ from .stats import (
     EcdfPoints,
     EmptySampleError,
     SharedReviewerEdge,
+    SharedReviewerGraph,
     StreamSummary,
     TooSmallError,
     WelchResult,
@@ -94,6 +95,7 @@ __all__ = [
     "PartitionResult",
     "ReviewEdge",
     "SharedReviewerEdge",
+    "SharedReviewerGraph",
     "SimilarityPair",
     "StreamSummary",
     "SubstreamLabel",

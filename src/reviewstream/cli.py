@@ -22,7 +22,6 @@ import io
 import json
 import logging
 import math
-import operator
 import sys
 import time
 import typing
@@ -304,9 +303,12 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
         if not row:
             continue
         try:
-            values.append(float(row[idx]))
+            value = float(row[idx])
         except (IndexError, ValueError):
             raise DataFailure(f"{path}: bad value in column {column!r}: {row}")
+        if not math.isfinite(value):
+            raise DataFailure(f"{path}: non-finite value in column {column!r}: {row}")
+        values.append(value)
     return values
 
 
@@ -473,7 +475,7 @@ def cmd_stats_network(args: argparse.Namespace) -> int:
     edges, _ = _load_reviews(reviews_path, _effective_config(args))
     graph = shared_reviewer_graph(edges)
     columns = [f.name for f in dataclasses.fields(SharedReviewerEdge)]
-    _emit(_csv_text(columns, map(operator.attrgetter(*columns), graph)), args.out)
+    _emit(_csv_text(columns, graph.rows()), args.out)
     return EXIT_OK
 
 

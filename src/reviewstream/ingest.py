@@ -29,6 +29,8 @@ REASON_RANGE = "range"
 REASON_MISSING = "missing_field"
 REASON_DUPLICATE = "duplicate"
 
+_INT64_MAX = 2**63 - 1
+
 
 class BeforeOriginError(ValueError):
     """Raised when a timestamp precedes the configured stream origin."""
@@ -41,7 +43,7 @@ class ReviewEdge:
     review_id: str
     reviewer_id: str
     app_id: str
-    timestamp: int  # seconds since epoch, >= 0
+    timestamp: int  # seconds since epoch, in [0, 2**63 - 1]
     score: int  # star rating in 1..5
     text: str | None = None
 
@@ -118,7 +120,7 @@ def _validate_review(
 ) -> tuple[ReviewEdge | None, str | None]:
     if not review_id or not reviewer_id or not app_id:
         return None, REASON_MISSING
-    if timestamp < 0:
+    if timestamp < 0 or timestamp > _INT64_MAX:
         return None, REASON_RANGE
     if score < 1 or score > 5:
         return None, REASON_RANGE

@@ -7,10 +7,10 @@ stream counts. All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +23,9 @@ class TooSmallError(ValueError):
 
 
 class DegenerateSamplesError(ValueError):
-    """Both samples have zero variance; the t statistic is undefined."""
+    """The t statistic or its degrees of freedom is undefined or not
+    finite: both samples have zero variance, or the variances over- or
+    underflow float64."""
 
 
 class EmptySampleError(ValueError):
@@ -60,15 +62,24 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     n_a, n_b = a.shape[0], b.shape[0]
     if n_a < 2 or n_b < 2:
         raise TooSmallError(f"need at least 2 observations per sample, got {n_a} and {n_b}")
-    mean_a, mean_b = float(a.mean()), float(b.mean())
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_a, mean_b = float(a.mean()), float(b.mean())
+        var_a = float(a.var(ddof=1))
+        var_b = float(b.var(ddof=1))
+    if not all(map(math.isfinite, (mean_a, mean_b, var_a, var_b))):
+        raise DegenerateSamplesError("sample means or variances overflow float64")
     sa, sb = var_a / n_a, var_b / n_b
     se = math.sqrt(sa + sb)
     if se == 0.0:
         raise DegenerateSamplesError("both samples have zero variance")
     t = (mean_a - mean_b) / se
-    df = (sa + sb) ** 2 / (sa * sa / (n_a - 1) + sb * sb / (n_b - 1))
+    try:
+        df = (sa + sb) ** 2 / (sa * sa / (n_a - 1) + sb * sb / (n_b - 1))
+    except (OverflowError, ZeroDivisionError):
+        df = math.inf
+    if not (math.isfinite(t) and math.isfinite(df)):
+        raise DegenerateSamplesError(
+            "variances out of float64 range: t or its degrees of freedom is not finite")
     p_one = float(stdtr(df, -t))
     p_two = float(2.0 * stdtr(df, -abs(t)))
     return WelchResult(t, df, p_one, p_two, mean_a, mean_b, var_a, var_b, n_a, n_b)
@@ -110,25 +121,98 @@ class SharedReviewerEdge:
     weight: int
 
 
-def shared_reviewer_graph(edges: Iterable[ReviewEdge]) -> list[SharedReviewerEdge]:
+# Pair increments expanded at a time, with about 40 bytes of working arrays
+# each: a reviewer of any app degree costs time, not memory beyond one block
+# plus the distinct pairs found.
+_PAIR_BLOCK_ENTRIES = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
+class SharedReviewerGraph:
+    """The shared-reviewer network as three equal-length columns, one row
+    per app pair with ``app_a < app_b``, in ``(app_a, app_b)`` order."""
+
+    app_a: np.ndarray  # object array of app ids
+    app_b: np.ndarray
+    weight: np.ndarray  # int64, >= 1
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def rows(self) -> Iterator[tuple[str, str, int]]:
+        return zip(self.app_a.tolist(), self.app_b.tolist(), self.weight.tolist())
+
+    def __iter__(self) -> Iterator[SharedReviewerEdge]:
+        return itertools.starmap(SharedReviewerEdge, self.rows())
+
+
+def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,
+                new_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted distinct ``new_keys`` and their counts into sorted
+    distinct ``keys``; counts add in int64, ``counts`` in place."""
+    pos = np.searchsorted(keys, new_keys)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == new_keys[found]
+    counts[pos[found]] += new_counts[found]
+    fresh = ~found
+    return (np.insert(keys, pos[fresh], new_keys[fresh]),
+            np.insert(counts, pos[fresh], new_counts[fresh]))
+
+
+def shared_reviewer_graph(edges: Iterable[ReviewEdge]) -> SharedReviewerGraph:
     """Weight(a, b) = number of distinct reviewers with at least one
     review on each of a and b. Zero-weight pairs are omitted; repeat
-    reviews by the same reviewer on the same app count once."""
-    apps_by_reviewer: dict[str, set[str]] = defaultdict(set)
+    reviews by the same reviewer on the same app count once.
+
+    Time grows with the sum over reviewers of C(app degree, 2); memory
+    with one block of ``_PAIR_BLOCK_ENTRIES`` pair increments plus the
+    distinct pairs.
+    """
+    app_codes: dict[str, int] = {}
+    reviewer_codes: dict[str, int] = {}
+    apps_seen, reviewers_seen = [], []
     for edge in edges:
-        apps_by_reviewer[edge.reviewer_id].add(edge.app_id)
-    weights: Counter = Counter()
-    for apps in apps_by_reviewer.values():
-        if len(apps) < 2:
-            continue
-        ordered = sorted(apps)
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                weights[(ordered[i], ordered[j])] += 1
-    return [
-        SharedReviewerEdge(pair[0], pair[1], count)
-        for pair, count in sorted(weights.items())
-    ]
+        apps_seen.append(app_codes.setdefault(edge.app_id, len(app_codes)))
+        reviewers_seen.append(reviewer_codes.setdefault(edge.reviewer_id, len(reviewer_codes)))
+    # Re-code apps by their rank in sorted order, so that sorting pairs of
+    # codes sorts the pairs of ids.
+    apps = np.array(sorted(app_codes), dtype=object)
+    n_apps = len(apps)
+    rank = np.empty(n_apps, dtype=np.int64)
+    rank[[app_codes[app_id] for app_id in apps.tolist()]] = np.arange(n_apps)
+
+    # Distinct (reviewer, app), grouped by reviewer, apps ascending inside.
+    memberships = np.unique(
+        np.asarray(reviewers_seen, dtype=np.int64) * n_apps
+        + rank[np.asarray(apps_seen, dtype=np.int64)]
+    )
+    reviewer, app = np.divmod(memberships, n_apps)
+    # Membership i pairs with i+1 .. group_end-1, the rest of its group.
+    group_starts = np.flatnonzero(np.concatenate(([True], reviewer[1:] != reviewer[:-1])))
+    group_ends = np.append(group_starts[1:], len(memberships))
+    partners = (np.repeat(group_ends, group_ends - group_starts)
+                - np.arange(len(memberships)) - 1)
+    increments_end = np.cumsum(partners)
+    increments_start = increments_end - partners
+    total = int(partners.sum())
+
+    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for lo in range(0, total, _PAIR_BLOCK_ENTRIES):
+        hi = min(lo + _PAIR_BLOCK_ENTRIES, total)
+        # Memberships whose increments fall in [lo, hi), the first and last
+        # cut to the block.
+        first = int(np.searchsorted(increments_end, lo, side="right"))
+        last = int(np.searchsorted(increments_end, hi - 1, side="right"))
+        taken = partners[first:last + 1].copy()
+        taken[0] -= lo - increments_start[first]
+        taken[-1] -= increments_end[last] - hi
+        left = np.repeat(np.arange(first, last + 1), taken)
+        right = left + 1 + np.arange(lo, hi) - increments_start[left]
+        block_keys, block_counts = np.unique(app[left] * n_apps + app[right],
+                                             return_counts=True)
+        keys, counts = _add_counts(keys, counts, block_keys, block_counts)
+    code_a, code_b = np.divmod(keys, n_apps)
+    return SharedReviewerGraph(apps[code_a], apps[code_b], counts)
 
 
 @dataclass(frozen=True)

@@ -124,3 +124,18 @@ def all_pairs_similarity(reviews, provider, tau: float):
                 flagged.update((id_a, id_b))
     pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
     return pairs, frozenset(flagged), len(with_text), len(reviews) - len(with_text)
+
+
+def shared_reviewer_weights(edges) -> list[tuple[str, str, int]]:
+    """App pairs (app_a, app_b, weight), app_a < app_b, sorted: each
+    reviewer's set of reviewed apps adds one to each of its pairs."""
+    apps_by_reviewer: dict[str, set[str]] = defaultdict(set)
+    for edge in edges:
+        apps_by_reviewer[edge.reviewer_id].add(edge.app_id)
+    weights: Counter = Counter()
+    for apps in apps_by_reviewer.values():
+        ordered = sorted(apps)
+        for i in range(len(ordered)):
+            for j in range(i + 1, len(ordered)):
+                weights[(ordered[i], ordered[j])] += 1
+    return [(a, b, count) for (a, b), count in sorted(weights.items())]

@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 
 import pytest
 
+from _reference import shared_reviewer_weights
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import DetectorConfig
+from reviewstream.ingest import parse_reviews
 
 SPEC = {
     "n_apps": 10,
@@ -247,6 +251,14 @@ class TestStages:
         a.write_text("score\n5\n5\n")
         assert main(["stats", "ttest", "--a", str(a), "--b", str(a)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("cells", [("0", "1e-160"), ("1e308", "-1e308")])
+    def test_stats_ttest_out_of_float_range_exits_2(self, tmp_path, capsys, caplog, cells):
+        a = tmp_path / "a.csv"
+        a.write_text("score\n" + "\n".join(cells) + "\n")
+        assert main(["stats", "ttest", "--a", str(a), "--b", str(a)]) == EXIT_DATA
+        assert capsys.readouterr().out == ""
+        assert "float64" in caplog.text
+
     def test_stats_cdf(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("score\n1.0\n2.0\n2.0\n4.0\n")
@@ -265,6 +277,24 @@ class TestStages:
         lines = out.read_text().splitlines()
         assert lines[0] == "app_a,app_b,weight"
         assert len(lines) > 1  # injection workers bridge apps via background overlap
+
+    def test_stats_network_quotes_like_csv_writer(self, tmp_path):
+        apps = ["a,b", 'say "hi"', "two\nlines", "plain", "été", "a"]
+        records = [
+            {"review_id": f"r{u}-{i}", "reviewer_id": f"u{u}", "app_id": app,
+             "timestamp": 0, "score": 3}
+            for u in range(3) for i, app in enumerate(apps[u:])
+        ]
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "net.csv"
+        assert main(["stats", "network", "--reviews", str(reviews), "--out", str(out)]) == EXIT_OK
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["app_a", "app_b", "weight"])
+        edges, _ = parse_reviews(reviews.read_text(encoding="utf-8").splitlines())
+        writer.writerows(shared_reviewer_weights(edges))
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_synth_rejects_bad_spec(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -380,6 +410,18 @@ class TestRejections:
                  "ttest": ["--a", str(broken), "--b", str(broken)]}
         assert main(["stats", command, *flags[command]]) == EXIT_DATA
         assert f"csv file {broken} is not UTF-8 text" in caplog.text
+
+    @pytest.mark.parametrize("command", ["cdf", "ttest"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_exits_2_naming_the_file(self, tmp_path, capsys, caplog,
+                                                         command, cell):
+        scores = tmp_path / "s.csv"
+        scores.write_text(f"score\n1.0\n{cell}\n2.0\n")
+        flags = {"cdf": ["--scores", str(scores)],
+                 "ttest": ["--a", str(scores), "--b", str(scores)]}
+        assert main(["stats", command, *flags[command]]) == EXIT_DATA
+        assert capsys.readouterr().out == ""
+        assert f"{scores}: non-finite value in column 'score': ['{cell}']" in caplog.text
 
     @pytest.mark.parametrize("which", ["reviews", "catalog"])
     def test_undecodable_input_exits_2_naming_the_file(self, synth_files, tmp_path,

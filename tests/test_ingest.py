@@ -36,6 +36,20 @@ class TestParseReviews:
         _, errors = parse_reviews([jline(**{**VALID, "timestamp": -5})])
         assert errors[0].reason == "range"
 
+    def test_timestamp_must_fit_int64(self):
+        largest = 2**63 - 1
+        lines = [jline(**{**VALID, "review_id": "x1", "timestamp": largest}),
+                 jline(**{**VALID, "review_id": "x2", "timestamp": largest + 1}),
+                 jline(**{**VALID, "review_id": "x3", "timestamp": 1e19})]
+        edges, errors = parse_reviews(lines)
+        assert [e.timestamp for e in edges] == [largest]
+        assert [(e.line, e.reason) for e in errors] == [(2, "range"), (3, "range")]
+        csv_lines = ["review_id,reviewer_id,app_id,timestamp,score",
+                     f"x1,u1,a1,{largest},5", f"x2,u1,a1,{largest + 1},5"]
+        edges, errors = parse_reviews(csv_lines, format="csv")
+        assert [e.timestamp for e in edges] == [largest]
+        assert [(e.line, e.reason) for e in errors] == [(3, "range")]
+
     def test_missing_field(self):
         record = {k: v for k, v in VALID.items() if k != "reviewer_id"}
         _, errors = parse_reviews([jline(**record)])

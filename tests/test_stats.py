@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as t_dist  # the p-value oracle; welch_t does not import it
 
+from _reference import shared_reviewer_weights
+from reviewstream import stats as stats_module
 from reviewstream.ingest import AppCatalog, AppRecord, ReviewEdge
 from reviewstream.partition import partition_stream
 from reviewstream.stats import (
@@ -60,6 +62,17 @@ class TestWelch:
     def test_one_constant_sample_is_fine(self):
         result = welch_t([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
         assert result.t > 0
+
+    @pytest.mark.parametrize("a, b", [
+        ([0.0, 1e-160], [0.0, 1e-160]),  # df denominator underflows to 0
+        ([1e308, -1e308], [1e308, -1e308]),  # variances overflow
+        ([1e308, 1e308], [0.0, 1.0]),  # the mean overflows
+        ([0.0, 1e154], [0.0, 1e154]),  # the df numerator overflows
+        ([1e300, 1e300], [0.0, 1e-10]),  # t overflows: 1e300 / 5e-11
+    ])
+    def test_out_of_float_range_is_degenerate(self, a, b):
+        with pytest.raises(DegenerateSamplesError):
+            welch_t(a, b)
 
 
 samples = st.lists(
@@ -162,12 +175,58 @@ class TestSharedReviewerGraph:
 
     def test_repeat_reviews_count_once(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "A"), edge("r3", "u1", "B")]
-        graph = shared_reviewer_graph(edges)
+        graph = list(shared_reviewer_graph(edges))
         assert graph[0].weight == 1
 
     def test_no_self_loops_or_zero_weights(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u2", "B")]
-        assert shared_reviewer_graph(edges) == []
+        assert list(shared_reviewer_graph(edges)) == []
+
+    def test_empty_and_unshared_give_no_pairs(self):
+        assert len(shared_reviewer_graph([])) == 0
+        edges = [edge("r1", "u1", "A"), edge("r2", "u2", "B"), edge("r3", "u2", "B")]
+        assert len(shared_reviewer_graph(edges)) == 0
+
+    def test_columns_and_rows(self):
+        edges = [edge("r1", "u1", "B"), edge("r2", "u1", "A"), edge("r3", "u2", "A"),
+                 edge("r4", "u2", "B"), edge("r5", "u2", "C")]
+        graph = shared_reviewer_graph(edges)
+        assert len(graph) == len(graph.app_a) == len(graph.app_b) == len(graph.weight) == 3
+        assert list(graph.rows()) == [("A", "B", 2), ("A", "C", 1), ("B", "C", 1)]
+        assert [type(w) for _, _, w in graph.rows()] == [int, int, int]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+    def test_blocks_split_reviewers(self, monkeypatch, block):
+        # u1 and u2 each expand 15 pair increments over the same six apps, so
+        # both reviewers span several blocks and every pair's two increments
+        # can land in different blocks.
+        monkeypatch.setattr(stats_module, "_PAIR_BLOCK_ENTRIES", block)
+        apps = ["f", "a", "e", "b", "d", "c"]
+        edges = [edge(f"r{u}{i}", f"u{u}", app) for u in (1, 2) for i, app in enumerate(apps)]
+        edges += [edge("r31", "u3", "a"), edge("r32", "u3", "z"), edge("r4", "u4", "q")]
+        got = [(g.app_a, g.app_b, g.weight) for g in shared_reviewer_graph(edges)]
+        assert got == shared_reviewer_weights(edges)
+        assert sum(w for _, _, w in got) == 31
+
+    @settings(max_examples=150)
+    @given(
+        reviews=st.lists(st.tuples(
+            st.integers(0, 8),
+            st.one_of(
+                st.sampled_from(["a", "ab", "abc", "a,b", 'a"b', '"', "a\nb", " a",
+                                 "\u00e9", "\u00e9t\u00e9", "\u65e5\u672c", "Z"]),
+                st.text(min_size=1, max_size=4),
+            ),
+        ), max_size=60),
+        block=st.sampled_from([1, 2, 5, stats_module._PAIR_BLOCK_ENTRIES]),
+    )
+    def test_matches_reference(self, reviews, block):
+        edges = [edge(f"r{i}", f"u{u}", app) for i, (u, app) in enumerate(reviews)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats_module, "_PAIR_BLOCK_ENTRIES", block)
+            graph = list(shared_reviewer_graph(edges))
+        assert [(g.app_a, g.app_b, g.weight) for g in graph] == shared_reviewer_weights(edges)
+        assert all(type(g.weight) is int for g in graph)
 
     @settings(max_examples=60)
     @given(st.lists(
