@@ -280,11 +280,11 @@ def _provider(effective: dict):
     return provider, provider.default_tau if tau is None else tau
 
 
-def _parse_column_ref(ref: str, default_column: str = "score") -> tuple[Path, str]:
+def _parse_column_ref(ref: str) -> tuple[Path, str]:
     path_part, sep, column = ref.rpartition(":")
     if sep and column and "/" not in column and "\\" not in column:
         return _require_file(path_part, "csv"), column
-    return _require_file(ref, "csv"), default_column
+    return _require_file(ref, "csv"), "score"
 
 
 def _read_csv_column(path: Path, column: str) -> list[float]:
@@ -462,7 +462,7 @@ def cmd_stats_ttest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats_cdf(args: argparse.Namespace) -> int:
-    path, column = _parse_column_ref(args.scores, default_column=args.column)
+    path, column = _parse_column_ref(args.scores)
     values = _read_csv_column(path, column)
     if not values:
         raise DataFailure(f"{path}: no values in column {column!r}")
@@ -633,8 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--two-sided", dest="two_sided", action="store_true")
     q.set_defaults(func=cmd_stats_ttest)
     q = stats_sub.add_parser("cdf", help="empirical CDF of a CSV column")
-    q.add_argument("--scores", required=True, help="PATH[:COLUMN]")
-    q.add_argument("--column", default="score")
+    q.add_argument("--scores", required=True, help="PATH[:COLUMN], column defaults to 'score'")
     q.add_argument("--out")
     q.set_defaults(func=cmd_stats_cdf)
     q = stats_sub.add_parser("network", help="shared-reviewer app network")

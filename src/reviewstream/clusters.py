@@ -160,8 +160,9 @@ class FileEmbedder:
                 where = f"{path}:{lineno}"
                 try:
                     obj = json.loads(line)
-                    review_id, vec = obj["review_id"], np.asarray(obj["vector"], dtype=np.float64)
-                except (ValueError, KeyError, TypeError) as exc:
+                    review_id, values = obj["review_id"], obj["vector"]
+                    vec = np.asarray(values, dtype=np.float64)
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise EmbeddingFileError(
                         f"{where}: not a {{review_id, vector}} object: {exc!r}"
                     ) from None
@@ -169,6 +170,8 @@ class FileEmbedder:
                     raise EmbeddingFileError(f"{where}: review_id must be a string")
                 if vec.ndim != 1:
                     raise EmbeddingFileError(f"{where}: vector must be 1-D")
+                if not all(type(v) in (int, float) for v in values):  # bool, str: not numbers
+                    raise EmbeddingFileError(f"{where}: vector must hold numbers")
                 if dim is None:
                     dim = vec.shape[0]
                 elif vec.shape[0] != dim:

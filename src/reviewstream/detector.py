@@ -233,8 +233,11 @@ class Detector:
     def _advance_to(self, new_tick: int) -> None:
         if self._tick >= 1:
             self._close_tick()
+            # Once a step leaves the grid unchanged every later step does
+            # too: a gap of any length costs about 750 / (1 - decay) steps.
             for _ in range(new_tick - self._tick):
-                self._history.decay(self.config.decay)
+                if not self._history.decay(self.config.decay):
+                    break
             self._current.clear()
         self._tick = new_tick
 

@@ -74,12 +74,16 @@ class CountMinSketch:
     def estimate(self, key: str | bytes) -> float:
         return self.estimate_at(self.locate(key))
 
-    def decay(self, alpha: float) -> None:
-        """Multiply every counter by ``alpha`` in [0, 1]."""
+    def decay(self, alpha: float) -> bool:
+        """Multiply every counter by ``alpha`` in [0, 1]; return whether
+        any counter changed."""
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if alpha != 1.0:
-            self.counters *= alpha
+        if alpha == 1.0:
+            return False
+        before = self.counters.copy()
+        self.counters *= alpha
+        return not np.array_equal(self.counters, before)
 
     def clear(self) -> None:
         self.counters[:] = 0.0

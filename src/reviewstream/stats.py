@@ -51,6 +51,12 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
 
     The one-sided p-value is the upper tail, i.e. evidence for
     mean_a > mean_b; swap the samples for the opposite direction.
+
+    The degrees of freedom lose precision when ``var / n`` squared is
+    subnormal (``var / n`` between about 2.2e-162 and 1.5e-154):
+    ``[0, 1e-79]`` against ``[0, 3e-79]`` gives df 1.2195121899 where the
+    exact value is 1.2195121951. Scaling before squaring would fix that
+    but would change df bits that ``summary.json`` records.
     """
     # Imported here, not at module level: only the t-test needs scipy. The
     # Student t survival function is ``stdtr(df, -t)``, what ``scipy.stats.t.sf``

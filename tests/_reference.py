@@ -4,15 +4,36 @@ These re-derive the documented behavior with plain dicts and exact
 counts (no sketches), so detector outputs can be checked against an
 implementation that shares no code with the package under test. The
 pair oracle shares only ``cosine``, the definition of similarity, and
-replaces the pair search with a check of every pair.
+replaces the pair search with a check of every pair. The ingest oracle
+is the earlier parser, with its own JSONL and CSV loops, and shares only
+the record types, reason codes and required field names.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from collections import Counter, defaultdict
+from typing import Iterable, Iterator
 
 from reviewstream.clusters import cosine
+from reviewstream.ingest import (
+    REASON_DUPLICATE,
+    REASON_MISSING,
+    REASON_RANGE,
+    REASON_SYNTAX,
+    REQUIRED_APP_FIELDS,
+    REQUIRED_REVIEW_FIELDS,
+    REVIEW_FORMATS,
+    AppCatalog,
+    AppRecord,
+    LineError,
+    ReviewEdge,
+)
+
+_INT64_MAX = 2**63 - 1
 
 
 def tick_of(timestamp: int, origin: int, period: int) -> int:
@@ -139,3 +160,214 @@ def shared_reviewer_weights(edges) -> list[tuple[str, str, int]]:
             for j in range(i + 1, len(ordered)):
                 weights[(ordered[i], ordered[j])] += 1
     return [(a, b, count) for (a, b), count in sorted(weights.items())]
+
+
+def _as_int(value: object) -> int | None:
+    """Coerce a JSON number to int; reject bools and non-integral floats."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
+def _validate_review(
+    review_id: str,
+    reviewer_id: str,
+    app_id: str,
+    timestamp: int,
+    score: int,
+    text: str | None,
+) -> tuple[ReviewEdge | None, str | None]:
+    if not review_id or not reviewer_id or not app_id:
+        return None, REASON_MISSING
+    if timestamp < 0 or timestamp > _INT64_MAX:
+        return None, REASON_RANGE
+    if score < 1 or score > 5:
+        return None, REASON_RANGE
+    return ReviewEdge(review_id, reviewer_id, app_id, timestamp, score, text), None
+
+
+def _review_from_json(obj: object) -> tuple[ReviewEdge | None, str | None]:
+    if not isinstance(obj, dict):
+        return None, REASON_SYNTAX
+    for field in REQUIRED_REVIEW_FIELDS:
+        if obj.get(field) is None:
+            return None, REASON_MISSING
+    review_id = obj["review_id"]
+    reviewer_id = obj["reviewer_id"]
+    app_id = obj["app_id"]
+    if not (isinstance(review_id, str) and isinstance(reviewer_id, str) and isinstance(app_id, str)):
+        return None, REASON_SYNTAX
+    timestamp = _as_int(obj["timestamp"])
+    score = _as_int(obj["score"])
+    if timestamp is None or score is None:
+        return None, REASON_SYNTAX
+    text = obj.get("text")
+    if text is not None and not isinstance(text, str):
+        return None, REASON_SYNTAX
+    return _validate_review(review_id, reviewer_id, app_id, timestamp, score, text)
+
+
+def _csv_join(row: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(row)
+    return buf.getvalue()
+
+
+def _iter_csv(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | None, list[str]]]:
+    """Yield (line_number, header_or_None, row) triples for a CSV stream.
+
+    The first yielded triple carries the header; subsequent ones carry
+    data rows. Blank rows are skipped. RFC-4180 quoting (including
+    embedded newlines) is handled by the csv module; line numbers refer
+    to the physical line on which a record ends.
+    """
+    reader = csv.reader(lines)
+    header: list[str] | None = None
+    for row in reader:
+        if not row:
+            continue
+        if header is None:
+            header = row
+            yield reader.line_num, header, row
+        else:
+            yield reader.line_num, None, row
+
+
+def parse_reviews(
+    lines: Iterable[str], format: str = "jsonl"
+) -> tuple[list[ReviewEdge], list[LineError]]:
+    """Parse review records from text lines.
+
+    Valid records are emitted in input order. Invalid records become
+    LineErrors (reasons: syntax, range, missing_field, duplicate) and
+    never abort the parse. A repeated review_id keeps the first
+    occurrence, mirroring the catalog's duplicate handling.
+    """
+    if format not in REVIEW_FORMATS:
+        raise ValueError(f"unknown review format {format!r}")
+    edges: list[ReviewEdge] = []
+    errors: list[LineError] = []
+    seen: set[str] = set()
+
+    def emit(edge: ReviewEdge | None, reason: str | None, line: int, raw: str) -> None:
+        if edge is None:
+            errors.append(LineError(line, reason or REASON_SYNTAX, raw))
+        elif edge.review_id in seen:
+            errors.append(LineError(line, REASON_DUPLICATE, raw))
+        else:
+            seen.add(edge.review_id)
+            edges.append(edge)
+
+    if format == "jsonl":
+        for lineno, line in enumerate(lines, 1):
+            raw = line.rstrip("\n")
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError:
+                errors.append(LineError(lineno, REASON_SYNTAX, raw))
+                continue
+            edge, reason = _review_from_json(obj)
+            emit(edge, reason, lineno, raw)
+        return edges, errors
+
+    columns: dict[str, int] = {}
+    header_ok = False
+    for lineno, header, row in _iter_csv(lines):
+        if header is not None:
+            columns = {name: i for i, name in enumerate(header)}
+            header_ok = all(f in columns for f in REQUIRED_REVIEW_FIELDS)
+            continue
+        raw = _csv_join(row)
+        if not header_ok:
+            errors.append(LineError(lineno, REASON_MISSING, raw))
+            continue
+        values: dict[str, str | None] = {}
+        short = False
+        for field in REQUIRED_REVIEW_FIELDS:
+            idx = columns[field]
+            if idx >= len(row) or row[idx] == "":
+                short = True
+                break
+            values[field] = row[idx]
+        if short:
+            errors.append(LineError(lineno, REASON_MISSING, raw))
+            continue
+        try:
+            timestamp = int(values["timestamp"])
+            score = int(values["score"])
+        except ValueError:
+            errors.append(LineError(lineno, REASON_SYNTAX, raw))
+            continue
+        text: str | None = None
+        if "text" in columns and columns["text"] < len(row):
+            text = row[columns["text"]]
+        edge, reason = _validate_review(
+            values["review_id"], values["reviewer_id"], values["app_id"],
+            timestamp, score, text,
+        )
+        emit(edge, reason, lineno, raw)
+    return edges, errors
+
+
+def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
+    """Parse an app catalog from CSV lines.
+
+    Header: app_id,overall_rating,install_count,name (the last two are
+    optional columns). Duplicate app_ids keep the first record and report
+    a LineError(duplicate); ratings outside [1, 5] are rejected.
+    """
+    catalog = AppCatalog()
+    errors: list[LineError] = []
+    columns: dict[str, int] = {}
+    header_ok = False
+    for lineno, header, row in _iter_csv(lines):
+        if header is not None:
+            columns = {name: i for i, name in enumerate(header)}
+            header_ok = all(f in columns for f in REQUIRED_APP_FIELDS)
+            continue
+        raw = _csv_join(row)
+        if not header_ok:
+            errors.append(LineError(lineno, REASON_MISSING, raw))
+            continue
+
+        def cell(name: str) -> str | None:
+            idx = columns.get(name)
+            if idx is None or idx >= len(row) or row[idx] == "":
+                return None
+            return row[idx]
+
+        app_id = cell("app_id")
+        rating_raw = cell("overall_rating")
+        if app_id is None or rating_raw is None:
+            errors.append(LineError(lineno, REASON_MISSING, raw))
+            continue
+        try:
+            rating = float(rating_raw)
+        except ValueError:
+            errors.append(LineError(lineno, REASON_SYNTAX, raw))
+            continue
+        if not 1.0 <= rating <= 5.0:
+            errors.append(LineError(lineno, REASON_RANGE, raw))
+            continue
+        install_raw = cell("install_count")
+        install_count: int | None = None
+        if install_raw is not None:
+            try:
+                install_count = int(install_raw)
+            except ValueError:
+                errors.append(LineError(lineno, REASON_SYNTAX, raw))
+                continue
+            if install_count < 0:
+                errors.append(LineError(lineno, REASON_RANGE, raw))
+                continue
+        if app_id in catalog:
+            errors.append(LineError(lineno, REASON_DUPLICATE, raw))
+            continue
+        catalog.add(AppRecord(app_id, rating, install_count, cell("name")))
+    return catalog, errors

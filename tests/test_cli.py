@@ -357,8 +357,11 @@ class TestRejections:
         '{"review_id": "x", "vector": [1.0, 0.0, 2.0]}',
         '{"review_id": "x", "vector": [NaN, 1.0]}',
         '{"review_id": "x", "vector": [[1.0], [1.0, 2.0]]}',
+        '{"review_id": "x", "vector": ["1", "2"]}',
+        '{"review_id": "x", "vector": [true, false]}',
+        '{"review_id": "x", "vector": [1' + "0" * 400 + ', 1]}',
     ], ids=["bad-json", "no-review-id", "no-vector", "not-1d", "ragged-dim", "nan",
-            "ragged-nested"])
+            "ragged-nested", "str-elements", "bool-elements", "int-overflow"])
     def test_bad_embedding_sidecar_exits_2_naming_the_line(self, synth_files, tmp_path,
                                                           caplog, line):
         reviews, _, _ = synth_files

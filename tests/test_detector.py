@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ class TestDecayAndGaps:
         for edge in mk_edges([("a", 1, 5), ("a", 5, 1)]):
             det.process_edge(edge)
         assert det.historical_total("a") == 5.0
+
+    @pytest.mark.parametrize("decay", [0.6, 1.0])
+    def test_huge_gap_stops_at_the_fixed_point(self, decay):
+        # 2**62 s is ~4.6e17 ticks; decay stops once a step changes nothing
+        def history_after(gap):
+            det = Detector(cfg(decay=decay), BOOST)
+            det.process_edge(ReviewEdge("r0", "u0", "a", 1, 5))
+            det.process_edge(ReviewEdge("r1", "u1", "a", 1 + gap, 5))
+            return det.historical_total("a")
+
+        start = time.perf_counter()
+        far = history_after(2**62)
+        assert time.perf_counter() - start < 1.0
+        oracle = ExactScorer(0, PERIOD, decay=decay, filter_threshold=math.inf)
+        for ts in (1, 1 + 10**5 * PERIOD):
+            oracle.process("a", ts)
+        assert far == history_after(10**5 * PERIOD) == oracle.historical_total("a")
 
 
 class TestBurstPredicate:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -12,6 +14,8 @@ from reviewstream.ingest import (
     review_to_line,
     to_tick,
 )
+
+import _reference
 
 
 def jline(**kw) -> str:
@@ -202,3 +206,100 @@ def test_never_drops_valid_records(n_valid, garbage_at):
     edges, errors = parse_reviews(lines)
     assert len(edges) == n_valid
     assert len(edges) + len(errors) == len(lines)
+
+
+# Oracle properties: the shared record path against the earlier parser,
+# which kept a separate loop per format (tests/_reference.py).
+
+VALID_CELLS = {
+    "review_id": ["x1", "x2", "x3", "x,4", "x\n5"], "reviewer_id": ["u1", "u2"],
+    "app_id": ["a1", "a2", "a,3"], "timestamp": ["0", "10", str(2**63 - 1)],
+    "score": ["1", "3", "5"], "text": ["", "nice", "a,b", "two\nlines"],
+    "overall_rating": ["1", "4.3", "5.0"], "install_count": ["", "0", "1000"],
+    "name": ["", "Cash"], "extra": ["e"],
+}
+REVIEW_COLUMNS = ["review_id", "reviewer_id", "app_id", "timestamp", "score", "text"]
+APP_COLUMNS = ["app_id", "overall_rating", "install_count", "name"]
+TRICKY_CELLS = ["", "0", "3", "5", "6", "1.5", " 4", "1_0", "٣", "-1", "+2",
+                str(2**63), str(2**63 - 1), "2**63", "abc", "a,b", "two\nlines",
+                'say "hi"', "4.3", "1e0", "nan", "inf", "0.9", "5.7"]
+JSON_VALUES = [None, True, False, 0, 1, 5, 6, -1, 2**63 - 1, 2**63, 2**64, 3.0, 1.5,
+               1e19, -0.0, float("nan"), float("inf"), "", "x1", "5", [], {}]
+VALID_JSON = {"review_id": ["x1", "x2", "x3", ""], "reviewer_id": ["u1", "u2"],
+              "app_id": ["a1", "a2"], "timestamp": [0, 10, 10.0, 2**63 - 1],
+              "score": [1, 3, 5.0], "text": [None, "", "nice"]}
+
+
+@st.composite
+def csv_lines(draw, columns):
+    """A CSV file, mostly well-formed: a full or a partial, repeated,
+    reordered or extended header, then rows whose cells are mostly valid
+    for their column, some short or long."""
+    if draw(st.integers(0, 3)):
+        header = draw(st.permutations(columns))
+        header[draw(st.integers(0, len(header))):0] = draw(
+            st.lists(st.sampled_from(columns + ["extra"]), max_size=1))
+    else:
+        header = draw(st.lists(st.sampled_from(columns + ["extra"]), min_size=1,
+                               max_size=len(columns) + 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [draw(st.sampled_from(VALID_CELLS[name])) for name in header]
+        for i in draw(st.sets(st.integers(0, len(row) - 1), max_size=2)):
+            row[i] = draw(st.one_of(st.sampled_from(TRICKY_CELLS), st.text(max_size=3)))
+        length = draw(st.integers(0, 5))
+        if length == 0:
+            row = row[:draw(st.integers(0, len(row)))]
+        elif length == 1:
+            row += draw(st.lists(st.sampled_from(TRICKY_CELLS), min_size=1, max_size=2))
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        if draw(st.integers(0, 9)) == 0:
+            buf.write("\n")
+        writer.writerow(row)
+    text = ("\n" if draw(st.booleans()) else "") + buf.getvalue()
+    return text.splitlines(keepends=True)
+
+
+@st.composite
+def jsonl_line(draw):
+    """A review object with up to two fields dropped or replaced by an
+    odd JSON value, or a line that is no object at all."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.sampled_from(["", "   ", "\n", "{not json", "[1, 2]", "null", '"x"']))
+    if kind == 1:
+        return json.dumps(draw(st.one_of(st.sampled_from(JSON_VALUES), st.floats())))
+    obj = {name: draw(st.sampled_from(values)) for name, values in VALID_JSON.items()}
+    for name in draw(st.sets(st.sampled_from(REVIEW_COLUMNS), max_size=2)):
+        if draw(st.booleans()):
+            del obj[name]
+        else:
+            obj[name] = draw(st.one_of(st.sampled_from(JSON_VALUES), st.integers(),
+                                       st.floats(), st.text(max_size=3)))
+    if obj.get("text", 0) is None and draw(st.booleans()):
+        del obj["text"]
+    return json.dumps(obj)
+
+
+@settings(max_examples=400)
+@given(lines=csv_lines(REVIEW_COLUMNS))
+def test_csv_reviews_match_reference(lines):
+    assert parse_reviews(lines, format="csv") == _reference.parse_reviews(lines, format="csv")
+
+
+@settings(max_examples=400)
+@given(lines=csv_lines(APP_COLUMNS))
+def test_catalog_matches_reference(lines):
+    catalog, errors = parse_apps(lines)
+    ref_catalog, ref_errors = _reference.parse_apps(lines)
+    assert (list(catalog), errors) == (list(ref_catalog), ref_errors)
+
+
+@settings(max_examples=400)
+@given(lines=st.lists(jsonl_line(), max_size=12))
+def test_jsonl_reviews_match_reference(lines):
+    assert parse_reviews(lines) == _reference.parse_reviews(lines)
