@@ -31,6 +31,7 @@ from .detector import (
     Detector,
     DetectorConfig,
     MicroclusterEvent,
+    ScoredStream,
     TimeRegressionError,
     evaluate_burst,
     run_detector,
@@ -94,6 +95,7 @@ __all__ = [
     "PairAnalysis",
     "PartitionResult",
     "ReviewEdge",
+    "ScoredStream",
     "SharedReviewerEdge",
     "SharedReviewerGraph",
     "SimilarityPair",

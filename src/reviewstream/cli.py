@@ -44,6 +44,7 @@ from .detector import (
     AnomalyRecord,
     DetectorConfig,
     MicroclusterEvent,
+    ScoredStream,
     read_events_jsonl,
     read_scores_csv,
     run_detector,
@@ -316,6 +317,19 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
 # Stages shared by the subcommands. They call the layer entry points
 # through this module's globals, where the benchmark's layer trace wraps them.
 
+class _Stages(dict):
+    """Seconds and items in and out of each stage, for the manifest: a
+    stage runs from the ``done`` call before it to its own."""
+
+    def __init__(self) -> None:
+        self._mark = time.perf_counter()
+
+    def done(self, name: str, items_in: int, items_out: int) -> None:
+        now = time.perf_counter()
+        self[name] = {"seconds": round(now - self._mark, 6), "in": items_in, "out": items_out}
+        self._mark = now
+
+
 @dataclasses.dataclass
 class _Scored:
     reviews_path: Path
@@ -323,8 +337,10 @@ class _Scored:
     review_errors: list[LineError]
     catalog_errors: list[LineError]
     partitioned: PartitionResult
-    records: list[AnomalyRecord]
+    records: ScoredStream
     events: list[MicroclusterEvent]
+    stages: _Stages
+    detector: dict[str, dict]  # each sub-stream's detector counters
 
 
 def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorConfig,
@@ -335,32 +351,39 @@ def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorC
     catalog_path = _require_file(args.catalog, "catalog")
     logger.info("effective config: %s",
                 json.dumps({**config.to_dict(), **logged}, sort_keys=True))
+    stages = _Stages()
     edges, review_errors = _load_reviews(reviews_path, effective)
+    stages.done("parse_reviews", len(edges) + len(review_errors), len(edges))
     catalog, catalog_errors = _load(parse_apps, catalog_path, effective, "catalog")
+    stages.done("parse_catalog", len(catalog) + len(catalog_errors), len(catalog))
     ordered = sorted(edges, key=lambda e: e.timestamp)  # stable: ties keep input order
     partitioned = partition_stream(ordered, catalog)
+    stages.done("partition", len(edges), sum(partitioned.counts().values()))
     try:
-        records, events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
-        sink_records, sink_events = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
+        boost, boost_events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
+        stages.done("detect_boost", len(partitioned.boost), len(boost))
+        sink, sink_events = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
+        stages.done("detect_sink", len(partitioned.sink), len(sink))
     except BeforeOriginError as exc:
         raise ConfigFailure(f"{exc}; lower --origin to at or before the first timestamp")
-    records.extend(sink_records)
-    events.extend(sink_events)
     return _Scored(reviews_path, catalog_path, review_errors, catalog_errors, partitioned,
-                   records, events)
+                   boost + sink, boost_events + sink_events, stages,
+                   {"boost": boost.counters, "sink": sink.counters})
 
 
-def _cluster_report(events, records, provider, tau: float, top: int):
+def _cluster_report(events, records, provider, tau: float, top: int, stages: _Stages):
     """Collect, rank and report clusters; returns (clusters formed, report)."""
     try:
         clusters = collect_clusters(events, records)
     except InconsistentRunError as exc:
         raise DataFailure(str(exc))
+    stages.done("collect", len(events), len(clusters))
     ranked = rank_clusters(clusters, top) if clusters else []
     try:
         report = build_cluster_report(ranked, provider, tau)
     except MissingEmbeddingError as exc:
         raise DataFailure(str(exc))
+    stages.done("report", len(clusters), len(report))
     return len(clusters), report
 
 
@@ -404,7 +427,10 @@ def _records_from_files(reviews_path: Path, scores_path: Path, effective: dict):
                 "scores and reviews files do not belong together"
             )
         records.append(AnomalyRecord(edge, row.substream, row.tick, row.score))
-    return records
+    try:
+        return ScoredStream.of(records)
+    except OverflowError as exc:  # a tick outside [0, 2**64)
+        raise DataFailure(f"scores file {scores_path} is malformed: {exc}")
 
 
 def cmd_clusters(args: argparse.Namespace) -> int:
@@ -418,7 +444,8 @@ def cmd_clusters(args: argparse.Namespace) -> int:
         events = read_events_jsonl(events_path)
     except ValueError as exc:  # also bad JSON or UTF-8
         raise DataFailure(f"events file {events_path} is malformed: {exc}")
-    formed, report = _cluster_report(events, records, provider, tau, effective["top"])
+    formed, report = _cluster_report(events, records, provider, tau, effective["top"],
+                                     _Stages())
     Path(args.out).write_text(_json_text(report), encoding="utf-8")
     _print_json({"clusters": formed, "reported": len(report), "tau": tau})
     return EXIT_OK
@@ -506,15 +533,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     provider, tau = _provider(effective)
     top = effective["top"]
     run = _load_and_score(args, effective, config, provider=provider.name, tau=tau, top=top)
+    stages = run.stages
     summary_counts = summarize(run.partitioned)
-    _, report = _cluster_report(run.events, run.records, provider, tau, top)
+    stages.done("summarize", summary_counts.reviews, 1)
+    _, report = _cluster_report(run.events, run.records, provider, tau, top, stages)
 
-    boost_scores = [r.score for r in run.records if r.substream is SubstreamLabel.BOOST]
-    sink_scores = [r.score for r in run.records if r.substream is SubstreamLabel.SINK]
+    boost_scores = run.records.scores(SubstreamLabel.BOOST)
+    sink_scores = run.records.scores(SubstreamLabel.SINK)
     try:
         welch = dataclasses.asdict(welch_t(boost_scores, sink_scores))
     except (TooSmallError, DegenerateSamplesError):
         welch = None
+    stages.done("ttest", len(boost_scores) + len(sink_scores), int(welch is not None))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,6 +574,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "welch_boost_vs_sink": welch,
         }
         target("summary.json").write_text(_json_text(summary), encoding="utf-8")
+        stages.done("write", len(run.records) + len(run.events) + len(report), len(written))
         manifest = {
             "tool": "reviewstream",
             "version": __version__,
@@ -560,6 +591,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 "format": effective["format"],
             },
             "runtime_seconds": round(time.monotonic() - started, 3),
+            "stages": stages,
+            "detector": run.detector,
         }
         target("manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     except Exception:

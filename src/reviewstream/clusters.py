@@ -21,16 +21,17 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import sqrt
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .detector import AnomalyRecord, MicroclusterEvent
+from .detector import AnomalyRecord, MicroclusterEvent, ScoredStream
 from .partition import SubstreamLabel
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -194,16 +195,30 @@ class FileEmbedder:
 
 
 def collect_clusters(
-    events: Sequence[MicroclusterEvent], records: Sequence[AnomalyRecord]
+    events: Sequence[MicroclusterEvent], records: Iterable[AnomalyRecord]
 ) -> list[SuspiciousCluster]:
     """One cluster per event: all same-sub-stream scored edges of the
-    event's app in its burst tick."""
-    index: dict[tuple, list[AnomalyRecord]] = defaultdict(list)
-    for rec in records:
-        index[(rec.edge.app_id, rec.substream, rec.tick)].append(rec)
+    event's app in its burst tick, in stream order. Records are built
+    only for cluster members."""
+    scored = ScoredStream.of(records)
+    labels = list(SubstreamLabel)
+    app_code = {e.app_id: code for code, e in enumerate(events)}  # -1: no event
+    app = np.fromiter(map(app_code.get, map(attrgetter("app_id"), scored.edges), repeat(-1)),
+                      np.int64, len(scored))
+    ticks, tick_rank = np.unique(scored.tick, return_inverse=True)
+    rank_of = dict(zip(ticks.tolist(), range(len(ticks))))
+    keys = (app * len(labels) + scored.substream) * (len(ticks) + 1) + tick_rank
+    order = np.argsort(keys, kind="stable")
+    wanted = np.array([(app_code[e.app_id] * len(labels) + labels.index(e.substream))
+                       * (len(ticks) + 1) + rank_of.get(e.burst_tick, len(ticks))
+                       for e in events], dtype=np.int64)
+    lo, hi = np.searchsorted(keys[order], [wanted, wanted + 1])
+    # Every event's members as records in one pass, taken in event order.
+    records = iter(scored.take(np.concatenate([order[:0], *map(order.__getitem__,
+                                                               map(slice, lo, hi))])))
     clusters: list[SuspiciousCluster] = []
-    for event in events:
-        members = index.get((event.app_id, event.substream, event.burst_tick))
+    for event, size in zip(events, (hi - lo).tolist()):
+        members = list(islice(records, size))
         if not members:
             raise InconsistentRunError(
                 f"event for app {event.app_id!r} at tick {event.burst_tick} "

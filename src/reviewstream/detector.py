@@ -1,8 +1,9 @@
 """Streaming microcluster detector for one review sub-stream.
 
-Each app in a sub-stream is a counting entity. Two count-min sketches
-track it: one holds the app's count within the current detection tick,
-the other a filtered, decayed historical total. Every arriving edge is
+Each app in a sub-stream is a counting entity. Two count-min estimates
+over the same hashed columns track it: its count within the current
+detection tick, and a filtered, decayed historical total held in a
+sketch. Every arriving edge is
 scored with a chi-squared statistic comparing the app's current-tick
 rate against its historical per-tick mean:
 
@@ -12,7 +13,9 @@ where ``cur`` is the current-tick estimate after counting the edge,
 ``total`` is the historical estimate plus ``cur``, and ``tick`` is the
 edge's 1-based tick index. The score is 0 at tick 1 or when the total is
 0: with no history there is nothing to test. Tests that re-derive scores
-must reproduce this exact expression and operation order.
+must reproduce this exact expression and operation order, with ``** 2``
+as Python computes it (libm ``pow``): ``x * x``, which numpy's ``** 2``
+computes, differs in the last bit for about one value in a thousand.
 
 At every tick boundary each app active in the closing tick is merged
 into its history. The merge is conditional: if the app's final score for
@@ -22,12 +25,11 @@ inflating the baseline that later ticks are judged against. Replacing a
 closing tick ``n`` count by the self-consistent expectation means adding
 ``history / (n - 1)``, i.e. scaling history by ``n / (n - 1)``.
 Non-anomalous ticks merge their raw count unchanged. After the merges
-the historical sketch decays by ``decay`` once per elapsed tick and the
-current-tick sketch resets.
+the historical sketch decays by ``decay`` once per elapsed tick.
 
-Separately from the sketches, exact raw per-tick counts are kept in
-small per-app registers to drive the burst-ratio test: a microcluster
-event fires for app ``a`` at tick ``n + 1`` when
+Separately from the sketch, exact raw per-(app, tick) counts drive
+the burst-ratio test: a microcluster event fires for app ``a`` at tick
+``n + 1`` when
 
     count(a, n + 1) / max(count(a, n), min_prior) > burst_factor
 
@@ -35,8 +37,14 @@ using raw counts, untouched by filtering or decay. ``min_prior`` guards
 the zero denominator so a burst after silence still registers with a
 finite ratio.
 
-Processing is a single pass: constant-size sketches plus one small
-register per active app, so memory does not grow with stream length.
+Scoring is batched and bit-identical to scoring one edge at a time.
+History is constant within a tick, so everything but the history comes
+from whole-batch array work: exact uint64 ticks, one hash per distinct
+app, current-tick estimates as running counts per (tick, counter), raw
+counts per (app, tick) group. One loop over ticks reads, merges into
+and decays the history sketch, merging a tick's groups in order of first
+appearance. Memory is the history sketch, a hashed slot per distinct app
+and the edges of the last two ticks; it does not grow with stream length.
 """
 
 from __future__ import annotations
@@ -44,10 +52,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
+
+import numpy as np
 
 from .ingest import ReviewEdge, to_tick
 from .partition import SubstreamLabel
@@ -84,6 +94,8 @@ class DetectorConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and math.isnan(value):
                 raise ValueError(f"{f.name} must be a number, got {value}")
+        if not -(2**63) <= self.origin < 2**63:
+            raise ValueError(f"origin must fit in int64, got {self.origin}")
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.burst_factor <= 1.0:
@@ -148,33 +160,93 @@ def evaluate_burst(
     return ratio if ratio > burst_factor else None
 
 
-@dataclass
-class _AppRegister:
-    slots: tuple[int, ...]  # the app's sketch column in each row
-    open_tick: int
-    cur_raw: int = 0
-    last_score: float = 0.0
-    prev_tick: int = 0  # most recent closed tick with a recorded count
-    prev_raw: int = 0
+_LABELS = tuple(SubstreamLabel)  # a sub-stream column holds indices into this
+_LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
+_UINT64 = 1 << 64
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredStream:
+    """Scored edges as columns: ``edges[i]`` fell in tick ``tick[i]`` of
+    sub-stream ``_LABELS[substream[i]]`` and scored ``score[i]``. Indexing
+    and iteration build ``AnomalyRecord``s on demand; ``counters`` are the
+    run counts of the detector that scored it."""
+
+    edges: Sequence[ReviewEdge]
+    tick: np.ndarray  # uint64: ticks reach 2**64 - 1 when origin is -2**63
+    score: np.ndarray  # float64
+    substream: np.ndarray  # int8
+    counters: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, records: Iterable[AnomalyRecord]) -> "ScoredStream":
+        """``records`` itself if it is a ScoredStream, else its columns."""
+        if isinstance(records, ScoredStream):
+            return records
+        rows = [(r.edge, r.tick, r.score, _LABEL_CODE[r.substream]) for r in records]
+        edges, ticks, scores, labels = zip(*rows) if rows else ((),) * 4
+        return cls(list(edges), np.array(ticks, np.uint64), np.array(scores, np.float64),
+                   np.array(labels, np.int8))
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def __getitem__(self, i: int) -> AnomalyRecord:
+        return self.take(np.array([i]))[0]
+
+    def __iter__(self) -> Iterator[AnomalyRecord]:
+        return iter(self.take(np.arange(len(self))))
+
+    def __add__(self, other: "ScoredStream") -> "ScoredStream":
+        return ScoredStream([*self.edges, *other.edges], *(
+            np.concatenate((getattr(self, c), getattr(other, c)))
+            for c in ("tick", "score", "substream")))
+
+    def take(self, index: np.ndarray) -> list[AnomalyRecord]:
+        """The records at ``index``, in its order."""
+        return list(map(AnomalyRecord, map(self.edges.__getitem__, index.tolist()),
+                        map(_LABELS.__getitem__, self.substream[index].tolist()),
+                        self.tick[index].tolist(), self.score[index].tolist()))
+
+    def scores(self, substream: SubstreamLabel) -> list[float]:
+        return self.score[self.substream == _LABEL_CODE[substream]].tolist()
+
+
+def _chi2(cur, hist, tick, tick2, tick1):
+    """The score, from floats of the exact ``tick``, ``tick * tick`` and
+    ``tick - 1``; ``float_power`` squares with libm ``pow``, as ``** 2``."""
+    total = hist + cur
+    dev = cur - total / tick
+    score = np.float_power(dev, np.full_like(dev, 2.0)) * tick2 / (total * tick1)
+    return np.where((tick1 > 0) & (total > 0.0), score, 0.0)
+
+
+def _running_count(keys: np.ndarray) -> np.ndarray:
+    """1 + the number of earlier equal keys, for each key."""
+    order = np.argsort(keys, kind="stable")
+    count = np.empty(len(keys))
+    count[order] = np.arange(len(keys)) - np.searchsorted(keys[order], keys[order]) + 1
+    return count
 
 
 class Detector:
-    """Single-pass scorer for one ordered sub-stream.
-
-    One instance per sub-stream; instances are independent and never
-    share state.
+    """Single-pass scorer for one ordered sub-stream, fed in batches of
+    any size; one instance per sub-stream. The edges of the open tick and
+    of the last closed one are kept and grouped again with the next
+    batch, so one edge at a time and the whole stream at once give the
+    same scores, events and history.
     """
 
     def __init__(self, config: DetectorConfig, substream: SubstreamLabel):
         config.validate()
-        seeds = config.row_seeds()
         self.config = config
         self.substream = substream
         self.events: list[MicroclusterEvent] = []
-        self._current = CountMinSketch(config.rows, config.cols, seeds)
-        self._history = CountMinSketch(config.rows, config.cols, seeds)
-        self._registers: dict[str, _AppRegister] = {}
-        self._touched: list[str] = []
+        self.counters = {"groups": 0, "filtered_merges": 0}  # closed (app, tick) groups
+        self._history = CountMinSketch(config.rows, config.cols, config.row_seeds())
+        self._slots: dict[str, tuple[int, ...]] = {}  # each app hashed once
+        self._held: list[ReviewEdge] = []  # edges of the last closed and the open tick
+        self._closed_held = 0  # 1 if the held edges start with a closed tick
         self._tick = 0
         self._finished = False
 
@@ -184,101 +256,152 @@ class Detector:
 
     def historical_total(self, app_id: str) -> float:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
-        register = self._registers.get(app_id)
-        slots = register.slots if register is not None else self._history.locate(app_id)
-        return self._history.estimate_at(slots)
+        return self._history.estimate(app_id)
 
     def process_edge(self, edge: ReviewEdge) -> AnomalyRecord:
-        if self._finished:
-            raise RuntimeError("detector already finished")
-        tick = to_tick(edge.timestamp, self.config.origin, self.config.period)
-        if tick < self._tick:
-            raise TimeRegressionError(
-                f"edge {edge.review_id!r} at tick {tick} after tick {self._tick}"
-            )
-        if tick > self._tick:
-            self._advance_to(tick)
-
-        register = self._registers.get(edge.app_id)
-        if register is None:
-            register = _AppRegister(self._current.locate(edge.app_id), tick)
-            self._registers[edge.app_id] = register
-            self._touched.append(edge.app_id)
-        elif register.open_tick != tick:
-            register.open_tick = tick
-            register.cur_raw = 0
-            register.last_score = 0.0
-            self._touched.append(edge.app_id)
-        register.cur_raw += 1
-
-        slots = register.slots
-        self._current.insert_at(slots, 1.0)
-        cur = self._current.estimate_at(slots)
-        total = self._history.estimate_at(slots) + cur
-        if tick <= 1 or total <= 0.0:
-            score = 0.0
-        else:
-            score = (cur - total / tick) ** 2 * (tick * tick) / (total * (tick - 1))
-        register.last_score = score
-        return AnomalyRecord(edge, self.substream, tick, score)
+        return self.process([edge])[0]
 
     def finish(self) -> list[MicroclusterEvent]:
         """Close the final open tick and return all events of the run."""
         if not self._finished:
-            if self._tick >= 1:
-                self._close_tick()
-            self._finished = True
+            self.process([], final=True)
         return self.events
 
-    def _advance_to(self, new_tick: int) -> None:
-        if self._tick >= 1:
-            self._close_tick()
-            # Once a step leaves the grid unchanged every later step does
-            # too: a gap of any length costs about 750 / (1 - decay) steps.
-            for _ in range(new_tick - self._tick):
-                if not self._history.decay(self.config.decay):
-                    break
-            self._current.clear()
-        self._tick = new_tick
+    def _ticks(self, edges: Sequence[ReviewEdge]) -> np.ndarray:
+        """Each edge's tick, exact for any int64 timestamp and origin."""
+        origin, period = self.config.origin, self.config.period
+        stamps = np.fromiter(map(attrgetter("timestamp"), edges), np.int64, len(edges))
+        if not len(edges) or stamps.min() >= origin:
+            # 0 <= timestamp - origin < 2**64: the uint64 difference is exact
+            delta = stamps.astype(np.uint64) - np.uint64(origin % _UINT64)
+            width = np.uint64(min(period, _UINT64 - 1))
+            ticks = np.maximum(delta // width + (delta % width != 0), 1)
+            if (ticks[1:] >= ticks[:-1]).all():
+                return ticks
+        last = 0  # raise at the first edge before the origin or a passed tick
+        for edge in edges:
+            tick = to_tick(edge.timestamp, origin, period)
+            if tick < last:
+                raise TimeRegressionError(
+                    f"edge {edge.review_id!r} at tick {tick} after tick {last}")
+            last = tick
+        raise AssertionError("unreachable")
 
-    def _close_tick(self) -> None:
-        closing = self._tick
-        cfg = self.config
-        for app_id in self._touched:
-            register = self._registers[app_id]
-            if closing >= 2:
-                prior = register.prev_raw if register.prev_tick == closing - 1 else 0
-                ratio = evaluate_burst(
-                    prior, register.cur_raw, cfg.burst_factor, cfg.min_prior
-                )
-                if ratio is not None:
-                    self.events.append(MicroclusterEvent(
-                        app_id=app_id,
-                        substream=self.substream,
-                        prior_tick=closing - 1,
-                        prior_count=prior,
-                        burst_count=register.cur_raw,
-                        ratio=ratio,
-                    ))
-            slots = register.slots
-            if register.last_score > cfg.filter_threshold and closing >= 2:
-                expected = self._history.estimate_at(slots) / (closing - 1)
-                self._history.insert_at(slots, expected)
-            else:
-                self._history.insert_at(slots, float(register.cur_raw))
-            register.prev_tick = closing
-            register.prev_raw = register.cur_raw
-        self._touched = []
+    def process(self, edges: Sequence[ReviewEdge], final: bool = False) -> ScoredStream:
+        """Score a batch of edges in stream order; with ``final``, also
+        close the last tick and finish the run."""
+        if self._finished:
+            raise RuntimeError("detector already finished")
+        cfg, held, done = self.config, len(self._held), self._closed_held
+        edges = [*self._held, *edges]
+        ticks, n = self._ticks(edges), len(edges)
+        self._finished, self._held, self._closed_held = final, [], 0
+        if not n:
+            return self._scored(edges, ticks, np.zeros(0))
+        tick_start = np.append(0, np.flatnonzero(ticks[1:] != ticks[:-1]) + 1)
+        tick_values = ticks[tick_start].tolist()
+        edge_tick = np.searchsorted(tick_start, np.arange(n), side="right") - 1
+        K, closes = len(tick_values), len(tick_values) - (not final)
+
+        # Dense app codes, each app hashed once; cell[r, c] is app c's counter in row r.
+        app_ids = list(map(attrgetter("app_id"), edges))
+        apps = list(dict.fromkeys(app_ids))
+        code = np.fromiter(map({a: c for c, a in enumerate(apps)}.__getitem__, app_ids),
+                           np.int64, n)
+        slots = [self._slots.get(a) or self._slots.setdefault(a, self._history.locate(a))
+                 for a in apps]
+        cell = (np.array(slots, np.int64).reshape(len(apps), cfg.rows).T
+                + (np.arange(cfg.rows) * cfg.cols)[:, None])
+        edge_cells = cell[:, code]
+        # Current-tick estimate: a running count per (tick, counter), min over rows.
+        cur = _running_count((edge_tick * (cfg.rows * cfg.cols) + edge_cells).ravel())
+        cur = cur.reshape(cfg.rows, n).min(axis=0)
+
+        # (tick, app) groups in close order: by tick, then by first appearance.
+        keys, first, inverse, counts = np.unique(edge_tick * len(apps) + code, return_index=True,
+                                                 return_inverse=True, return_counts=True)
+        close = np.argsort(first)
+        group = np.argsort(close)[inverse]
+        g_cur = np.zeros(len(close))
+        np.maximum.at(g_cur, group, cur)  # the last edge's: running counts only grow
+        g_cell, g_hist = cell[:, keys[close] % len(apps)], np.empty(len(close))
+        bounds = np.searchsorted(keys[close] // len(apps), np.arange(K + 1)).tolist()
+        factors = np.array([(float(t), float(t * t), float(t - 1)) for t in tick_values]).T
+
+        # History is constant within a tick: read it per group, then close the tick.
+        history = self._history.counters.reshape(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(done, K):
+                a, b, tick = bounds[k], bounds[k + 1], tick_values[k]
+                g_hist[a:b] = history[g_cell[:, a:b]].min(axis=0)
+                if k == closes:
+                    break
+                last = _chi2(g_cur[a:b], g_hist[a:b], *factors[:, k])
+                filtered = (last > cfg.filter_threshold) & (tick >= 2)
+                self._merge(history, g_cell[:, a:b], counts[close[a:b]], filtered, tick)
+                for _ in range(tick_values[k + 1] - tick if k + 1 < K else 0):
+                    if not self._history.decay(cfg.decay):
+                        break
+            score = _chi2(cur[held:], g_hist[group[held:]], *factors[:, edge_tick[held:]])
+            self._burst_events(tick_values, apps, keys, counts, close[bounds[done]:bounds[closes]])
+
+        self.counters["groups"] += bounds[closes] - bounds[done]
+        self._tick = tick_values[-1]
+        if not final:
+            self._held = edges[tick_start[closes - 1] if closes else 0:]
+            self._closed_held = int(closes > 0)
+        return self._scored(edges[held:], ticks[held:], score)
+
+    def _scored(self, edges, ticks, score) -> ScoredStream:
+        labels = np.full(len(edges), _LABEL_CODE[self.substream], np.int8)
+        counters = {**self.counters, "events": len(self.events)}
+        return ScoredStream(edges, ticks, score, labels, counters)
+
+    def _merge(self, history: np.ndarray, cells: np.ndarray, counts: np.ndarray,
+               filtered: np.ndarray, tick: int) -> None:
+        """Merge one closing tick's groups into history in close order: the
+        raw count, or for a filtered group the expected count, read after
+        the earlier groups' inserts."""
+        filtered = np.flatnonzero(filtered).tolist()
+        self.counters["filtered_merges"] += len(filtered)
+        weights = counts.astype(np.float64)
+        done = 0
+        for j in filtered + [len(counts)]:
+            # One add.at per row: numpy 2.4 misreads values broadcast to a 2-D index.
+            for row_cells in cells[:, done:j]:
+                np.add.at(history, row_cells, weights[done:j])
+            if j < len(counts):
+                own = cells[:, j].tolist()
+                expected = float(min(history[c] for c in own)) / (tick - 1)
+                for c in own:
+                    history[c] += expected
+            done = j + 1
+
+    def _burst_events(self, tick_values, apps, keys, counts, closed: np.ndarray) -> None:
+        """Events of the ``closed`` groups (indices into ``keys``, in close
+        order), from exact raw counts."""
+        g_tick, g_app = np.divmod(keys[closed], len(apps))
+        adjacent = np.array([k > 0 and tick_values[k - 1] == t - 1
+                             for k, t in enumerate(tick_values)])[g_tick]
+        want = keys[closed] - len(apps)  # the same app, one tick earlier
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        prior = np.where(adjacent & (keys[pos] == want), counts[pos], 0)
+        burst, denom = counts[closed], np.maximum(prior, self.config.min_prior)
+        ratio = burst / denom
+        ticks = np.array(tick_values, dtype=object)[g_tick]
+        fire = (ticks >= 2) & (denom > 0) & (ratio > self.config.burst_factor)
+        self.events.extend(MicroclusterEvent(
+            apps[g_app[i]], self.substream, ticks[i] - 1, int(prior[i]), int(burst[i]),
+            float(ratio[i])) for i in np.flatnonzero(fire).tolist())
 
 
 def run_detector(
     edges: Iterable[ReviewEdge], config: DetectorConfig, substream: SubstreamLabel
-) -> tuple[list[AnomalyRecord], list[MicroclusterEvent]]:
+) -> tuple[ScoredStream, list[MicroclusterEvent]]:
     """Score a timestamp-ordered sub-stream in one pass."""
     detector = Detector(config, substream)
-    records = [detector.process_edge(edge) for edge in edges]
-    events = detector.finish()
-    return records, events
+    scored = detector.process(list(edges), final=True)
+    return scored, detector.events
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +423,22 @@ class ScoreRow:
 SCORES_COLUMNS = tuple(f.name for f in fields(ScoreRow))
 _SCORE_TYPES = tuple(get_type_hints(ScoreRow)[name] for name in SCORES_COLUMNS)
 _EVENT_TYPES = get_type_hints(MicroclusterEvent)
-_RECORD_FIELDS = {f.name for f in fields(AnomalyRecord)}
-
-# A record's cells in column order: its own fields, the rest from its edge.
-# csv writes a float as its repr and a SubstreamLabel as its value.
-_score_cells = attrgetter(*(
-    name if name in _RECORD_FIELDS else f"edge.{name}" for name in SCORES_COLUMNS
-))
 
 
 def write_scores_csv(
     records: Iterable[AnomalyRecord], config: DetectorConfig, path: str | Path
 ) -> None:
+    scored = ScoredStream.of(records)
+    own = {"tick": scored.tick.tolist(), "score": scored.score.tolist(),  # floats as repr
+           "substream": map(_LABELS.__getitem__, scored.substream.tolist())}
+    columns = [own[name] if name in own else map(attrgetter(name), scored.edges)
+               for name in SCORES_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# reviewstream anomaly scores\n")
         fh.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORES_COLUMNS)
-        writer.writerows(map(_score_cells, records))
+        writer.writerows(zip(*columns))
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[ScoreRow], dict]:

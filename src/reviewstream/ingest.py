@@ -159,8 +159,8 @@ def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
 
 def _csv_records(
     lines: Iterable[str], required: tuple[str, ...]
-) -> Iterator[tuple[int, str, dict[str, str]]]:
-    """Yield (line_number, raw, cells) for each data row of a CSV stream.
+) -> Iterator[tuple[int, list[str], dict[str, str]]]:
+    """Yield (line_number, row, cells) for each data row of a CSV stream.
 
     The first non-blank row is the header, and ``cells`` maps its names
     to the row's cells (a repeated name takes its last column). A
@@ -170,8 +170,6 @@ def _csv_records(
     numbers refer to the physical line on which a record ends.
     """
     reader = csv.reader(lines)
-    raw = io.StringIO()  # one writer re-joins every row into its raw form
-    writer = csv.writer(raw, lineterminator="")
     columns: dict[str, int] | None = None
     for row in reader:
         if not row:
@@ -183,10 +181,16 @@ def _csv_records(
             name: row[i] for name, i in columns.items()
             if i < len(row) and (row[i] or name not in required)
         }
-        raw.seek(0)
-        raw.truncate()
-        writer.writerow(row)
-        yield reader.line_num, raw.getvalue(), cells
+        yield reader.line_num, row, cells
+
+
+def _raw(line: str | list[str]) -> str:
+    """A rejected line as reported: JSONL as read, a CSV row re-joined."""
+    if isinstance(line, str):
+        return line
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(line)
+    return buf.getvalue()
 
 
 def parse_reviews(
@@ -208,12 +212,12 @@ def parse_reviews(
     edges: list[ReviewEdge] = []
     errors: list[LineError] = []
     seen: set[str] = set()
-    for lineno, raw, record in records:
+    for lineno, line, record in records:
         edge, reason = _review_from_record(record, as_int)
         if edge is None:
-            errors.append(LineError(lineno, reason, raw))
+            errors.append(LineError(lineno, reason, _raw(line)))
         elif edge.review_id in seen:
-            errors.append(LineError(lineno, REASON_DUPLICATE, raw))
+            errors.append(LineError(lineno, REASON_DUPLICATE, _raw(line)))
         else:
             seen.add(edge.review_id)
             edges.append(edge)
@@ -229,31 +233,31 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
     """
     catalog = AppCatalog()
     errors: list[LineError] = []
-    for lineno, raw, cells in _csv_records(lines, REQUIRED_APP_FIELDS):
+    for lineno, row, cells in _csv_records(lines, REQUIRED_APP_FIELDS):
         if any(field not in cells for field in REQUIRED_APP_FIELDS):
-            errors.append(LineError(lineno, REASON_MISSING, raw))
+            errors.append(LineError(lineno, REASON_MISSING, _raw(row)))
             continue
         try:
             rating = float(cells["overall_rating"])
         except ValueError:
-            errors.append(LineError(lineno, REASON_SYNTAX, raw))
+            errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
             continue
         if not 1.0 <= rating <= 5.0:
-            errors.append(LineError(lineno, REASON_RANGE, raw))
+            errors.append(LineError(lineno, REASON_RANGE, _raw(row)))
             continue
         install_count: int | None = None
         if cells.get("install_count"):
             try:
                 install_count = int(cells["install_count"])
             except ValueError:
-                errors.append(LineError(lineno, REASON_SYNTAX, raw))
+                errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
                 continue
             if install_count < 0:
-                errors.append(LineError(lineno, REASON_RANGE, raw))
+                errors.append(LineError(lineno, REASON_RANGE, _raw(row)))
                 continue
         app_id = cells["app_id"]
         if app_id in catalog:
-            errors.append(LineError(lineno, REASON_DUPLICATE, raw))
+            errors.append(LineError(lineno, REASON_DUPLICATE, _raw(row)))
             continue
         catalog.add(AppRecord(app_id, rating, install_count, cells.get("name") or None))
     return catalog, errors

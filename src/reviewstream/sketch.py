@@ -33,7 +33,7 @@ def derive_row_seeds(master_seed: int, rows: int) -> tuple[int, ...]:
 
 
 class CountMinSketch:
-    __slots__ = ("rows", "cols", "seeds", "counters", "_seed_keys")
+    __slots__ = ("rows", "cols", "seeds", "counters", "_hashers")
 
     def __init__(self, rows: int, cols: int, seeds: tuple[int, ...] | None = None):
         if rows < 1 or cols < 1:
@@ -46,16 +46,19 @@ class CountMinSketch:
         self.rows = rows
         self.cols = cols
         self.seeds = seeds
-        self._seed_keys = [s.to_bytes(8, "little") for s in seeds]
+        # A copy of a keyed hasher skips re-hashing the key block per lookup.
+        self._hashers = [blake2b(digest_size=8, key=s.to_bytes(8, "little")) for s in seeds]
         self.counters = np.zeros((rows, cols), dtype=np.float64)
 
     def locate(self, key: str | bytes) -> tuple[int, ...]:
         """Column index of ``key`` in each row."""
         data = key.encode("utf-8") if isinstance(key, str) else key
-        return tuple(
-            int.from_bytes(blake2b(data, digest_size=8, key=sk).digest(), "big") % self.cols
-            for sk in self._seed_keys
-        )
+        slots = []
+        for hasher in self._hashers:
+            h = hasher.copy()
+            h.update(data)
+            slots.append(int.from_bytes(h.digest(), "big") % self.cols)
+        return tuple(slots)
 
     def insert_at(self, slots: tuple[int, ...], weight: float) -> None:
         if weight < 0:

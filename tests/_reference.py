@@ -6,7 +6,10 @@ implementation that shares no code with the package under test. The
 pair oracle shares only ``cosine``, the definition of similarity, and
 replaces the pair search with a check of every pair. The ingest oracle
 is the earlier parser, with its own JSONL and CSV loops, and shares only
-the record types, reason codes and required field names.
+the record types, reason codes and required field names. The per-edge
+detector is the earlier ``Detector``, one register per app and one merge
+at a time, over the package's count-min sketch: the batch detector must
+match it bit for bit at any geometry, collisions included.
 """
 
 from __future__ import annotations
@@ -16,9 +19,17 @@ import io
 import json
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from reviewstream.clusters import cosine
+from reviewstream.detector import (
+    AnomalyRecord,
+    DetectorConfig,
+    MicroclusterEvent,
+    TimeRegressionError,
+    evaluate_burst,
+)
 from reviewstream.ingest import (
     REASON_DUPLICATE,
     REASON_MISSING,
@@ -31,7 +42,10 @@ from reviewstream.ingest import (
     AppRecord,
     LineError,
     ReviewEdge,
+    to_tick,
 )
+from reviewstream.partition import SubstreamLabel
+from reviewstream.sketch import CountMinSketch
 
 _INT64_MAX = 2**63 - 1
 
@@ -371,3 +385,132 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
             continue
         catalog.add(AppRecord(app_id, rating, install_count, cell("name")))
     return catalog, errors
+
+
+# ---------------------------------------------------------------------------
+# The per-edge detector: one edge at a time, a register per app, and a
+# close that merges apps one by one. The batch core in
+# ``reviewstream.detector`` must reproduce its scores, ticks, events and
+# history bit for bit.
+
+@dataclass
+class _AppRegister:
+    slots: tuple[int, ...]  # the app's sketch column in each row
+    open_tick: int
+    cur_raw: int = 0
+    last_score: float = 0.0
+    prev_tick: int = 0  # most recent closed tick with a recorded count
+    prev_raw: int = 0
+
+
+class Detector:
+    """Single-pass scorer for one ordered sub-stream.
+
+    One instance per sub-stream; instances are independent and never
+    share state.
+    """
+
+    def __init__(self, config: DetectorConfig, substream: SubstreamLabel):
+        config.validate()
+        seeds = config.row_seeds()
+        self.config = config
+        self.substream = substream
+        self.events: list[MicroclusterEvent] = []
+        self._current = CountMinSketch(config.rows, config.cols, seeds)
+        self._history = CountMinSketch(config.rows, config.cols, seeds)
+        self._registers: dict[str, _AppRegister] = {}
+        self._touched: list[str] = []
+        self._tick = 0
+        self._finished = False
+
+    @property
+    def tick(self) -> int:
+        return self._tick
+
+    def historical_total(self, app_id: str) -> float:
+        """Decayed, filtered historical estimate for an app (closed ticks)."""
+        register = self._registers.get(app_id)
+        slots = register.slots if register is not None else self._history.locate(app_id)
+        return self._history.estimate_at(slots)
+
+    def process_edge(self, edge: ReviewEdge) -> AnomalyRecord:
+        if self._finished:
+            raise RuntimeError("detector already finished")
+        tick = to_tick(edge.timestamp, self.config.origin, self.config.period)
+        if tick < self._tick:
+            raise TimeRegressionError(
+                f"edge {edge.review_id!r} at tick {tick} after tick {self._tick}"
+            )
+        if tick > self._tick:
+            self._advance_to(tick)
+
+        register = self._registers.get(edge.app_id)
+        if register is None:
+            register = _AppRegister(self._current.locate(edge.app_id), tick)
+            self._registers[edge.app_id] = register
+            self._touched.append(edge.app_id)
+        elif register.open_tick != tick:
+            register.open_tick = tick
+            register.cur_raw = 0
+            register.last_score = 0.0
+            self._touched.append(edge.app_id)
+        register.cur_raw += 1
+
+        slots = register.slots
+        self._current.insert_at(slots, 1.0)
+        cur = self._current.estimate_at(slots)
+        total = self._history.estimate_at(slots) + cur
+        if tick <= 1 or total <= 0.0:
+            score = 0.0
+        else:
+            score = (cur - total / tick) ** 2 * (tick * tick) / (total * (tick - 1))
+        register.last_score = score
+        return AnomalyRecord(edge, self.substream, tick, score)
+
+    def finish(self) -> list[MicroclusterEvent]:
+        """Close the final open tick and return all events of the run."""
+        if not self._finished:
+            if self._tick >= 1:
+                self._close_tick()
+            self._finished = True
+        return self.events
+
+    def _advance_to(self, new_tick: int) -> None:
+        if self._tick >= 1:
+            self._close_tick()
+            # Once a step leaves the grid unchanged every later step does
+            # too: a gap of any length costs about 750 / (1 - decay) steps.
+            for _ in range(new_tick - self._tick):
+                if not self._history.decay(self.config.decay):
+                    break
+            self._current.clear()
+        self._tick = new_tick
+
+    def _close_tick(self) -> None:
+        closing = self._tick
+        cfg = self.config
+        for app_id in self._touched:
+            register = self._registers[app_id]
+            if closing >= 2:
+                prior = register.prev_raw if register.prev_tick == closing - 1 else 0
+                ratio = evaluate_burst(
+                    prior, register.cur_raw, cfg.burst_factor, cfg.min_prior
+                )
+                if ratio is not None:
+                    self.events.append(MicroclusterEvent(
+                        app_id=app_id,
+                        substream=self.substream,
+                        prior_tick=closing - 1,
+                        prior_count=prior,
+                        burst_count=register.cur_raw,
+                        ratio=ratio,
+                    ))
+            slots = register.slots
+            if register.last_score > cfg.filter_threshold and closing >= 2:
+                expected = self._history.estimate_at(slots) / (closing - 1)
+                self._history.insert_at(slots, expected)
+            else:
+                self._history.insert_at(slots, float(register.cur_raw))
+            register.prev_tick = closing
+            register.prev_raw = register.cur_raw
+        self._touched = []

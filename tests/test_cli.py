@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from _reference import shared_reviewer_weights
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import DetectorConfig
-from reviewstream.ingest import parse_reviews
+from reviewstream.ingest import parse_reviews, to_tick
 
 SPEC = {
     "n_apps": 10,
@@ -89,6 +90,64 @@ class TestPipeline:
         for name in ("scores.csv", "events.jsonl", "clusters.json",
                      "summary.json", "cdf_boost.csv", "cdf_sink.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_manifest_stages_agree_with_summary(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        out_dir = tmp_path / "out"
+        assert run_pipeline(reviews, catalog, out_dir) == EXIT_OK
+        summary = json.loads((out_dir / "summary.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        stages, detector = manifest["stages"], manifest["detector"]
+        assert list(stages) == sorted([
+            "parse_reviews", "parse_catalog", "partition", "detect_boost", "detect_sink",
+            "summarize", "collect", "report", "ttest", "write",
+        ])
+        assert all(stage["seconds"] >= 0 for stage in stages.values())
+        counts, partition = summary["counts"], summary["partition"]
+        assert stages["parse_reviews"]["out"] == counts["reviews"]
+        assert stages["partition"]["in"] == stages["partition"]["out"] == counts["reviews"]
+        for label in ("boost", "sink"):
+            stage = stages[f"detect_{label}"]
+            assert stage["in"] == stage["out"] == partition[label] == counts[label]
+            assert 0 <= detector[label]["filtered_merges"] <= detector[label]["groups"]
+            assert detector[label]["groups"] <= partition[label]
+        assert detector["boost"]["events"] + detector["sink"]["events"] == summary["events"]
+        assert stages["collect"]["in"] == stages["collect"]["out"] == summary["events"]
+        assert stages["report"]["out"] == summary["clusters_reported"]
+        assert stages["ttest"]["in"] == counts["boost"] + counts["sink"]
+        assert stages["ttest"]["out"] == int(summary["welch_boost_vs_sink"] is not None)
+        assert stages["write"]["out"] == 7  # every output but the manifest
+
+    @pytest.mark.parametrize("origin", ["-99999999999999999999999", str(2**63)])
+    def test_origin_outside_int64_exits_3_naming_it(self, synth_files, tmp_path, caplog, origin):
+        reviews, _, catalog = synth_files
+        code = main([
+            "pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+            "--out-dir", str(tmp_path / "out"), f"--origin={origin}",
+        ])
+        assert code == EXIT_CONFIG
+        assert "origin must fit in int64" in caplog.text
+
+    def test_origin_at_the_int64_floor_gives_exact_ticks(self, tmp_path):
+        reviews = tmp_path / "reviews.jsonl"
+        stamps = [0, 1, 2**62, 2**63 - 1]
+        reviews.write_text("".join(
+            json.dumps({"review_id": f"r{i}", "reviewer_id": f"u{i}", "app_id": "a",
+                        "timestamp": ts, "score": 5}) + "\n"
+            for i, ts in enumerate(stamps)), encoding="utf-8")
+        catalog = tmp_path / "apps.csv"
+        catalog.write_text("app_id,overall_rating\na,3.0\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main([
+            "pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+            "--out-dir", str(out_dir), f"--origin={-(2**63)}", "--period", "1",
+        ])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(
+            line for line in (out_dir / "scores.csv").read_text().splitlines()
+            if not line.startswith("#")))
+        assert [int(r["tick"]) for r in rows] == [to_tick(ts, -(2**63), 1) for ts in stamps]
+        assert int(rows[-1]["tick"]) == 2**64 - 1
 
     def test_missing_catalog_exits_3_with_no_outputs(self, synth_files, tmp_path):
         reviews, _, _ = synth_files
@@ -383,6 +442,7 @@ class TestRejections:
 
     @pytest.mark.parametrize("bad", [
         "scores", "events", "scores-short-row", "events-str-tick", "events-bool-count",
+        "scores-negative-tick",
     ])
     def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
                                                                caplog, bad):
@@ -395,6 +455,8 @@ class TestRejections:
             "scores-short-row": (scores, scores.read_text() + "r1,a000,u1,3,boost\n"),
             "events-str-tick": (events, json.dumps({**event, "prior_tick": "x"}) + "\n"),
             "events-bool-count": (events, json.dumps({**event, "burst_count": True}) + "\n"),
+            "scores-negative-tick": (scores, re.sub(r"^([^#\n,]*,[^,]*,[^,]*),\d+,", r"\1,-1,",
+                                                    scores.read_text(), count=1, flags=re.M)),
         }[bad]
         broken.write_text(text)
         report = tmp_path / "clusters.json"

@@ -3,7 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reviewstream import detector as detector_module
 from reviewstream.detector import (
     Detector,
     DetectorConfig,
@@ -15,9 +18,10 @@ from reviewstream.detector import (
     write_events_jsonl,
     write_scores_csv,
 )
-from reviewstream.ingest import BeforeOriginError, ReviewEdge
+from reviewstream.ingest import BeforeOriginError, ReviewEdge, to_tick
 from reviewstream.partition import SubstreamLabel
 
+import _reference
 from _reference import ExactScorer, brute_force_events
 
 PERIOD = 10
@@ -157,7 +161,7 @@ class TestBurstPredicate:
 class TestRunDetector:
     def test_empty_stream(self):
         records, events = run_detector([], cfg(), BOOST)
-        assert records == [] and events == []
+        assert len(records) == 0 and list(records) == [] and events == []
 
     def test_burst_after_steady_traffic(self):
         edges = mk_edges([("a", t, 2) for t in range(1, 11)] + [("a", 11, 50)])
@@ -191,7 +195,7 @@ class TestRunDetector:
 
     def test_memory_does_not_grow_with_stream_length(self):
         det = Detector(cfg(), BOOST)
-        base = det._history.memory_bytes + det._current.memory_bytes
+        base = det._history.memory_bytes
         n = 0
         for tick in range(1, 200):
             for app in range(20):
@@ -199,8 +203,8 @@ class TestRunDetector:
                     f"r{n}", f"u{n}", f"a{app}", (tick - 1) * PERIOD + 1, 5
                 ))
                 n += 1
-        assert det._history.memory_bytes + det._current.memory_bytes == base
-        assert len(det._registers) == 20
+        assert det._history.memory_bytes == base
+        assert len(det._slots) == 20 and len(det._held) == 40  # the last two ticks' edges
 
 
 def random_stream(rng: np.random.Generator, n_apps: int, ticks: int, n_edges: int):
@@ -253,6 +257,8 @@ class TestConfigValidation:
         dict(decay=math.nan),
         dict(filter_threshold=math.nan),
         dict(min_prior=math.nan),
+        dict(origin=-(2**63) - 1),
+        dict(origin=2**63),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -260,6 +266,8 @@ class TestConfigValidation:
 
     def test_defaults_are_valid(self):
         DetectorConfig(origin=0).validate()
+        DetectorConfig(origin=-(2**63)).validate()
+        DetectorConfig(origin=2**63 - 1).validate()
 
 
 class TestSerialization:
@@ -282,3 +290,110 @@ class TestSerialization:
         path = tmp_path / "events.jsonl"
         write_events_jsonl(events, path)
         assert read_events_jsonl(path) == events
+
+
+# ---------------------------------------------------------------------------
+# The batch core against the per-edge detector it replaced, bit for bit.
+
+@st.composite
+def scored_runs(draw):
+    """A config and a stream for it: few sketch columns so apps collide,
+    low filter thresholds so merges are filtered, repeated timestamps for
+    bursts, empty ticks, and in some streams gaps of up to 2**40 ticks.
+    A far stream starts
+    at tick 3.1e9 or beyond, past 2**53 when the origin is -2**63 and the
+    period 1 s; a near one at tick 1, where a filtered merge's expected
+    count is large enough to show in the bits of later scores."""
+    period = draw(st.sampled_from([1, 7, 86_400]))
+    far = draw(st.sampled_from([False, False, True]))
+    config = DetectorConfig(
+        origin=draw(st.sampled_from([-(10**12), -(2**63)])) if far else 0,
+        period=period,
+        burst_factor=draw(st.sampled_from([1.5, 2.0])),
+        decay=draw(st.sampled_from([0.0, 0.6, 0.6, 1.0, 1.0])),
+        filter_threshold=draw(st.sampled_from([0.5, 0.5, 3.0, 3.0, 1000.0, math.inf])),
+        min_prior=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        rows=draw(st.integers(1, 3)),
+        cols=draw(st.integers(2, 8)),
+        sketch_seed=draw(st.integers(0, 2**16)),
+    )
+    n_apps = draw(st.integers(1, 8))
+    huge = [10**6 * period, 2**40 * period] if draw(st.booleans()) else []
+    gaps = st.sampled_from([0] * 6 + [1] * 2 + [period] * 5 + [3 * period] * 2 + huge)
+    steps = draw(st.lists(st.tuples(st.integers(0, n_apps - 1), gaps), min_size=20, max_size=60))
+    timestamp = draw(st.sampled_from([3_100_000_000, 2**62])) if far else 0
+    edges = []
+    for i, (app, gap) in enumerate(steps):
+        timestamp = min(timestamp + gap, 2**63 - 1)
+        edges.append(ReviewEdge(f"r{i}", f"u{i}", f"app{app}", timestamp, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=6)))
+    return config, edges, cuts
+
+
+def _bits(records):
+    return [(r.edge.review_id, r.substream, r.tick, r.score.hex()) for r in records]
+
+
+@settings(max_examples=250, deadline=None)
+@given(scored_runs())
+def test_batches_match_the_per_edge_detector(run):
+    config, edges, cuts = run
+    reference = _reference.Detector(config, BOOST)
+    expected, prefix_history = [], {}
+    for i, edge in enumerate(edges):
+        if i in cuts:
+            prefix_history[i] = {e.app_id: reference.historical_total(e.app_id) for e in edges}
+        expected.append(reference.process_edge(edge))
+    events = reference.finish()
+    apps = sorted({e.app_id for e in edges})
+    history = [reference.historical_total(a) for a in apps]
+
+    whole, whole_events = run_detector(edges, config, BOOST)
+    split = Detector(config, BOOST)
+    split_records = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(edges)]):
+        if lo in prefix_history:
+            assert {a: split.historical_total(a) for a in prefix_history[lo]} == prefix_history[lo]
+        split_records.extend(split.process(edges[lo:hi]))
+    single = Detector(config, BOOST)
+    single_records = [single.process_edge(edge) for edge in edges]
+    for records, detector_events in ((whole, whole_events), (split_records, split.finish()),
+                                     (single_records, single.finish())):
+        assert _bits(records) == _bits(expected)
+        assert detector_events == events
+    for detector in (split, single):
+        assert [detector.historical_total(a) for a in apps] == history
+
+
+def _python_score(cur: float, hist: float, tick: int) -> float:
+    total = hist + cur
+    if tick <= 1 or total <= 0.0:
+        return 0.0
+    return (cur - total / tick) ** 2 * (tick * tick) / (total * (tick - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_score_expression_matches_python(seed):
+    # Squaring with x * x, as numpy's ** 2 does, differs from Python's ** 2
+    # (libm pow) in the last bit for about one value in a thousand.
+    rng = np.random.default_rng(seed)
+    n = 2000
+    cur = rng.integers(1, 10**4, n).astype(np.float64)
+    hist = rng.integers(0, 10**4, n) * 0.6 ** rng.integers(0, 40, n)  # decayed counts
+    ticks = [int(t) for t in np.where(rng.random(n) < 0.5, rng.integers(1, 60, n),
+                                      rng.integers(1, 2**63 - 1, n, dtype=np.int64))]
+    ticks[0] = 2**64 - 1
+    factors = np.array([(float(t), float(t * t), float(t - 1)) for t in ticks]).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = detector_module._chi2(cur, hist, *factors)
+    assert [x.hex() for x in got.tolist()] == [
+        _python_score(c, h, t).hex() for c, h, t in zip(cur.tolist(), hist.tolist(), ticks)]
+
+
+def test_origin_at_the_int64_floor_gives_exact_ticks():
+    config = cfg(origin=-(2**63), period=1)
+    edges = [ReviewEdge("r0", "u0", "a", 0, 5), ReviewEdge("r1", "u1", "a", 2**63 - 1, 5)]
+    records, _ = run_detector(edges, config, BOOST)
+    assert [r.tick for r in records] == [to_tick(e.timestamp, -(2**63), 1) for e in edges]
+    assert records[-1].tick == 2**64 - 1

@@ -1,4 +1,5 @@
 from collections import defaultdict
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -137,3 +138,14 @@ def test_deterministic_under_fixed_seeds():
 def test_seed_count_must_match_rows():
     with pytest.raises(ValueError):
         CountMinSketch(3, 8, seeds=(1, 2))
+
+
+def test_layout_is_keyed_blake2b_per_row():
+    seeds = derive_row_seeds(9, 3)
+    s = CountMinSketch(3, 1000, seeds)
+    for key in ("", "app", "ünïcode", "x" * 200):
+        assert s.locate(key) == s.locate(key.encode("utf-8")) == tuple(
+            int.from_bytes(blake2b(key.encode("utf-8"), digest_size=8,
+                                   key=seed.to_bytes(8, "little")).digest(), "big") % 1000
+            for seed in seeds
+        )
