@@ -41,7 +41,6 @@ from .clusters import (
     rank_clusters,
 )
 from .detector import (
-    AnomalyRecord,
     DetectorConfig,
     MicroclusterEvent,
     ScoredStream,
@@ -271,10 +270,9 @@ def _provider(effective: dict):
     if effective["provider"] == FileEmbedder.name:
         if not effective["embeddings"]:
             raise ConfigFailure("provider 'file' requires --embeddings <path>")
-        try:
-            provider = FileEmbedder.load(_require_file(effective["embeddings"], "embeddings"))
-        except EmbeddingFileError as exc:
-            raise DataFailure(str(exc))
+        provider = FileEmbedder.load(_require_file(effective["embeddings"], "embeddings"))
+    elif effective["embeddings"]:
+        raise ConfigFailure(f"embeddings needs provider 'file', not {effective['provider']!r}")
     else:
         provider = LexicalEmbedder()
     tau = effective["tau"]
@@ -373,16 +371,10 @@ def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorC
 
 def _cluster_report(events, records, provider, tau: float, top: int, stages: _Stages):
     """Collect, rank and report clusters; returns (clusters formed, report)."""
-    try:
-        clusters = collect_clusters(events, records)
-    except InconsistentRunError as exc:
-        raise DataFailure(str(exc))
+    clusters = collect_clusters(events, records)
     stages.done("collect", len(events), len(clusters))
     ranked = rank_clusters(clusters, top) if clusters else []
-    try:
-        report = build_cluster_report(ranked, provider, tau)
-    except MissingEmbeddingError as exc:
-        raise DataFailure(str(exc))
+    report = build_cluster_report(ranked, provider, tau)
     stages.done("report", len(clusters), len(report))
     return len(clusters), report
 
@@ -413,23 +405,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _records_from_files(reviews_path: Path, scores_path: Path, effective: dict):
     edges, _ = _load_reviews(reviews_path, effective)
-    by_id = {e.review_id: e for e in edges}
     try:
-        rows, _ = read_scores_csv(scores_path)
+        return read_scores_csv(scores_path, {e.review_id: e for e in edges})[0]
     except ValueError as exc:  # also bad JSON or UTF-8
-        raise DataFailure(f"scores file {scores_path} is malformed: {exc}")
-    records = []
-    for row in rows:
-        edge = by_id.get(row.review_id)
-        if edge is None:
-            raise DataFailure(
-                f"score row {row.review_id!r} has no matching review; "
-                "scores and reviews files do not belong together"
-            )
-        records.append(AnomalyRecord(edge, row.substream, row.tick, row.score))
-    try:
-        return ScoredStream.of(records)
-    except OverflowError as exc:  # a tick outside [0, 2**64)
         raise DataFailure(f"scores file {scores_path} is malformed: {exc}")
 
 
@@ -455,10 +433,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     provider, tau = _provider(effective)
     edges, _ = _load_reviews(_require_file(args.reviews, "reviews"), effective)
-    try:
-        analysis = pairwise_similarity(edges, provider, tau)
-    except MissingEmbeddingError as exc:
-        raise DataFailure(str(exc))
+    analysis = pairwise_similarity(edges, provider, tau)
     result = {
         "provider": provider.name,
         "tau": tau,
@@ -478,10 +453,7 @@ def cmd_stats_ttest(args: argparse.Namespace) -> int:
     path_b, col_b = _parse_column_ref(args.b)
     sample_a = _read_csv_column(path_a, col_a)
     sample_b = _read_csv_column(path_b, col_b)
-    try:
-        result = welch_t(sample_a, sample_b)
-    except (TooSmallError, DegenerateSamplesError) as exc:
-        raise DataFailure(str(exc))
+    result = welch_t(sample_a, sample_b)
     out = dataclasses.asdict(result)
     out["p"] = result.p_two_sided if args.two_sided else result.p_one_sided
     _print_json(out)
@@ -702,7 +674,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigFailure as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
-    except DataFailure as exc:
+    except (DataFailure, EmbeddingFileError, InconsistentRunError, MissingEmbeddingError,
+            TooSmallError, DegenerateSamplesError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
     except OSError as exc:

@@ -35,6 +35,7 @@ from .detector import AnomalyRecord, MicroclusterEvent, ScoredStream
 from .partition import SubstreamLabel
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
+MAX_PAIRS_LISTED = 10  # pairs listed per cluster in the report
 
 
 class InconsistentRunError(ValueError):
@@ -400,7 +401,6 @@ def build_cluster_report(
     ranked: Sequence[SuspiciousCluster],
     provider,
     tau: float,
-    max_pairs_listed: int = 10,
 ) -> list[dict]:
     """JSON-ready report entries, one per cluster, in rank order."""
     report = []
@@ -415,7 +415,7 @@ def build_cluster_report(
             "textless_count": found.textless_count,
             "flagged_count": len(found.flagged()),
             "pair_count": found.pair_count,
-            "top_pairs": [p.to_dict() for p in islice(found.ordered(), max_pairs_listed)],
+            "top_pairs": [p.to_dict() for p in islice(found.ordered(), MAX_PAIRS_LISTED)],
             "provider": provider.name,
             "tau": tau,
         })

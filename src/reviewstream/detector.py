@@ -55,7 +55,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -405,23 +405,10 @@ def run_detector(
 
 
 # ---------------------------------------------------------------------------
-# File formats: scores CSV with a config comment header, events JSONL. Each
-# record's dataclass fields name its columns or keys and give their types.
+# File formats: scores CSV with a config comment header, events JSONL. The
+# event dataclass's fields name its keys and give their types.
 
-@dataclass(frozen=True)
-class ScoreRow:
-    """One line of a scores CSV (no review text; join on review_id)."""
-
-    review_id: str
-    app_id: str
-    reviewer_id: str
-    tick: int
-    substream: SubstreamLabel
-    score: float
-
-
-SCORES_COLUMNS = tuple(f.name for f in fields(ScoreRow))
-_SCORE_TYPES = tuple(get_type_hints(ScoreRow)[name] for name in SCORES_COLUMNS)
+SCORES_COLUMNS = ("review_id", "app_id", "reviewer_id", "tick", "substream", "score")
 _EVENT_TYPES = get_type_hints(MicroclusterEvent)
 
 
@@ -441,10 +428,14 @@ def write_scores_csv(
         writer.writerows(zip(*columns))
 
 
-def read_scores_csv(path: str | Path) -> tuple[list[ScoreRow], dict]:
-    """Rows converted by ``ScoreRow``'s field types; a malformed row or
-    header raises ``ValueError``."""
-    rows: list[ScoreRow] = []
+def read_scores_csv(
+    path: str | Path, edges: Mapping[str, ReviewEdge]
+) -> tuple[ScoredStream, dict]:
+    """The scored stream of a scores CSV, each row's edge found by its
+    review_id in ``edges``, and the config of its header. A bad header,
+    a row of the wrong width, a cell that does not convert, a tick
+    outside [0, 2**64), an unknown label or a review id missing from
+    ``edges`` raises ``ValueError``."""
     config: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         data_lines = []
@@ -457,13 +448,23 @@ def read_scores_csv(path: str | Path) -> tuple[list[ScoreRow], dict]:
     header = next(reader, None)
     if header is None or tuple(header) != SCORES_COLUMNS:
         raise ValueError(f"unexpected scores header in {path}")
-    for row in reader:
-        if not row:
-            continue
+    rows = [row for row in reader if row]
+    for row in rows:
         if len(row) != len(SCORES_COLUMNS):
             raise ValueError(f"scores row {row} has {len(row)} cells, not {len(SCORES_COLUMNS)}")
-        rows.append(ScoreRow(*[kind(cell) for kind, cell in zip(_SCORE_TYPES, row)]))
-    return rows, config
+        review_id, _, _, _, substream, _ = row
+        if review_id not in edges:
+            raise ValueError(f"scores row {row} has no matching review")
+        if substream not in _LABEL_CODE:
+            raise ValueError(f"scores row {row} has an unknown sub-stream")
+    ids, _, _, ticks, labels, scores = zip(*rows) if rows else ((),) * len(header)
+    try:
+        tick = np.array(list(map(int, ticks)), np.uint64)
+    except OverflowError as exc:  # a tick outside [0, 2**64)
+        raise ValueError(f"bad tick: {exc}") from None
+    return ScoredStream(list(map(edges.__getitem__, ids)), tick,
+                        np.array(list(map(float, scores)), np.float64),
+                        np.array(list(map(_LABEL_CODE.__getitem__, labels)), np.int8)), config
 
 
 def write_events_jsonl(events: Iterable[MicroclusterEvent], path: str | Path) -> None:

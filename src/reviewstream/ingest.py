@@ -101,12 +101,20 @@ class AppCatalog:
 
 def _as_int(value: object) -> int:
     """Read a JSON number as an int; bools and non-integral floats raise
-    ValueError, as ``int()`` does for CSV text that is not an integer."""
+    ValueError, as ``_csv_int`` does for CSV text that is not an integer."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"not an integer: {value!r}")
+
+
+def _csv_int(cell: str) -> int:
+    """Read a CSV cell of ASCII digits after an optional minus sign; ``int()``
+    alone would also take ``1_0``, ``+2``, `` 7`` and non-ASCII digits."""
+    if not (cell.isascii() and cell.lstrip("-").isdigit()):
+        raise ValueError(f"not an integer: {cell!r}")
+    return int(cell)
 
 
 def _review_from_record(
@@ -206,7 +214,7 @@ def parse_reviews(
     if format == "jsonl":
         records, as_int = _jsonl_records(lines), _as_int
     elif format == "csv":
-        records, as_int = _csv_records(lines, REQUIRED_REVIEW_FIELDS), int
+        records, as_int = _csv_records(lines, REQUIRED_REVIEW_FIELDS), _csv_int
     else:
         raise ValueError(f"unknown review format {format!r}")
     edges: list[ReviewEdge] = []
@@ -248,7 +256,7 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
         install_count: int | None = None
         if cells.get("install_count"):
             try:
-                install_count = int(cells["install_count"])
+                install_count = _csv_int(cells["install_count"])
             except ValueError:
                 errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
                 continue

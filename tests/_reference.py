@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -225,6 +226,13 @@ def _review_from_json(obj: object) -> tuple[ReviewEdge | None, str | None]:
     return _validate_review(review_id, reviewer_id, app_id, timestamp, score, text)
 
 
+def _csv_int(text: str) -> int:
+    """A CSV integer: an optional minus sign, then one or more of 0-9."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _csv_join(row: list[str]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(row)
@@ -313,8 +321,8 @@ def parse_reviews(
             errors.append(LineError(lineno, REASON_MISSING, raw))
             continue
         try:
-            timestamp = int(values["timestamp"])
-            score = int(values["score"])
+            timestamp = _csv_int(values["timestamp"])
+            score = _csv_int(values["score"])
         except ValueError:
             errors.append(LineError(lineno, REASON_SYNTAX, raw))
             continue
@@ -373,7 +381,7 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
         install_count: int | None = None
         if install_raw is not None:
             try:
-                install_count = int(install_raw)
+                install_count = _csv_int(install_raw)
             except ValueError:
                 errors.append(LineError(lineno, REASON_SYNTAX, raw))
                 continue

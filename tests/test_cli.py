@@ -7,7 +7,7 @@ import pytest
 
 from _reference import shared_reviewer_weights
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from reviewstream.detector import DetectorConfig
+from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
 from reviewstream.ingest import parse_reviews, to_tick
 
 SPEC = {
@@ -442,13 +442,23 @@ class TestRejections:
 
     @pytest.mark.parametrize("bad", [
         "scores", "events", "scores-short-row", "events-str-tick", "events-bool-count",
-        "scores-negative-tick",
+        "scores-negative-tick", "scores-tick-2-64", "scores-unknown-substream",
+        "scores-non-numeric-score", "scores-unknown-review",
     ])
     def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
                                                                caplog, bad):
         reviews, _, catalog = synth_files
         scores, events = score_files(reviews, catalog, tmp_path)
         event = json.loads(events.read_text().splitlines()[0])
+
+        def first_row(column, value):  # scores.csv with one cell of its first row replaced
+            lines = scores.read_text().splitlines(keepends=True)
+            at = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+            cells = lines[at].split(",")
+            cells[SCORES_COLUMNS.index(column)] = value
+            lines[at] = ",".join(cells).rstrip("\n") + "\n"
+            return "".join(lines)
+
         broken, text = {
             "scores": (scores, "x,y\n"),
             "events": (events, "{bad\n"),
@@ -457,6 +467,10 @@ class TestRejections:
             "events-bool-count": (events, json.dumps({**event, "burst_count": True}) + "\n"),
             "scores-negative-tick": (scores, re.sub(r"^([^#\n,]*,[^,]*,[^,]*),\d+,", r"\1,-1,",
                                                     scores.read_text(), count=1, flags=re.M)),
+            "scores-tick-2-64": (scores, first_row("tick", str(2**64))),
+            "scores-unknown-substream": (scores, first_row("substream", "bogus")),
+            "scores-non-numeric-score": (scores, first_row("score", "x")),
+            "scores-unknown-review": (scores, scores.read_text() + "nobody,a000,u1,3,boost,1.0\n"),
         }[bad]
         broken.write_text(text)
         report = tmp_path / "clusters.json"
@@ -500,6 +514,80 @@ class TestRejections:
         assert run_pipeline(reviews, catalog, out_dir) == EXIT_DATA
         assert f"{which} file {broken} is not UTF-8 text" in caplog.text
         assert not out_dir.exists()
+
+
+PIPELINE = ["pipeline", "--reviews", "reviews.jsonl", "--catalog", "apps.csv", "--out-dir", "out"]
+CLUSTERS = ["clusters", "--scores", "scores.csv", "--events", "events.jsonl", "--out", "report.json"]
+PAIRS = ["pairs", "--reviews", "reviews.jsonl", "--out", "pairs.json"]
+VECTORS = {"vecs.jsonl": '{"review_id": "nobody", "vector": [1.0, 0.0]}\n'}
+NO_EDGES_EVENT = json.dumps({"app_id": "a000", "substream": "boost", "prior_tick": 500,
+                             "prior_count": 1, "burst_count": 5, "ratio": 5.0}) + "\n"
+ONE_REVIEW = json.dumps({"review_id": "r1", "reviewer_id": "u1", "app_id": "a000",
+                         "timestamp": 0, "score": 5}) + "\n"
+
+# One case per README exit-code cause that no other test reaches: the
+# command (run in the directory of the synthetic stream; `clusters` after
+# `score` wrote scores.csv and events.jsonl there), the files to write
+# first (a name ending in "/" is a directory), the exit code and text the
+# logged message must hold.
+EXIT_CASES = {
+    "timestamp-before-origin": (PIPELINE + ["--origin", "1000000"], {}, EXIT_CONFIG,
+                                "precedes origin 1000000; lower --origin"),
+    "config-not-json": (PIPELINE + ["--config", "run.json"], {"run.json": '{"origin": 0'},
+                        EXIT_CONFIG, "config file run.json is not valid JSON"),
+    "config-not-an-object": (PIPELINE + ["--config", "run.json"], {"run.json": "[0]"},
+                             EXIT_CONFIG, "config file run.json must hold a JSON object"),
+    "max-error-rate-above-1": (PIPELINE + ["--origin", "0", "--max-error-rate", "1.5"], {},
+                               EXIT_CONFIG, "max_error_rate must be in [0, 1], got 1.5"),
+    "tau-zero": (PIPELINE + ["--config", "run.json"], {"run.json": '{"origin": 0, "tau": 0}'},
+                 EXIT_CONFIG, "tau must be in (0, 1], got 0.0"),
+    "file-provider-without-embeddings": (PIPELINE + ["--origin", "0", "--provider", "file"], {},
+                                         EXIT_CONFIG, "provider 'file' requires --embeddings"),
+    "embeddings-without-file-provider": (PAIRS + ["--embeddings", "vecs.jsonl"], VECTORS,
+                                         EXIT_CONFIG,
+                                         "embeddings needs provider 'file', not 'lexical'"),
+    "out-dir-under-a-file": (PIPELINE[:-1] + ["plain/out", "--origin", "0"], {"plain": "x"},
+                             EXIT_CONFIG, "plain/out"),
+    "event-without-scored-edges": (CLUSTERS + ["--reviews", "reviews.jsonl"],
+                                   {"events.jsonl": NO_EDGES_EVENT}, EXIT_DATA,
+                                   "event for app 'a000' at tick 501 (boost) has no scored edges"),
+    "score-row-without-review": (CLUSTERS + ["--reviews", "one.jsonl"], {"one.jsonl": ONE_REVIEW},
+                                 EXIT_DATA, "scores file scores.csv is malformed"),
+    "pipeline-sidecar-lacks-a-vector": (
+        PIPELINE + ["--origin", "0", "--provider", "file", "--embeddings", "vecs.jsonl"],
+        VECTORS, EXIT_DATA, "no embedding for review_id"),
+    "pairs-sidecar-lacks-a-vector": (PAIRS + ["--provider", "file", "--embeddings", "vecs.jsonl"],
+                                     VECTORS, EXIT_DATA, "no embedding for review_id"),
+    "stats-missing-column": (["stats", "cdf", "--scores", "s.csv:nope", "--out", "cdf.csv"],
+                             {"s.csv": "score\n1.0\n"}, EXIT_DATA, "s.csv: no column 'nope'"),
+    "stats-non-numeric-value": (["stats", "ttest", "--a", "s.csv", "--b", "s.csv"],
+                                {"s.csv": "score\n1.0\nabc\n"}, EXIT_DATA,
+                                "s.csv: bad value in column 'score': ['abc']"),
+    "stats-no-values": (["stats", "cdf", "--scores", "s.csv", "--out", "cdf.csv"],
+                        {"s.csv": "score\n"}, EXIT_DATA, "s.csv: no values in column 'score'"),
+    "pipeline-write-fails": (PIPELINE + ["--origin", "0"], {"out/summary.json/": None},
+                             EXIT_CONFIG, "out/summary.json"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_failure_exits_with_its_code_naming_the_cause_and_writes_nothing(
+        synth_files, tmp_path, monkeypatch, capsys, caplog, case):
+    argv, files, code, message = EXIT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "clusters":
+        score_files("reviews.jsonl", "apps.csv", tmp_path)
+    for name, text in files.items():
+        if name.endswith("/"):
+            (tmp_path / name).mkdir(parents=True)
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == code
+    assert message in caplog.text
+    assert sorted(tmp_path.rglob("*")) == before  # no output is left behind
+    assert capsys.readouterr().out == ""
 
 
 class TestTopLevel:

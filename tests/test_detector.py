@@ -277,9 +277,9 @@ class TestSerialization:
         records, _ = run_detector(edges, config, BOOST)
         path = tmp_path / "scores.csv"
         write_scores_csv(records, config, path)
-        rows, header_config = read_scores_csv(path)
+        rows, header_config = read_scores_csv(path, {e.review_id: e for e in edges})
         assert header_config == config.to_dict()
-        assert [(r.review_id, r.tick, r.substream) for r in rows] == [
+        assert [(r.edge.review_id, r.tick, r.substream) for r in rows] == [
             (rec.edge.review_id, rec.tick, rec.substream) for rec in records
         ]
         assert [r.score for r in rows] == [rec.score for rec in records]

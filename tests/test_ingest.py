@@ -105,6 +105,17 @@ class TestParseReviews:
         with pytest.raises(ValueError):
             parse_reviews([], format="tsv")
 
+    @pytest.mark.parametrize("cell", ["1_0", "+2", " 7", "7 ", "٣", "²", "-", "--1", "0x1"])
+    @pytest.mark.parametrize("column", ["timestamp", "score"])
+    def test_csv_integers_are_ascii_digits(self, column, cell):
+        row = {"review_id": "x1", "reviewer_id": "u1", "app_id": "a1", "timestamp": "3",
+               "score": "2", column: cell}
+        lines = [",".join(row), ",".join(f'"{v}"' for v in row.values()),
+                 "x2,u1,a1,-0,5", "x3,u1,a1,0010,5"]
+        edges, errors = parse_reviews(lines, format="csv")
+        assert [(e.review_id, e.timestamp) for e in edges] == [("x2", 0), ("x3", 10)]
+        assert [(e.line, e.reason) for e in errors] == [(2, "syntax")]
+
 
 class TestParseApps:
     def test_single_record(self):
@@ -125,6 +136,16 @@ class TestParseApps:
         assert len(catalog) == 1
         assert catalog.get("a1").overall_rating == 4.3
         assert errors[0].reason == "duplicate"
+
+    @pytest.mark.parametrize("cell", ["1_000", "+5", " 5", "٣", "1e3"])
+    def test_install_count_is_ascii_digits(self, cell):
+        catalog, errors = parse_apps([
+            "app_id,overall_rating,install_count",
+            f'a1,4.0,"{cell}"',
+            "a2,4.0,0042",
+        ])
+        assert [(r.app_id, r.install_count) for r in catalog] == [("a2", 42)]
+        assert [(e.line, e.reason) for e in errors] == [(2, "syntax")]
 
     def test_rating_out_of_range(self):
         catalog, errors = parse_apps([
