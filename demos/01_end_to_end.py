@@ -15,7 +15,7 @@ from reviewstream import (
     SynthSpec,
     collect_clusters,
     gen_stream,
-    near_identical_pairs,
+    pairwise_similarity,
     partition_stream,
     rank_clusters,
     run_detector,
@@ -45,13 +45,13 @@ print(f"stream summary: {asdict(summary)}")
 print(f"partition: {partitioned.counts()}")
 
 config = DetectorConfig(origin=0)  # one-day ticks, default decay/filter
-boost_records, boost_events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
-sink_records, sink_events = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
-print(f"scored {len(boost_records)} boost edges -> {len(boost_events)} burst events")
-print(f"scored {len(sink_records)} sink edges  -> {len(sink_events)} burst events")
+boost_scored, boost_events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
+sink_scored, sink_events = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
+print(f"scored {len(boost_scored)} boost edges -> {len(boost_events)} burst events")
+print(f"scored {len(sink_scored)} sink edges  -> {len(sink_events)} burst events")
 
 # Rank the suspicious clusters by mean anomaly score.
-clusters = collect_clusters(boost_events + sink_events, boost_records + sink_records)
+clusters = collect_clusters(boost_events + sink_events, boost_scored + sink_scored)
 top = rank_clusters(clusters, 5)
 print("\ntop clusters (app, substream, tick, size, mean score):")
 for c in top:
@@ -61,7 +61,7 @@ for c in top:
 # The injected campaign should dominate. Check its review texts for the
 # copy-paste signature of lockstep behavior.
 suspect = top[0]
-analysis = near_identical_pairs(suspect, LexicalEmbedder(), tau=0.95)
+analysis = pairwise_similarity(suspect.members, LexicalEmbedder(), tau=0.95)
 print(f"\nmost suspicious cluster: {suspect.app_id} at tick {suspect.tick}")
 print(f"  near-identical pairs: {len(analysis.pairs)}")
 print(f"  reviews in at least one pair: "
@@ -71,10 +71,7 @@ for pair in analysis.pairs[:3]:
           f"(similarity {pair.similarity:.2f})")
 
 # Do boosting reviews behave more anomalously than sinking ones here?
-outcome = welch_t(
-    [r.score for r in boost_records],
-    [r.score for r in sink_records],
-)
+outcome = welch_t(boost_scored.score.tolist(), sink_scored.score.tolist())
 print(f"\nboost vs sink mean score: {outcome.mean_a:.2f} vs {outcome.mean_b:.2f} "
       f"(t={outcome.t:.2f}, one-sided p={outcome.p_one_sided:.2e})")
 

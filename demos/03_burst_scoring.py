@@ -36,10 +36,8 @@ edges = day_stream(counts)
 
 def describe(threshold: float, label: str) -> None:
     config = DetectorConfig(origin=0, decay=0.6, filter_threshold=threshold)
-    records, events = run_detector(edges, config, SubstreamLabel.BOOST)
-    final = {}
-    for r in records:
-        final[r.tick] = r.score  # last edge of the day wins
+    scored, events = run_detector(edges, config, SubstreamLabel.BOOST)
+    final = dict(zip(scored.tick.tolist(), scored.score.tolist()))  # last edge of the day wins
     print(f"\n{label} (filter threshold {threshold}):")
     print("  day:   " + " ".join(f"{d:>7d}" for d in sorted(final)))
     print("  score: " + " ".join(f"{final[d]:7.1f}" for d in sorted(final)))

@@ -35,11 +35,11 @@ spec = SynthSpec(
 result = gen_stream(spec)
 partitioned = partition_stream(result.edges, result.catalog)
 config = DetectorConfig(origin=0)
-boost_records, _ = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
-sink_records, _ = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
+boost_scored, _ = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
+sink_scored, _ = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
 
-boost_scores = [r.score for r in boost_records]
-sink_scores = [r.score for r in sink_records]
+boost_scores = boost_scored.score.tolist()
+sink_scores = sink_scored.score.tolist()
 
 # Empirical CDFs: the boosting sub-stream has the heavier tail.
 print("score CDF (fraction of edges at or below each score):")

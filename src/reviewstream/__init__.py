@@ -22,12 +22,10 @@ from .clusters import (
     collect_clusters,
     cosine,
     lexical_vector,
-    near_identical_pairs,
     pairwise_similarity,
     rank_clusters,
 )
 from .detector import (
-    AnomalyRecord,
     Detector,
     DetectorConfig,
     MicroclusterEvent,
@@ -74,7 +72,6 @@ from .synth import (
 
 __all__ = [
     "__version__",
-    "AnomalyRecord",
     "AppCatalog",
     "AppRecord",
     "BeforeOriginError",
@@ -119,7 +116,6 @@ __all__ = [
     "gen_stream",
     "inject_lockstep",
     "lexical_vector",
-    "near_identical_pairs",
     "pairwise_similarity",
     "parse_apps",
     "parse_reviews",

@@ -335,7 +335,7 @@ class _Scored:
     review_errors: list[LineError]
     catalog_errors: list[LineError]
     partitioned: PartitionResult
-    records: ScoredStream
+    scored: ScoredStream
     events: list[MicroclusterEvent]
     stages: _Stages
     detector: dict[str, dict]  # each sub-stream's detector counters
@@ -369,9 +369,9 @@ def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorC
                    {"boost": boost.counters, "sink": sink.counters})
 
 
-def _cluster_report(events, records, provider, tau: float, top: int, stages: _Stages):
+def _cluster_report(events, scored, provider, tau: float, top: int, stages: _Stages):
     """Collect, rank and report clusters; returns (clusters formed, report)."""
-    clusters = collect_clusters(events, records)
+    clusters = collect_clusters(events, scored)
     stages.done("collect", len(events), len(clusters))
     ranked = rank_clusters(clusters, top) if clusters else []
     report = build_cluster_report(ranked, provider, tau)
@@ -397,13 +397,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     config = _detector_config(effective)
     run = _load_and_score(args, effective, config)
-    write_scores_csv(run.records, config, args.out_scores)
+    write_scores_csv(run.scored, config, args.out_scores)
     write_events_jsonl(run.events, args.out_events)
     _print_json(run.partitioned.counts())
     return EXIT_OK
 
 
-def _records_from_files(reviews_path: Path, scores_path: Path, effective: dict):
+def _scored_from_files(reviews_path: Path, scores_path: Path, effective: dict):
     edges, _ = _load_reviews(reviews_path, effective)
     try:
         return read_scores_csv(scores_path, {e.review_id: e for e in edges})[0]
@@ -417,12 +417,12 @@ def cmd_clusters(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
     scores_path = _require_file(args.scores, "scores")
     events_path = _require_file(args.events, "events")
-    records = _records_from_files(reviews_path, scores_path, effective)
+    scored = _scored_from_files(reviews_path, scores_path, effective)
     try:
         events = read_events_jsonl(events_path)
     except ValueError as exc:  # also bad JSON or UTF-8
         raise DataFailure(f"events file {events_path} is malformed: {exc}")
-    formed, report = _cluster_report(events, records, provider, tau, effective["top"],
+    formed, report = _cluster_report(events, scored, provider, tau, effective["top"],
                                      _Stages())
     Path(args.out).write_text(_json_text(report), encoding="utf-8")
     _print_json({"clusters": formed, "reported": len(report), "tau": tau})
@@ -508,10 +508,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     stages = run.stages
     summary_counts = summarize(run.partitioned)
     stages.done("summarize", summary_counts.reviews, 1)
-    _, report = _cluster_report(run.events, run.records, provider, tau, top, stages)
+    _, report = _cluster_report(run.events, run.scored, provider, tau, top, stages)
 
-    boost_scores = run.records.scores(SubstreamLabel.BOOST)
-    sink_scores = run.records.scores(SubstreamLabel.SINK)
+    boost_scores = run.scored.scores(SubstreamLabel.BOOST)
+    sink_scores = run.scored.scores(SubstreamLabel.SINK)
     try:
         welch = dataclasses.asdict(welch_t(boost_scores, sink_scores))
     except (TooSmallError, DegenerateSamplesError):
@@ -533,7 +533,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         errors_path.touch()
         write_line_errors(run.review_errors, errors_path, source=str(run.reviews_path))
         write_line_errors(run.catalog_errors, errors_path, source=str(run.catalog_path))
-        write_scores_csv(run.records, config, target("scores.csv"))
+        write_scores_csv(run.scored, config, target("scores.csv"))
         write_events_jsonl(run.events, target("events.jsonl"))
         target("clusters.json").write_text(_json_text(report), encoding="utf-8")
         for name, scores in (("cdf_boost.csv", boost_scores), ("cdf_sink.csv", sink_scores)):
@@ -546,7 +546,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "welch_boost_vs_sink": welch,
         }
         target("summary.json").write_text(_json_text(summary), encoding="utf-8")
-        stages.done("write", len(run.records) + len(run.events) + len(report), len(written))
+        stages.done("write", len(run.scored) + len(run.events) + len(report), len(written))
         manifest = {
             "tool": "reviewstream",
             "version": __version__,

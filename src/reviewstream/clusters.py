@@ -23,6 +23,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice, repeat
 from math import sqrt
 from operator import attrgetter
@@ -31,7 +32,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .detector import AnomalyRecord, MicroclusterEvent, ScoredStream
+from .detector import MicroclusterEvent, ScoredStream
+from .ingest import ReviewEdge
 from .partition import SubstreamLabel
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -42,7 +44,7 @@ class InconsistentRunError(ValueError):
     """Scores and events do not come from the same detector run."""
 
 
-class MissingEmbeddingError(KeyError):
+class MissingEmbeddingError(ValueError):
     """The external embedding sidecar lacks a required review_id."""
 
 
@@ -55,7 +57,7 @@ class SuspiciousCluster:
     app_id: str
     substream: SubstreamLabel
     tick: int  # burst tick (the period after the prior baseline)
-    members: tuple[AnomalyRecord, ...]
+    members: tuple[ReviewEdge, ...]  # in stream order
     mean_score: float
 
     @property
@@ -74,14 +76,6 @@ class SimilarityPair:
     def to_dict(self) -> dict:
         """The JSON form every report uses: ``{"a", "b", "similarity"}``."""
         return {"a": self.review_id_a, "b": self.review_id_b, "similarity": self.similarity}
-
-
-@dataclass(frozen=True)
-class PairAnalysis:
-    pairs: tuple[SimilarityPair, ...]
-    flagged_review_ids: frozenset[str]
-    evaluated_count: int  # members that carried text
-    textless_count: int
 
 
 def normalize_text(text: str) -> list[str]:
@@ -196,12 +190,10 @@ class FileEmbedder:
 
 
 def collect_clusters(
-    events: Sequence[MicroclusterEvent], records: Iterable[AnomalyRecord]
+    events: Sequence[MicroclusterEvent], scored: ScoredStream
 ) -> list[SuspiciousCluster]:
     """One cluster per event: all same-sub-stream scored edges of the
-    event's app in its burst tick, in stream order. Records are built
-    only for cluster members."""
-    scored = ScoredStream.of(records)
+    event's app in its burst tick, in stream order."""
     labels = list(SubstreamLabel)
     app_code = {e.app_id: code for code, e in enumerate(events)}  # -1: no event
     app = np.fromiter(map(app_code.get, map(attrgetter("app_id"), scored.edges), repeat(-1)),
@@ -214,24 +206,19 @@ def collect_clusters(
                        * (len(ticks) + 1) + rank_of.get(e.burst_tick, len(ticks))
                        for e in events], dtype=np.int64)
     lo, hi = np.searchsorted(keys[order], [wanted, wanted + 1])
-    # Every event's members as records in one pass, taken in event order.
-    records = iter(scored.take(np.concatenate([order[:0], *map(order.__getitem__,
-                                                               map(slice, lo, hi))])))
     clusters: list[SuspiciousCluster] = []
-    for event, size in zip(events, (hi - lo).tolist()):
-        members = list(islice(records, size))
-        if not members:
+    for event, rows in zip(events, map(order.__getitem__, map(slice, lo.tolist(), hi.tolist()))):
+        if not len(rows):
             raise InconsistentRunError(
                 f"event for app {event.app_id!r} at tick {event.burst_tick} "
                 f"({event.substream.value}) has no scored edges"
             )
-        mean_score = sum(m.score for m in members) / len(members)
         clusters.append(SuspiciousCluster(
             app_id=event.app_id,
             substream=event.substream,
             tick=event.burst_tick,
-            members=tuple(members),
-            mean_score=mean_score,
+            members=tuple(map(scored.edges.__getitem__, rows.tolist())),
+            mean_score=sum(scored.score[rows].tolist()) / len(rows),
         ))
     return clusters
 
@@ -249,21 +236,23 @@ def rank_clusters(
     return ordered[:k]
 
 
-class _NearDuplicates:
+class PairAnalysis:
     """The pairs with similarity >= tau among a set of reviews, held as
     groups of members with equal vectors (every pair inside a group
-    scores exactly 1.0) plus the verified pairs across groups."""
+    scores exactly 1.0) plus the verified pairs across groups. Reviews
+    without text are left out of pairing but counted."""
 
-    def __init__(self, reviews, provider, tau: float):
+    def __init__(self, reviews: Iterable[ReviewEdge], provider, tau: float):
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {tau}")
         reviews = list(reviews)
         with_text = [r for r in reviews if r.text is not None]
         vectors = [provider.vector(r.review_id, r.text) for r in with_text]
-        self.ids = [r.review_id for r in with_text]
+        self._ids = [r.review_id for r in with_text]
+        self.evaluated_count = len(with_text)
         self.textless_count = len(reviews) - len(with_text)
-        self.groups = _equal_vector_groups(vectors)
-        self.scored: list[tuple[float, int, int]] = []  # (similarity, i, j), i < j
+        self._groups = _equal_vector_groups(vectors)
+        self._scored: list[tuple[float, int, int]] = []  # (similarity, i, j), i < j
         # Each pair is scored by cosine itself, with its arguments in member
         # order: equal dicts may iterate in different orders, and the float
         # sum, with it the threshold decision, follows the order. Between two
@@ -273,34 +262,40 @@ class _NearDuplicates:
         key_orders: dict = {}
         order = [key_orders.setdefault(tuple(v), len(key_orders)) if isinstance(v, dict) else 0
                  for v in vectors]
-        for g, h in _candidate_groups([vectors[m[0]] for m in self.groups], tau):
+        for g, h in _candidate_groups([vectors[m[0]] for m in self._groups], tau):
             sims: dict = {}
-            for x in self.groups[g]:
-                for y in self.groups[h]:
+            for x in self._groups[g]:
+                for y in self._groups[h]:
                     i, j = (x, y) if x < y else (y, x)
                     key = (x < y, order[x], order[y])
                     if key not in sims:
                         sims[key] = cosine(vectors[i], vectors[j])
                     if sims[key] >= tau:
-                        self.scored.append((sims[key], i, j))
+                        self._scored.append((sims[key], i, j))
 
     @property
     def pair_count(self) -> int:
-        return sum(len(m) * (len(m) - 1) // 2 for m in self.groups) + len(self.scored)
+        return sum(len(m) * (len(m) - 1) // 2 for m in self._groups) + len(self._scored)
 
-    def flagged(self) -> frozenset[str]:
-        members = {i for m in self.groups if len(m) > 1 for i in m}
-        members.update(i for _, a, b in self.scored for i in (a, b))
-        return frozenset(self.ids[i] for i in members)
+    @cached_property
+    def flagged_review_ids(self) -> frozenset[str]:
+        """The reviews in at least one pair."""
+        members = {i for m in self._groups if len(m) > 1 for i in m}
+        members.update(i for _, a, b in self._scored for i in (a, b))
+        return frozenset(self._ids[i] for i in members)
+
+    @cached_property
+    def pairs(self) -> tuple[SimilarityPair, ...]:
+        return tuple(self.ordered())
 
     def ordered(self) -> Iterator[SimilarityPair]:
         """Every pair, by similarity desc then ids asc, built lazily."""
-        ids = self.ids
+        ids = self._ids
         within = [  # combinations of sorted ids come out in id order
             ((-1.0, a, b) for a, b in combinations(sorted(ids[i] for i in m), 2))
-            for m in self.groups if len(m) > 1
+            for m in self._groups if len(m) > 1
         ]
-        across = sorted((-sim, *sorted((ids[i], ids[j]))) for sim, i, j in self.scored)
+        across = sorted((-sim, *sorted((ids[i], ids[j]))) for sim, i, j in self._scored)
         for neg_sim, a, b in heapq.merge(across, *within):
             yield SimilarityPair(a, b, -neg_sim)
 
@@ -372,29 +367,13 @@ def _candidate_groups(reps: Sequence, tau: float) -> Iterator[tuple[int, int]]:
         yield from zip(rows[keep].tolist(), cols[keep].tolist())
 
 
-def pairwise_similarity(reviews, provider, tau: float) -> PairAnalysis:
-    """Evaluate all unordered text pairs among a set of reviews.
-
-    Reviews without text are excluded from pairing but counted. Returns
-    pairs with similarity >= tau, sorted by similarity desc then ids
-    asc, plus the set of reviews appearing in at least one pair.
-    """
-    found = _NearDuplicates(reviews, provider, tau)
-    return PairAnalysis(
-        pairs=tuple(found.ordered()),
-        flagged_review_ids=found.flagged(),
-        evaluated_count=len(found.ids),
-        textless_count=found.textless_count,
-    )
-
-
-def near_identical_pairs(
-    cluster: SuspiciousCluster, provider, tau: float
+def pairwise_similarity(
+    reviews: Iterable[ReviewEdge], provider, tau: float
 ) -> PairAnalysis:
-    """Pair analysis over one cluster's member reviews."""
-    return pairwise_similarity(
-        (m.edge for m in cluster.members), provider, tau
-    )
+    """Evaluate all unordered text pairs among a set of reviews, such as
+    a cluster's ``members``: the pairs with similarity >= tau, sorted by
+    similarity desc then ids asc, and the reviews in at least one pair."""
+    return PairAnalysis(reviews, provider, tau)
 
 
 def build_cluster_report(
@@ -405,7 +384,7 @@ def build_cluster_report(
     """JSON-ready report entries, one per cluster, in rank order."""
     report = []
     for cluster in ranked:
-        found = _NearDuplicates((m.edge for m in cluster.members), provider, tau)
+        found = pairwise_similarity(cluster.members, provider, tau)
         report.append({
             "app_id": cluster.app_id,
             "substream": cluster.substream.value,
@@ -413,7 +392,7 @@ def build_cluster_report(
             "size": cluster.size,
             "mean_score": cluster.mean_score,
             "textless_count": found.textless_count,
-            "flagged_count": len(found.flagged()),
+            "flagged_count": len(found.flagged_review_ids),
             "pair_count": found.pair_count,
             "top_pairs": [p.to_dict() for p in islice(found.ordered(), MAX_PAIRS_LISTED)],
             "provider": provider.name,

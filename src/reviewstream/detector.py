@@ -55,11 +55,11 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .ingest import ReviewEdge, to_tick
+from .ingest import ReviewEdge, _csv_int, to_tick
 from .partition import SubstreamLabel
 from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
@@ -123,16 +123,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class AnomalyRecord:
-    """One scored edge."""
-
-    edge: ReviewEdge
-    substream: SubstreamLabel
-    tick: int
-    score: float
-
-
-@dataclass(frozen=True)
 class MicroclusterEvent:
     """A better-than-``burst_factor`` jump in an app's raw per-tick count."""
 
@@ -168,9 +158,8 @@ _UINT64 = 1 << 64
 @dataclass(frozen=True, eq=False)
 class ScoredStream:
     """Scored edges as columns: ``edges[i]`` fell in tick ``tick[i]`` of
-    sub-stream ``_LABELS[substream[i]]`` and scored ``score[i]``. Indexing
-    and iteration build ``AnomalyRecord``s on demand; ``counters`` are the
-    run counts of the detector that scored it."""
+    sub-stream ``_LABELS[substream[i]]`` and scored ``score[i]``;
+    ``counters`` are the run counts of the detector that scored it."""
 
     edges: Sequence[ReviewEdge]
     tick: np.ndarray  # uint64: ticks reach 2**64 - 1 when origin is -2**63
@@ -178,35 +167,13 @@ class ScoredStream:
     substream: np.ndarray  # int8
     counters: dict = field(default_factory=dict)
 
-    @classmethod
-    def of(cls, records: Iterable[AnomalyRecord]) -> "ScoredStream":
-        """``records`` itself if it is a ScoredStream, else its columns."""
-        if isinstance(records, ScoredStream):
-            return records
-        rows = [(r.edge, r.tick, r.score, _LABEL_CODE[r.substream]) for r in records]
-        edges, ticks, scores, labels = zip(*rows) if rows else ((),) * 4
-        return cls(list(edges), np.array(ticks, np.uint64), np.array(scores, np.float64),
-                   np.array(labels, np.int8))
-
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __getitem__(self, i: int) -> AnomalyRecord:
-        return self.take(np.array([i]))[0]
-
-    def __iter__(self) -> Iterator[AnomalyRecord]:
-        return iter(self.take(np.arange(len(self))))
 
     def __add__(self, other: "ScoredStream") -> "ScoredStream":
         return ScoredStream([*self.edges, *other.edges], *(
             np.concatenate((getattr(self, c), getattr(other, c)))
             for c in ("tick", "score", "substream")))
-
-    def take(self, index: np.ndarray) -> list[AnomalyRecord]:
-        """The records at ``index``, in its order."""
-        return list(map(AnomalyRecord, map(self.edges.__getitem__, index.tolist()),
-                        map(_LABELS.__getitem__, self.substream[index].tolist()),
-                        self.tick[index].tolist(), self.score[index].tolist()))
 
     def scores(self, substream: SubstreamLabel) -> list[float]:
         return self.score[self.substream == _LABEL_CODE[substream]].tolist()
@@ -257,9 +224,6 @@ class Detector:
     def historical_total(self, app_id: str) -> float:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
         return self._history.estimate(app_id)
-
-    def process_edge(self, edge: ReviewEdge) -> AnomalyRecord:
-        return self.process([edge])[0]
 
     def finish(self) -> list[MicroclusterEvent]:
         """Close the final open tick and return all events of the run."""
@@ -412,10 +376,7 @@ SCORES_COLUMNS = ("review_id", "app_id", "reviewer_id", "tick", "substream", "sc
 _EVENT_TYPES = get_type_hints(MicroclusterEvent)
 
 
-def write_scores_csv(
-    records: Iterable[AnomalyRecord], config: DetectorConfig, path: str | Path
-) -> None:
-    scored = ScoredStream.of(records)
+def write_scores_csv(scored: ScoredStream, config: DetectorConfig, path: str | Path) -> None:
     own = {"tick": scored.tick.tolist(), "score": scored.score.tolist(),  # floats as repr
            "substream": map(_LABELS.__getitem__, scored.substream.tolist())}
     columns = [own[name] if name in own else map(attrgetter(name), scored.edges)
@@ -433,9 +394,9 @@ def read_scores_csv(
 ) -> tuple[ScoredStream, dict]:
     """The scored stream of a scores CSV, each row's edge found by its
     review_id in ``edges``, and the config of its header. A bad header,
-    a row of the wrong width, a cell that does not convert, a tick
-    outside [0, 2**64), an unknown label or a review id missing from
-    ``edges`` raises ``ValueError``."""
+    a row of the wrong width, a cell that does not convert, a tick that
+    is not ASCII digits or lies outside [0, 2**64), an unknown label or
+    a review id missing from ``edges`` raises ``ValueError``."""
     config: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         data_lines = []
@@ -459,7 +420,7 @@ def read_scores_csv(
             raise ValueError(f"scores row {row} has an unknown sub-stream")
     ids, _, _, ticks, labels, scores = zip(*rows) if rows else ((),) * len(header)
     try:
-        tick = np.array(list(map(int, ticks)), np.uint64)
+        tick = np.array(list(map(_csv_int, ticks)), np.uint64)
     except OverflowError as exc:  # a tick outside [0, 2**64)
         raise ValueError(f"bad tick: {exc}") from None
     return ScoredStream(list(map(edges.__getitem__, ids)), tick,

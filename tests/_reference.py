@@ -25,7 +25,6 @@ from typing import Iterable, Iterator
 
 from reviewstream.clusters import cosine
 from reviewstream.detector import (
-    AnomalyRecord,
     DetectorConfig,
     MicroclusterEvent,
     TimeRegressionError,
@@ -441,7 +440,8 @@ class Detector:
         slots = register.slots if register is not None else self._history.locate(app_id)
         return self._history.estimate_at(slots)
 
-    def process_edge(self, edge: ReviewEdge) -> AnomalyRecord:
+    def process_edge(self, edge: ReviewEdge) -> tuple[ReviewEdge, SubstreamLabel, int, float]:
+        """The edge scored: ``(edge, substream, tick, score)``."""
         if self._finished:
             raise RuntimeError("detector already finished")
         tick = to_tick(edge.timestamp, self.config.origin, self.config.period)
@@ -473,7 +473,7 @@ class Detector:
         else:
             score = (cur - total / tick) ** 2 * (tick * tick) / (total * (tick - 1))
         register.last_score = score
-        return AnomalyRecord(edge, self.substream, tick, score)
+        return edge, self.substream, tick, score
 
     def finish(self) -> list[MicroclusterEvent]:
         """Close the final open tick and return all events of the run."""

@@ -20,7 +20,7 @@ from reviewstream.clusters import (
     LexicalEmbedder,
     SuspiciousCluster,
     collect_clusters,
-    near_identical_pairs,
+    pairwise_similarity,
 )
 from reviewstream.detector import DetectorConfig, run_detector
 from reviewstream.ingest import ReviewEdge, read_app_catalog_csv, read_reviews_jsonl
@@ -114,7 +114,7 @@ def test_detector_oracle_equivalence():
         oracle = ExactScorer(0, PERIOD, decay=0.6, filter_threshold=threshold)
         expected = [oracle.process(e.app_id, e.timestamp) for e in edges]
         streams += 1
-        if [r.score for r in records] == expected:
+        if records.score.tolist() == expected:
             exact_matches += 1
     report(
         "detector-oracle-equivalence",
@@ -143,8 +143,9 @@ def test_injection_recall():
         if any(e.substream is BOOST and e.app_id == "a003" and e.burst_tick == 11
                for e in events):
             fired += 1
-        injected_scores = [r.score for r in records if r.edge.review_id in injected]
-        background_scores = [r.score for r in records if r.edge.review_id not in injected]
+        scores = list(zip(records.edges, records.score.tolist()))
+        injected_scores = [s for e, s in scores if e.review_id in injected]
+        background_scores = [s for e, s in scores if e.review_id not in injected]
         if np.mean(injected_scores) > np.percentile(background_scores, 99):
             separated += 1
     elapsed = time.monotonic() - started
@@ -195,7 +196,8 @@ def test_filtering_anti_poisoning():
             records, _ = run_detector(
                 partitioned.boost, standard_config(filter_threshold=threshold), BOOST
             )
-            return max(r.score for r in records if r.edge.review_id in second_burst)
+            return max(s for e, s in zip(records.edges, records.score.tolist())
+                       if e.review_id in second_burst)
 
         if peak(1000.0) >= peak(math.inf):
             wins += 1
@@ -218,8 +220,8 @@ def test_boost_exceeds_sink_on_asymmetric_load():
         )
         result = gen_stream(spec)
         records, _ = run_both_substreams(result, config)
-        boost_scores = [r.score for r in records if r.substream is BOOST]
-        sink_scores = [r.score for r in records if r.substream is SINK]
+        boost_scores = records.scores(BOOST)
+        sink_scores = records.scores(SINK)
         outcome = welch_t(boost_scores, sink_scores)
         if outcome.t > 0 and outcome.p_one_sided < 0.01:
             significant += 1
@@ -243,18 +245,18 @@ def test_pair_analysis_ground_truth():
         c for c in clusters
         if c.app_id == "a003" and c.tick == 12 and c.substream is BOOST
     )
-    analysis = near_identical_pairs(injected_cluster, LexicalEmbedder(), tau=0.95)
+    analysis = pairwise_similarity(injected_cluster.members, LexicalEmbedder(), tau=0.95)
     ratio = len(analysis.flagged_review_ids) / injected_cluster.size
 
-    background_records = [
-        r for r in records if r.edge.review_id not in result.injected_ids()
+    background_edges = [
+        e for e in records.edges if e.review_id not in result.injected_ids()
     ][:40]
     control = SuspiciousCluster(
         app_id="control", substream=BOOST, tick=2,
-        members=tuple(background_records),
+        members=tuple(background_edges),
         mean_score=0.0,
     )
-    control_analysis = near_identical_pairs(control, LexicalEmbedder(), tau=0.95)
+    control_analysis = pairwise_similarity(control.members, LexicalEmbedder(), tau=0.95)
     report(
         "pair-analysis-ground-truth",
         ratio >= 0.9 and len(control_analysis.pairs) == 0,

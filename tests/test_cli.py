@@ -443,7 +443,8 @@ class TestRejections:
     @pytest.mark.parametrize("bad", [
         "scores", "events", "scores-short-row", "events-str-tick", "events-bool-count",
         "scores-negative-tick", "scores-tick-2-64", "scores-unknown-substream",
-        "scores-non-numeric-score", "scores-unknown-review",
+        "scores-non-numeric-score", "scores-unknown-review", "scores-plus-tick",
+        "scores-space-tick", "scores-underscore-tick",
     ])
     def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
                                                                caplog, bad):
@@ -471,6 +472,10 @@ class TestRejections:
             "scores-unknown-substream": (scores, first_row("substream", "bogus")),
             "scores-non-numeric-score": (scores, first_row("score", "x")),
             "scores-unknown-review": (scores, scores.read_text() + "nobody,a000,u1,3,boost,1.0\n"),
+            # int() reads these as 3, 3 and 10; ingest rejects them too
+            "scores-plus-tick": (scores, first_row("tick", "+3")),
+            "scores-space-tick": (scores, first_row("tick", " 3")),
+            "scores-underscore-tick": (scores, first_row("tick", "1_0")),
         }[bad]
         broken.write_text(text)
         report = tmp_path / "clusters.json"
@@ -586,6 +591,8 @@ def test_failure_exits_with_its_code_naming_the_cause_and_writes_nothing(
     capsys.readouterr()
     assert main(argv) == code
     assert message in caplog.text
+    if case.endswith("sidecar-lacks-a-vector"):  # the plain cause, not a KeyError repr
+        assert caplog.records[-1].getMessage().startswith(message)
     assert sorted(tmp_path.rglob("*")) == before  # no output is left behind
     assert capsys.readouterr().out == ""
 

@@ -16,11 +16,10 @@ from reviewstream.clusters import (
     collect_clusters,
     cosine,
     lexical_vector,
-    near_identical_pairs,
     pairwise_similarity,
     rank_clusters,
 )
-from reviewstream.detector import AnomalyRecord, MicroclusterEvent
+from reviewstream.detector import MicroclusterEvent, ScoredStream
 from reviewstream.ingest import ReviewEdge
 from reviewstream.partition import SubstreamLabel
 
@@ -28,11 +27,22 @@ from _reference import all_pairs_similarity
 
 BOOST = SubstreamLabel.BOOST
 SINK = SubstreamLabel.SINK
+LABELS = list(SubstreamLabel)  # a sub-stream column holds indices into this
+
+
+def review(review_id, app="a1", tick=5, text="ok"):
+    return ReviewEdge(review_id, f"u-{review_id}", app, tick * 10, 5, text)
+
+
+def stream(*rows):
+    """A ScoredStream of ``(edge, substream, tick, score)`` rows."""
+    edges, substreams, ticks, scores = zip(*rows)
+    return ScoredStream(list(edges), np.array(ticks, np.uint64), np.array(scores, np.float64),
+                        np.array([LABELS.index(s) for s in substreams], np.int8))
 
 
 def record(review_id, app="a1", tick=5, score=1.0, text="ok", substream=BOOST):
-    edge = ReviewEdge(review_id, f"u-{review_id}", app, tick * 10, 5, text)
-    return AnomalyRecord(edge, substream, tick, score)
+    return review(review_id, app, tick, text), substream, tick, score
 
 
 def event(app="a1", prior_tick=4, substream=BOOST):
@@ -40,43 +50,96 @@ def event(app="a1", prior_tick=4, substream=BOOST):
 
 
 def cluster(texts, app="a1", tick=5, mean=1.0, scores=None):
-    members = tuple(
-        record(f"m{i}", app=app, tick=tick, text=t,
-               score=(scores[i] if scores else mean))
-        for i, t in enumerate(texts)
-    )
-    actual_mean = sum(m.score for m in members) / len(members)
+    members = tuple(review(f"m{i}", app=app, tick=tick, text=t) for i, t in enumerate(texts))
+    member_scores = [scores[i] if scores else mean for i in range(len(texts))]
+    actual_mean = sum(member_scores) / len(members)
     return SuspiciousCluster(app, BOOST, tick, members, actual_mean)
 
 
 class TestCollect:
     def test_one_event_yields_one_cluster(self):
         records = [record(f"r{i}", tick=5, score=float(i)) for i in range(12)]
-        clusters = collect_clusters([event(prior_tick=4)], records)
+        clusters = collect_clusters([event(prior_tick=4)], stream(*records))
         assert len(clusters) == 1
         assert clusters[0].size == 12
         assert clusters[0].tick == 5
         assert clusters[0].mean_score == sum(range(12)) / 12
 
     def test_zero_events_zero_clusters(self):
-        assert collect_clusters([], [record("r0")]) == []
+        assert collect_clusters([], stream(record("r0"))) == []
 
     def test_two_apps_same_tick_are_disjoint(self):
         records = [record("r1", app="a1"), record("r2", app="a2")]
         clusters = collect_clusters(
-            [event(app="a1"), event(app="a2")], records
+            [event(app="a1"), event(app="a2")], stream(*records)
         )
         assert [c.app_id for c in clusters] == ["a1", "a2"]
         assert all(c.size == 1 for c in clusters)
 
     def test_substreams_are_separate(self):
         records = [record("r1", substream=BOOST), record("r2", substream=SINK)]
-        clusters = collect_clusters([event(substream=SINK)], records)
-        assert clusters[0].members[0].edge.review_id == "r2"
+        clusters = collect_clusters([event(substream=SINK)], stream(*records))
+        assert clusters[0].members[0].review_id == "r2"
+
+    def test_mean_sums_left_to_right(self):
+        # 2**53 + 1 rounds back to 2**53, so the nine ones vanish one by
+        # one from the left; numpy's pairwise sum would keep them.
+        scores = [2.0**53] + [1.0] * 9
+        records = [record(f"r{i}", score=s) for i, s in enumerate(scores)]
+        (c,) = collect_clusters([event()], stream(*records))
+        assert float(np.sum(scores)) != sum(scores)
+        assert c.mean_score.hex() == (sum(scores) / 10).hex()
 
     def test_event_without_edges_is_inconsistent(self):
         with pytest.raises(InconsistentRunError):
-            collect_clusters([event(app="ghost")], [record("r0")])
+            collect_clusters([event(app="ghost")], stream(record("r0")))
+
+
+APPS = ("a0", "a1", "a2")
+TICKS = st.one_of(st.integers(1, 4), st.integers(1, 2**64 - 1), st.just(2**64 - 1))
+
+
+@st.composite
+def scored_rows(draw):
+    """``(edge, substream, tick, score)`` rows with unique review ids:
+    interleaved apps, both sub-streams, a few repeated ticks drawn from
+    [1, 2**64), and scores whose sum depends on the order of its terms
+    (2**53 + 1 rounds to 2**53). Drawing from few keys at times makes
+    clusters of more than 8 members, where numpy would sum pairwise."""
+    apps = draw(st.lists(st.sampled_from(APPS), min_size=1, unique=True))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
+    ticks = draw(st.lists(TICKS, min_size=1, max_size=4, unique=True))
+    scores = st.one_of(st.sampled_from([1.0, 2.0**53]), st.floats(0, 1e17))
+    cells = draw(st.lists(st.tuples(st.sampled_from(apps), st.sampled_from(labels),
+                                    st.sampled_from(ticks), scores),
+                          min_size=1, max_size=40))
+    return [(review(f"r{i}", app), substream, tick, score)
+            for i, (app, substream, tick, score) in enumerate(cells)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=scored_rows(), data=st.data())
+def test_collect_matches_a_brute_force_recount(rows, data):
+    keys = [(edge.app_id, substream, tick) for edge, substream, tick, _ in rows]
+    picked = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8))
+    events = [MicroclusterEvent(app, substream, tick - 1, 1, 3, 3.0)
+              for app, substream, tick in picked]
+    scored = stream(*rows)
+    clusters = collect_clusters(events, scored)
+    assert len(clusters) == len(events)
+    for key, c in zip(picked, clusters):
+        assert (c.app_id, c.substream, c.tick) == key
+        matching = [row for row, row_key in zip(rows, keys) if row_key == key]
+        assert [m.review_id for m in c.members] == [edge.review_id for edge, *_ in matching]
+        mean = sum(score for *_, score in matching) / len(matching)  # left to right
+        assert c.mean_score.hex() == mean.hex()
+
+    ghost = data.draw(st.tuples(st.sampled_from([*APPS, "ghost"]), st.sampled_from(LABELS),
+                                TICKS).filter(lambda k: k not in keys))
+    at = data.draw(st.integers(0, len(events)))
+    events.insert(at, MicroclusterEvent(ghost[0], ghost[1], ghost[2] - 1, 1, 3, 3.0))
+    with pytest.raises(InconsistentRunError):
+        collect_clusters(events, scored)
 
 
 class TestRank:
@@ -159,19 +222,19 @@ def test_self_similarity_property(a):
 class TestNearIdenticalPairs:
     def test_exact_duplicates_flagged(self):
         c = cluster(["good app", "good app", "bad service"])
-        analysis = near_identical_pairs(c, LexicalEmbedder(), tau=1.0)
+        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=1.0)
         assert len(analysis.pairs) == 1
         assert analysis.pairs[0].similarity == 1.0
         assert analysis.flagged_review_ids == {"m0", "m1"}
         assert analysis.evaluated_count == 3
 
     def test_single_member_has_no_pairs(self):
-        analysis = near_identical_pairs(cluster(["solo"]), LexicalEmbedder(), tau=0.95)
+        analysis = pairwise_similarity(cluster(["solo"]).members, LexicalEmbedder(), tau=0.95)
         assert analysis.pairs == ()
 
     def test_textless_members_excluded_but_counted(self):
         c = cluster(["good app", None, "good app"])
-        analysis = near_identical_pairs(c, LexicalEmbedder(), tau=1.0)
+        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=1.0)
         assert analysis.textless_count == 1
         assert analysis.evaluated_count == 2
         assert len(analysis.pairs) == 1
@@ -179,20 +242,20 @@ class TestNearIdenticalPairs:
 
     def test_pair_count_bounded_by_combinations(self):
         c = cluster(["a b"] * 6)
-        analysis = near_identical_pairs(c, LexicalEmbedder(), tau=1.0)
+        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=1.0)
         assert len(analysis.pairs) == 15  # C(6, 2)
-        assert analysis.flagged_review_ids <= {m.edge.review_id for m in c.members}
+        assert analysis.flagged_review_ids <= {m.review_id for m in c.members}
 
     def test_pairs_sorted_by_similarity_then_ids(self):
         c = cluster(["good app", "good app", "very good app"])
-        analysis = near_identical_pairs(c, LexicalEmbedder(), tau=0.5)
+        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=0.5)
         sims = [p.similarity for p in analysis.pairs]
         assert sims == sorted(sims, reverse=True)
         assert (analysis.pairs[0].review_id_a, analysis.pairs[0].review_id_b) == ("m0", "m1")
 
     def test_tau_validated(self):
         with pytest.raises(ValueError):
-            near_identical_pairs(cluster(["x"]), LexicalEmbedder(), tau=0.0)
+            pairwise_similarity(cluster(["x"]).members, LexicalEmbedder(), tau=0.0)
 
 
 class TestFileEmbedder:
@@ -211,14 +274,14 @@ class TestFileEmbedder:
         ])
         provider = FileEmbedder.load(path)
         c = cluster(["w1", "w2", "w3"])
-        analysis = near_identical_pairs(c, provider, tau=1.0)
+        analysis = pairwise_similarity(c.members, provider, tau=1.0)
         assert [(p.review_id_a, p.review_id_b) for p in analysis.pairs] == [("m0", "m1")]
 
     def test_missing_review_id(self, tmp_path):
         path = self.write_sidecar(tmp_path, [{"review_id": "m0", "vector": [1.0]}])
         provider = FileEmbedder.load(path)
         with pytest.raises(MissingEmbeddingError) as err:
-            near_identical_pairs(cluster(["a", "b"]), provider, tau=1.0)
+            pairwise_similarity(cluster(["a", "b"]).members, provider, tau=1.0)
         assert "m1" in str(err.value)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -249,13 +312,13 @@ def members_with_ids(values, id_order):
     """Cluster of reviews carrying ``values`` as text, with review ids
     ranked by ``id_order`` so id order differs from member order."""
     members = tuple(
-        record(f"r{rank:02d}", text=value) for rank, value in zip(id_order, values)
+        review(f"r{rank:02d}", text=value) for rank, value in zip(id_order, values)
     )
     return SuspiciousCluster("a1", BOOST, 5, members, 1.0)
 
 
 def assert_matches_oracle(c, provider, tau):
-    reviews = [m.edge for m in c.members]
+    reviews = list(c.members)
     pairs, flagged, evaluated, textless = all_pairs_similarity(reviews, provider, tau)
     analysis = pairwise_similarity(reviews, provider, tau)
     got = [(p.review_id_a, p.review_id_b, p.similarity) for p in analysis.pairs]
@@ -270,8 +333,7 @@ def assert_matches_oracle(c, provider, tau):
 
 
 def observed_similarities(c, provider):
-    vectors = [provider.vector(m.edge.review_id, m.edge.text)
-               for m in c.members if m.edge.text is not None]
+    vectors = [provider.vector(m.review_id, m.text) for m in c.members if m.text is not None]
     sims = {cosine(vectors[i], vectors[j])
             for i in range(len(vectors)) for j in range(i + 1, len(vectors))}
     return sorted(x for x in sims if 0.0 < x <= 1.0)
@@ -338,7 +400,7 @@ def file_vector(draw):
 def test_file_vector_pairs_match_all_pairs_oracle(vectors, textless, tau, data):
     texts = [None if i < len(textless) and textless[i] else "t" for i in range(len(vectors))]
     c = draw_cluster(data, texts)
-    provider = FileEmbedder({m.edge.review_id: v for m, v in zip(c.members, vectors)})
+    provider = FileEmbedder({m.review_id: v for m, v in zip(c.members, vectors)})
     assert_matches_oracle(c, provider, draw_tau(data, tau, c, provider))
 
 
@@ -359,7 +421,7 @@ class TestPairMining:
                  if vectors[i] != vectors[j]]
         assert len(cross) == 2 and cross[0] != cross[1]
         c = members_with_ids(texts, [0, 1, 2])
-        analysis = pairwise_similarity([m.edge for m in c.members], LexicalEmbedder(), max(cross))
+        analysis = pairwise_similarity(c.members, LexicalEmbedder(), max(cross))
         assert len(analysis.pairs) == 2
         assert_matches_oracle(c, LexicalEmbedder(), max(cross))
 
@@ -370,7 +432,7 @@ class TestPairMining:
         texts = ["d e g d f e d g", "d f b a e"]
         tau = cosine(*(lexical_vector(t) for t in texts))
         c = members_with_ids(texts, [0, 1])
-        assert len(pairwise_similarity([m.edge for m in c.members], LexicalEmbedder(), tau).pairs) == 1
+        assert len(pairwise_similarity(c.members, LexicalEmbedder(), tau).pairs) == 1
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
     @pytest.mark.parametrize("tau", [1.0, 0.95, 0.6, 0.3])

@@ -1,5 +1,7 @@
 import math
 import time
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from _reference import ExactScorer, brute_force_events
 
 PERIOD = 10
 BOOST = SubstreamLabel.BOOST
+LABELS = tuple(SubstreamLabel)  # a sub-stream column holds indices into this
 
 
 def cfg(**kw) -> DetectorConfig:
@@ -50,38 +53,38 @@ def mk_edges(spec: list[tuple[str, int, int]]) -> list[ReviewEdge]:
 
 class TestScoreFormula:
     def test_first_tick_scores_zero(self):
-        records, _ = run_detector(mk_edges([("a", 1, 7)]), cfg(), BOOST)
-        assert all(r.score == 0.0 for r in records)
+        scored, _ = run_detector(mk_edges([("a", 1, 7)]), cfg(), BOOST)
+        assert all(s == 0.0 for s in scored.score.tolist())
 
     def test_hand_computed_two_tick_score(self):
         # 1 edge in tick 1, then the 10th edge of tick 2:
         # cur=10, total=11 -> (10 - 5.5)^2 * 4 / 11 = 81/11
-        records, _ = run_detector(mk_edges([("a", 1, 1), ("a", 2, 10)]), cfg(), BOOST)
-        assert records[-1].tick == 2
-        assert records[-1].score == pytest.approx(81 / 11, rel=1e-12)
+        scored, _ = run_detector(mk_edges([("a", 1, 1), ("a", 2, 10)]), cfg(), BOOST)
+        assert scored.tick.tolist()[-1] == 2
+        assert scored.score.tolist()[-1] == pytest.approx(81 / 11, rel=1e-12)
 
     def test_steady_rate_scores_zero_at_tick_close(self):
         # k edges every tick: at the k-th edge the current rate equals the
         # historical mean exactly, so the statistic vanishes
         k = 3
-        records, _ = run_detector(
+        scored, _ = run_detector(
             mk_edges([("a", t, k) for t in range(1, 9)]), cfg(), BOOST
         )
         for t in range(2, 9):
-            tick_records = [r for r in records if r.tick == t]
-            assert tick_records[-1].score == 0.0
+            tick_scores = scored.score[scored.tick == t].tolist()
+            assert tick_scores[-1] == 0.0
 
     def test_scores_are_never_negative(self):
         edges = mk_edges([("a", t, 1 + t % 4) for t in range(1, 12)])
-        records, _ = run_detector(edges, cfg(decay=0.6), BOOST)
-        assert all(r.score >= 0.0 for r in records)
+        scored, _ = run_detector(edges, cfg(decay=0.6), BOOST)
+        assert all(s >= 0.0 for s in scored.score.tolist())
 
 
 class TestFiltering:
     def two_tick_run(self, threshold: float) -> Detector:
         det = Detector(cfg(filter_threshold=threshold), BOOST)
         for edge in mk_edges([("a", 1, 8), ("a", 2, 100), ("a", 3, 1)]):
-            det.process_edge(edge)
+            det.process([edge])
         return det
 
     def test_anomalous_tick_merges_expected_not_raw(self):
@@ -96,7 +99,7 @@ class TestFiltering:
     def test_quiet_tick_merges_raw_count(self):
         det = Detector(cfg(), BOOST)
         for edge in mk_edges([("a", 1, 10), ("a", 2, 1)]):
-            det.process_edge(edge)
+            det.process([edge])
         assert det.historical_total("a") == 10.0
 
     def test_second_burst_scores_at_least_as_high_with_filtering(self):
@@ -105,8 +108,8 @@ class TestFiltering:
                 ("a", 1, 8), ("a", 2, 100), ("a", 3, 8), ("a", 4, 8),
                 ("a", 5, 100),
             ])
-            records, _ = run_detector(edges, cfg(decay=0.6, filter_threshold=threshold), BOOST)
-            return max(r.score for r in records if r.tick == 5)
+            scored, _ = run_detector(edges, cfg(decay=0.6, filter_threshold=threshold), BOOST)
+            return max(scored.score[scored.tick == 5].tolist())
 
         assert peak_second_burst(50.0) >= peak_second_burst(math.inf)
 
@@ -115,14 +118,14 @@ class TestDecayAndGaps:
     def test_idle_ticks_still_decay_history(self):
         det = Detector(cfg(decay=0.5), BOOST)
         for edge in mk_edges([("a", 1, 5), ("a", 5, 1)]):
-            det.process_edge(edge)
+            det.process([edge])
         # tick 1 count 5 merged, then decayed over 4 transitions
         assert det.historical_total("a") == 5 * 0.5**4
 
     def test_no_decay_with_factor_one(self):
         det = Detector(cfg(decay=1.0), BOOST)
         for edge in mk_edges([("a", 1, 5), ("a", 5, 1)]):
-            det.process_edge(edge)
+            det.process([edge])
         assert det.historical_total("a") == 5.0
 
     @pytest.mark.parametrize("decay", [0.6, 1.0])
@@ -130,8 +133,8 @@ class TestDecayAndGaps:
         # 2**62 s is ~4.6e17 ticks; decay stops once a step changes nothing
         def history_after(gap):
             det = Detector(cfg(decay=decay), BOOST)
-            det.process_edge(ReviewEdge("r0", "u0", "a", 1, 5))
-            det.process_edge(ReviewEdge("r1", "u1", "a", 1 + gap, 5))
+            det.process([ReviewEdge("r0", "u0", "a", 1, 5)])
+            det.process([ReviewEdge("r1", "u1", "a", 1 + gap, 5)])
             return det.historical_total("a")
 
         start = time.perf_counter()
@@ -160,21 +163,19 @@ class TestBurstPredicate:
 
 class TestRunDetector:
     def test_empty_stream(self):
-        records, events = run_detector([], cfg(), BOOST)
-        assert len(records) == 0 and list(records) == [] and events == []
+        scored, events = run_detector([], cfg(), BOOST)
+        assert len(scored) == 0 and list(scored.edges) == [] and events == []
 
     def test_burst_after_steady_traffic(self):
         edges = mk_edges([("a", t, 2) for t in range(1, 11)] + [("a", 11, 50)])
-        records, events = run_detector(edges, cfg(decay=0.6, filter_threshold=1000.0), BOOST)
-        assert len(records) == len(edges)
+        scored, events = run_detector(edges, cfg(decay=0.6, filter_threshold=1000.0), BOOST)
+        assert len(scored) == len(edges)
         assert [(e.prior_tick, e.prior_count, e.burst_count) for e in events] == [(10, 2, 50)]
         assert events[0].ratio == 25.0
         # the burst tick's closing score dominates every earlier tick's
-        final_by_tick = {}
-        for r in records:
-            final_by_tick[r.tick] = r.score
+        final_by_tick = dict(zip(scored.tick.tolist(), scored.score.tolist()))
         assert all(final_by_tick[11] > final_by_tick[t] for t in range(1, 11))
-        assert max(r.score for r in records if r.tick == 11) == final_by_tick[11]
+        assert max(scored.score[scored.tick == 11].tolist()) == final_by_tick[11]
 
     def test_final_tick_burst_is_flushed(self):
         edges = mk_edges([("a", 1, 4), ("a", 2, 40)])
@@ -199,9 +200,9 @@ class TestRunDetector:
         n = 0
         for tick in range(1, 200):
             for app in range(20):
-                det.process_edge(ReviewEdge(
+                det.process([ReviewEdge(
                     f"r{n}", f"u{n}", f"a{app}", (tick - 1) * PERIOD + 1, 5
-                ))
+                )])
                 n += 1
         assert det._history.memory_bytes == base
         assert len(det._slots) == 20 and len(det._held) == 40  # the last two ticks' edges
@@ -223,10 +224,10 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(1234)
         for _ in range(30):
             edges = random_stream(rng, n_apps=12, ticks=20, n_edges=400)
-            records, _ = run_detector(edges, config, BOOST)
+            scored, _ = run_detector(edges, config, BOOST)
             oracle = ExactScorer(0, PERIOD, decay=0.6, filter_threshold=8.0)
             expected = [oracle.process(e.app_id, e.timestamp) for e in edges]
-            got = [r.score for r in records]
+            got = scored.score.tolist()
             assert got == expected  # bit-identical, not approximate
 
     def test_events_match_brute_force_recount(self):
@@ -274,15 +275,13 @@ class TestSerialization:
     def test_scores_csv_round_trip(self, tmp_path):
         edges = mk_edges([("a", 1, 2), ("b", 2, 3)])
         config = cfg(decay=0.6)
-        records, _ = run_detector(edges, config, BOOST)
+        scored, _ = run_detector(edges, config, BOOST)
         path = tmp_path / "scores.csv"
-        write_scores_csv(records, config, path)
+        write_scores_csv(scored, config, path)
         rows, header_config = read_scores_csv(path, {e.review_id: e for e in edges})
         assert header_config == config.to_dict()
-        assert [(r.edge.review_id, r.tick, r.substream) for r in rows] == [
-            (rec.edge.review_id, rec.tick, rec.substream) for rec in records
-        ]
-        assert [r.score for r in rows] == [rec.score for rec in records]
+        assert _rows(rows) == _rows(scored)
+        assert rows.score.tolist() == scored.score.tolist()
 
     def test_events_jsonl_round_trip(self, tmp_path):
         edges = mk_edges([("a", 1, 3), ("a", 2, 30)])
@@ -330,8 +329,14 @@ def scored_runs(draw):
     return config, edges, cuts
 
 
-def _bits(records):
-    return [(r.edge.review_id, r.substream, r.tick, r.score.hex()) for r in records]
+def _rows(scored):
+    """(review id, tick, sub-stream) of each scored edge, from the columns."""
+    return list(zip([e.review_id for e in scored.edges], scored.tick.tolist(),
+                    [LABELS[code] for code in scored.substream.tolist()]))
+
+
+def _bits(scored):
+    return [(*row, s.hex()) for row, s in zip(_rows(scored), scored.score.tolist())]
 
 
 @settings(max_examples=250, deadline=None)
@@ -343,23 +348,25 @@ def test_batches_match_the_per_edge_detector(run):
     for i, edge in enumerate(edges):
         if i in cuts:
             prefix_history[i] = {e.app_id: reference.historical_total(e.app_id) for e in edges}
-        expected.append(reference.process_edge(edge))
+        _, substream, tick, score = reference.process_edge(edge)
+        expected.append((edge.review_id, tick, substream, score.hex()))
     events = reference.finish()
     apps = sorted({e.app_id for e in edges})
     history = [reference.historical_total(a) for a in apps]
 
     whole, whole_events = run_detector(edges, config, BOOST)
     split = Detector(config, BOOST)
-    split_records = []
+    split_parts = []
     for lo, hi in zip([0, *cuts], [*cuts, len(edges)]):
         if lo in prefix_history:
             assert {a: split.historical_total(a) for a in prefix_history[lo]} == prefix_history[lo]
-        split_records.extend(split.process(edges[lo:hi]))
+        split_parts.append(split.process(edges[lo:hi]))
     single = Detector(config, BOOST)
-    single_records = [single.process_edge(edge) for edge in edges]
-    for records, detector_events in ((whole, whole_events), (split_records, split.finish()),
-                                     (single_records, single.finish())):
-        assert _bits(records) == _bits(expected)
+    single_parts = [single.process([edge]) for edge in edges]
+    for scored, detector_events in ((whole, whole_events),
+                                    (reduce(add, split_parts), split.finish()),
+                                    (reduce(add, single_parts), single.finish())):
+        assert _bits(scored) == expected
         assert detector_events == events
     for detector in (split, single):
         assert [detector.historical_total(a) for a in apps] == history
@@ -394,6 +401,6 @@ def test_score_expression_matches_python(seed):
 def test_origin_at_the_int64_floor_gives_exact_ticks():
     config = cfg(origin=-(2**63), period=1)
     edges = [ReviewEdge("r0", "u0", "a", 0, 5), ReviewEdge("r1", "u1", "a", 2**63 - 1, 5)]
-    records, _ = run_detector(edges, config, BOOST)
-    assert [r.tick for r in records] == [to_tick(e.timestamp, -(2**63), 1) for e in edges]
-    assert records[-1].tick == 2**64 - 1
+    scored, _ = run_detector(edges, config, BOOST)
+    assert scored.tick.tolist() == [to_tick(e.timestamp, -(2**63), 1) for e in edges]
+    assert scored.tick.tolist()[-1] == 2**64 - 1
