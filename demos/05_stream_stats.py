@@ -5,6 +5,8 @@ app network that exposes coordinated reviewer pools.
 Run:  python3 demos/05_stream_stats.py
 """
 
+import numpy as np
+
 from reviewstream import (
     DetectorConfig,
     Injection,
@@ -46,7 +48,10 @@ print("score CDF (fraction of edges at or below each score):")
 print(f"  {'score':>8} {'boost':>7} {'sink':>7}")
 boost_cdf, sink_cdf = ecdf(boost_scores), ecdf(sink_scores)
 for x in (0.5, 1.0, 2.0, 5.0, 20.0, 100.0):
-    print(f"  {x:8.1f} {boost_cdf.fraction_at(x):7.3f} {sink_cdf.fraction_at(x):7.3f}")
+    # F(x): the fraction at the last support value <= x, or 0 below the first
+    boost_at, sink_at = (np.append(0.0, cdf.fractions)[np.searchsorted(cdf.values, x, "right")]
+                         for cdf in (boost_cdf, sink_cdf))
+    print(f"  {x:8.1f} {boost_at:7.3f} {sink_at:7.3f}")
 
 outcome = welch_t(boost_scores, sink_scores)
 print(f"\nWelch's t-test, boost mean {outcome.mean_a:.2f} vs sink mean "
@@ -55,11 +60,11 @@ print(f"\nWelch's t-test, boost mean {outcome.mean_a:.2f} vs sink mean "
 # The same 4 reviewer ids appear on all three boosted apps, so those
 # apps become a visible clique in the shared-reviewer network.
 print("\nstrongest shared-reviewer app pairs:")
-graph = sorted(shared_reviewer_graph(result.edges), key=lambda g: -g.weight)
-for item in graph[:6]:
-    print(f"  {item.app_a} -- {item.app_b}: {item.weight} shared reviewers")
+graph = sorted(shared_reviewer_graph(result.edges).rows(), key=lambda row: -row[2])
+for app_a, app_b, weight in graph[:6]:
+    print(f"  {app_a} -- {app_b}: {weight} shared reviewers")
 
 boosted = {"a002", "a005", "a008"}
-clique = [g for g in graph if {g.app_a, g.app_b} <= boosted]
+clique = [weight for app_a, app_b, weight in graph if {app_a, app_b} <= boosted]
 print(f"\npairs inside the boosted clique: {len(clique)} of {len(graph)} edges, "
-      f"each sharing >= {min(g.weight for g in clique)} reviewers")
+      f"each sharing >= {min(clique)} reviewers")

@@ -31,11 +31,9 @@ from .detector import (
     MicroclusterEvent,
     ScoredStream,
     TimeRegressionError,
-    evaluate_burst,
     run_detector,
 )
 from .ingest import (
-    AppCatalog,
     AppRecord,
     BeforeOriginError,
     LineError,
@@ -44,13 +42,12 @@ from .ingest import (
     parse_reviews,
     to_tick,
 )
-from .partition import PartitionResult, SubstreamLabel, classify, partition_stream
+from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .sketch import CountMinSketch, derive_row_seeds
 from .stats import (
     DegenerateSamplesError,
     EcdfPoints,
     EmptySampleError,
-    SharedReviewerEdge,
     SharedReviewerGraph,
     StreamSummary,
     TooSmallError,
@@ -65,14 +62,11 @@ from .synth import (
     SynthResult,
     SynthSpec,
     TruthRecord,
-    gen_background,
     gen_stream,
-    inject_lockstep,
 )
 
 __all__ = [
     "__version__",
-    "AppCatalog",
     "AppRecord",
     "BeforeOriginError",
     "CountMinSketch",
@@ -93,7 +87,6 @@ __all__ = [
     "PartitionResult",
     "ReviewEdge",
     "ScoredStream",
-    "SharedReviewerEdge",
     "SharedReviewerGraph",
     "SimilarityPair",
     "StreamSummary",
@@ -106,15 +99,11 @@ __all__ = [
     "TruthRecord",
     "WelchResult",
     "build_cluster_report",
-    "classify",
     "collect_clusters",
     "cosine",
     "derive_row_seeds",
     "ecdf",
-    "evaluate_burst",
-    "gen_background",
     "gen_stream",
-    "inject_lockstep",
     "lexical_vector",
     "pairwise_similarity",
     "parse_apps",

@@ -54,6 +54,7 @@ from .ingest import (
     REVIEW_FORMATS,
     BeforeOriginError,
     LineError,
+    csv_after_comments,
     parse_apps,
     parse_reviews,
     write_app_catalog_csv,
@@ -63,7 +64,6 @@ from .ingest import (
 from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .stats import (
     DegenerateSamplesError,
-    SharedReviewerEdge,
     TooSmallError,
     ecdf,
     shared_reviewer_graph,
@@ -116,6 +116,8 @@ def _load(parse, path: Path, effective: dict, what: str, errors_out: str | None 
             items, errors = parse(fh, **kwargs)
     except UnicodeDecodeError as exc:
         raise DataFailure(f"{what} file {path} is not UTF-8 text: {exc}")
+    except ValueError as exc:  # a CSV header that names a column twice
+        raise DataFailure(f"{what} file {path}: {exc}")
     if errors_out:
         write_line_errors(errors, errors_out, source=str(path))
     total = len(items) + len(errors)
@@ -289,16 +291,16 @@ def _parse_column_ref(ref: str) -> tuple[Path, str]:
 def _read_csv_column(path: Path, column: str) -> list[float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [line for line in fh if not line.startswith("#")]
+            _, reader = csv_after_comments(fh)
+            header = next(reader, None)
+            rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DataFailure(f"csv file {path} is not UTF-8 text: {exc}")
-    reader = csv.reader(rows)
-    header = next(reader, None)
     if header is None or column not in header:
         raise DataFailure(f"{path}: no column {column!r}")
     idx = header.index(column)
     values = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         try:
@@ -473,8 +475,7 @@ def cmd_stats_network(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
     edges, _ = _load_reviews(reviews_path, _effective_config(args))
     graph = shared_reviewer_graph(edges)
-    columns = [f.name for f in dataclasses.fields(SharedReviewerEdge)]
-    _emit(_csv_text(columns, graph.rows()), args.out)
+    _emit(_csv_text(("app_a", "app_b", "weight"), graph.rows()), args.out)
     return EXIT_OK
 
 

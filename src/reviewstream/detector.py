@@ -59,7 +59,7 @@ from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .ingest import ReviewEdge, _csv_int, to_tick
+from .ingest import BeforeOriginError, ReviewEdge, _csv_int, csv_after_comments
 from .partition import SubstreamLabel
 from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
@@ -138,18 +138,6 @@ class MicroclusterEvent:
         return self.prior_tick + 1
 
 
-def evaluate_burst(
-    prior_count: float, burst_count: float, burst_factor: float, min_prior: float
-) -> float | None:
-    """Ratio of consecutive-tick counts if it strictly exceeds the burst
-    factor, else None. A non-positive guarded denominator never fires."""
-    denom = max(prior_count, min_prior)
-    if denom <= 0:
-        return None
-    ratio = burst_count / denom
-    return ratio if ratio > burst_factor else None
-
-
 _LABELS = tuple(SubstreamLabel)  # a sub-stream column holds indices into this
 _LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
 _UINT64 = 1 << 64
@@ -214,12 +202,7 @@ class Detector:
         self._slots: dict[str, tuple[int, ...]] = {}  # each app hashed once
         self._held: list[ReviewEdge] = []  # edges of the last closed and the open tick
         self._closed_held = 0  # 1 if the held edges start with a closed tick
-        self._tick = 0
         self._finished = False
-
-    @property
-    def tick(self) -> int:
-        return self._tick
 
     def historical_total(self, app_id: str) -> float:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
@@ -232,24 +215,24 @@ class Detector:
         return self.events
 
     def _ticks(self, edges: Sequence[ReviewEdge]) -> np.ndarray:
-        """Each edge's tick, exact for any int64 timestamp and origin."""
+        """Each edge's tick, exact for any int64 timestamp and origin. The
+        first edge before the origin or with a passed tick raises."""
         origin, period = self.config.origin, self.config.period
         stamps = np.fromiter(map(attrgetter("timestamp"), edges), np.int64, len(edges))
-        if not len(edges) or stamps.min() >= origin:
-            # 0 <= timestamp - origin < 2**64: the uint64 difference is exact
-            delta = stamps.astype(np.uint64) - np.uint64(origin % _UINT64)
-            width = np.uint64(min(period, _UINT64 - 1))
-            ticks = np.maximum(delta // width + (delta % width != 0), 1)
-            if (ticks[1:] >= ticks[:-1]).all():
-                return ticks
-        last = 0  # raise at the first edge before the origin or a passed tick
-        for edge in edges:
-            tick = to_tick(edge.timestamp, origin, period)
-            if tick < last:
-                raise TimeRegressionError(
-                    f"edge {edge.review_id!r} at tick {tick} after tick {last}")
-            last = tick
-        raise AssertionError("unreachable")
+        # 0 <= timestamp - origin < 2**64 at or after the origin: the uint64
+        # difference is exact there, and wraps harmlessly before it
+        delta = stamps.astype(np.uint64) - np.uint64(origin % _UINT64)
+        width = np.uint64(min(period, _UINT64 - 1))
+        ticks = np.maximum(delta // width + (delta % width != 0), 1)
+        before = stamps < origin
+        bad = np.flatnonzero(before | np.append(False, ticks[1:] < ticks[:-1]))
+        if not len(bad):
+            return ticks
+        i = bad[0]
+        if before[i]:
+            raise BeforeOriginError(f"timestamp {edges[i].timestamp} precedes origin {origin}")
+        raise TimeRegressionError(
+            f"edge {edges[i].review_id!r} at tick {ticks[i]} after tick {ticks[i - 1]}")
 
     def process(self, edges: Sequence[ReviewEdge], final: bool = False) -> ScoredStream:
         """Score a batch of edges in stream order; with ``final``, also
@@ -310,7 +293,6 @@ class Detector:
             self._burst_events(tick_values, apps, keys, counts, close[bounds[done]:bounds[closes]])
 
         self.counters["groups"] += bounds[closes] - bounds[done]
-        self._tick = tick_values[-1]
         if not final:
             self._held = edges[tick_start[closes - 1] if closes else 0:]
             self._closed_held = int(closes > 0)
@@ -395,21 +377,19 @@ def read_scores_csv(
     """The scored stream of a scores CSV, each row's edge found by its
     review_id in ``edges``, and the config of its header. A bad header,
     a row of the wrong width, a cell that does not convert, a tick that
-    is not ASCII digits or lies outside [0, 2**64), an unknown label or
-    a review id missing from ``edges`` raises ``ValueError``."""
-    config: dict = {}
+    is not ASCII digits or lies outside [0, 2**64), a non-finite score,
+    an unknown label or a review id missing from ``edges`` raises
+    ``ValueError``. Only the ``#`` lines before the header are comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("# config "):
-                config = json.loads(line[len("# config "):])
-            elif not line.startswith("#"):
-                data_lines.append(line)
-    reader = csv.reader(data_lines)
-    header = next(reader, None)
+        comments, reader = csv_after_comments(fh)
+        header = next(reader, None)
+        rows = [row for row in reader if row]
+    config: dict = {}
+    for line in comments:
+        if line.startswith("# config "):
+            config = json.loads(line[len("# config "):])
     if header is None or tuple(header) != SCORES_COLUMNS:
         raise ValueError(f"unexpected scores header in {path}")
-    rows = [row for row in reader if row]
     for row in rows:
         if len(row) != len(SCORES_COLUMNS):
             raise ValueError(f"scores row {row} has {len(row)} cells, not {len(SCORES_COLUMNS)}")
@@ -423,8 +403,11 @@ def read_scores_csv(
         tick = np.array(list(map(_csv_int, ticks)), np.uint64)
     except OverflowError as exc:  # a tick outside [0, 2**64)
         raise ValueError(f"bad tick: {exc}") from None
-    return ScoredStream(list(map(edges.__getitem__, ids)), tick,
-                        np.array(list(map(float, scores)), np.float64),
+    score = np.array(list(map(float, scores)), np.float64)
+    finite = np.isfinite(score)
+    if not finite.all():
+        raise ValueError(f"scores row {rows[finite.argmin()]} has a non-finite score")
+    return ScoredStream(list(map(edges.__getitem__, ids)), tick, score,
                         np.array(list(map(_LABEL_CODE.__getitem__, labels)), np.int8)), config
 
 
@@ -437,7 +420,8 @@ def write_events_jsonl(events: Iterable[MicroclusterEvent], path: str | Path) ->
 
 def _event_from_json(obj: object) -> MicroclusterEvent:
     """An event whose every field has its annotated type: ``int`` excludes
-    ``bool``, ``float`` also takes ``int``; otherwise ``ValueError``."""
+    ``bool``, ``float`` also takes ``int`` but not NaN or infinity;
+    otherwise ``ValueError``."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {obj!r}")
     values = {}
@@ -449,6 +433,8 @@ def _event_from_json(obj: object) -> MicroclusterEvent:
             value = SubstreamLabel(value)
         elif type(value) is not kind and not (kind is float and type(value) is int):
             raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+        elif type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
         values[name] = value
     return MicroclusterEvent(**values)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import attrgetter
@@ -71,32 +72,6 @@ class LineError:
     line: int
     reason: str
     raw: str
-
-
-class AppCatalog:
-    """App records keyed by app_id with O(1) lookup and no duplicates."""
-
-    def __init__(self, records: Iterable[AppRecord] = ()) -> None:
-        self._by_id: dict[str, AppRecord] = {}
-        for record in records:
-            self.add(record)
-
-    def add(self, record: AppRecord) -> None:
-        if record.app_id in self._by_id:
-            raise ValueError(f"duplicate app_id {record.app_id!r}")
-        self._by_id[record.app_id] = record
-
-    def get(self, app_id: str) -> AppRecord | None:
-        return self._by_id.get(app_id)
-
-    def __contains__(self, app_id: str) -> bool:
-        return app_id in self._by_id
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[AppRecord]:
-        return iter(self._by_id.values())
 
 
 def _as_int(value: object) -> int:
@@ -171,9 +146,9 @@ def _csv_records(
     """Yield (line_number, row, cells) for each data row of a CSV stream.
 
     The first non-blank row is the header, and ``cells`` maps its names
-    to the row's cells (a repeated name takes its last column). A
-    required cell that is empty or past the end of the row is left out,
-    so it reads as missing. Blank rows are skipped. RFC-4180 quoting
+    to the row's cells; a header that names a column twice raises
+    ``ValueError``. A required cell that is empty or past the end of the
+    row is left out, so it reads as missing. Blank rows are skipped. RFC-4180 quoting
     (including embedded newlines) is handled by the csv module; line
     numbers refer to the physical line on which a record ends.
     """
@@ -184,12 +159,29 @@ def _csv_records(
             continue
         if columns is None:
             columns = {name: i for i, name in enumerate(row)}
+            if len(columns) < len(row):
+                twice = next(name for i, name in enumerate(row) if name in row[:i])
+                raise ValueError(f"header names column {twice!r} twice")
             continue
         cells = {
             name: row[i] for name, i in columns.items()
             if i < len(row) and (row[i] or name not in required)
         }
         yield reader.line_num, row, cells
+
+
+def csv_after_comments(lines: Iterable[str]) -> tuple[list[str], Iterator[list[str]]]:
+    """The ``#`` lines before a CSV's header, and a ``csv.reader`` over the
+    header and every later line. Only the leading lines are comments: a
+    later line that starts with ``#`` is data, such as the rest of a
+    quoted cell that holds a newline."""
+    lines = iter(lines)
+    comments: list[str] = []
+    for line in lines:
+        if not line.startswith("#"):
+            return comments, csv.reader(itertools.chain([line], lines))
+        comments.append(line)
+    return comments, iter(())
 
 
 def _raw(line: str | list[str]) -> str:
@@ -232,14 +224,15 @@ def parse_reviews(
     return edges, errors
 
 
-def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
+def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineError]]:
     """Parse an app catalog from CSV lines.
 
     Header: app_id,overall_rating,install_count,name (the last two are
-    optional columns). Duplicate app_ids keep the first record and report
-    a LineError(duplicate); ratings outside [1, 5] are rejected.
+    optional columns). The catalog maps each app_id to its record.
+    Duplicate app_ids keep the first record and report a
+    LineError(duplicate); ratings outside [1, 5] are rejected.
     """
-    catalog = AppCatalog()
+    catalog: dict[str, AppRecord] = {}
     errors: list[LineError] = []
     for lineno, row, cells in _csv_records(lines, REQUIRED_APP_FIELDS):
         if any(field not in cells for field in REQUIRED_APP_FIELDS):
@@ -267,7 +260,7 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
         if app_id in catalog:
             errors.append(LineError(lineno, REASON_DUPLICATE, _raw(row)))
             continue
-        catalog.add(AppRecord(app_id, rating, install_count, cells.get("name") or None))
+        catalog[app_id] = AppRecord(app_id, rating, install_count, cells.get("name") or None)
     return catalog, errors
 
 
@@ -288,18 +281,14 @@ def to_tick(timestamp: int, origin: int, period: int) -> int:
     return max(1, -(-delta // period))
 
 
-def review_to_dict(edge: ReviewEdge) -> dict:
-    """Canonical JSON form of a review; ``text`` omitted when absent."""
+def review_to_line(edge: ReviewEdge) -> str:
+    """Canonical JSON line of a review; ``text`` omitted when absent."""
     # A copy of vars(), not asdict: asdict deep-copies every field, which
     # costs more than encoding the line, once per review.
     obj = dict(vars(edge))
     if edge.text is None:
         del obj["text"]
-    return obj
-
-
-def review_to_line(edge: ReviewEdge) -> str:
-    return json.dumps(review_to_dict(edge), ensure_ascii=False, sort_keys=True)
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
 def write_reviews_jsonl(edges: Iterable[ReviewEdge], path: str | Path) -> None:
@@ -309,23 +298,13 @@ def write_reviews_jsonl(edges: Iterable[ReviewEdge], path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_reviews_jsonl(path: str | Path) -> tuple[list[ReviewEdge], list[LineError]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_reviews(fh, format="jsonl")
-
-
-def write_app_catalog_csv(catalog: AppCatalog, path: str | Path) -> None:
+def write_app_catalog_csv(catalog: dict[str, AppRecord], path: str | Path) -> None:
     columns = [f.name for f in fields(AppRecord)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         # csv writes None as an empty cell and a float as its repr.
-        writer.writerows(map(attrgetter(*columns), catalog))
-
-
-def read_app_catalog_csv(path: str | Path) -> tuple[AppCatalog, list[LineError]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_apps(fh)
+        writer.writerows(map(attrgetter(*columns), catalog.values()))
 
 
 def write_line_errors(

@@ -12,23 +12,13 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable
 
-from .ingest import AppCatalog, ReviewEdge
+from .ingest import AppRecord, ReviewEdge
 
 
 class SubstreamLabel(str, Enum):
     BOOST = "boost"
     SINK = "sink"
     UNPARTITIONED = "unpartitioned"
-
-
-def classify(edge: ReviewEdge, catalog: AppCatalog) -> SubstreamLabel:
-    """Label one edge; ties (score equal to the rating) go to BOOST."""
-    record = catalog.get(edge.app_id)
-    if record is None:
-        return SubstreamLabel.UNPARTITIONED
-    if edge.score >= record.overall_rating:
-        return SubstreamLabel.BOOST
-    return SubstreamLabel.SINK
 
 
 @dataclass
@@ -42,13 +32,18 @@ class PartitionResult:
 
 
 def partition_stream(
-    edges: Iterable[ReviewEdge], catalog: AppCatalog
+    edges: Iterable[ReviewEdge], catalog: dict[str, AppRecord]
 ) -> PartitionResult:
     """Partition an ordered edge stream into disjoint, order-preserving
-    boost/sink/unpartitioned sequences whose union is the input."""
+    boost/sink/unpartitioned sequences whose union is the input; ties
+    (score equal to the rating) go to boost."""
     result = PartitionResult()
-    # Each label's value names its PartitionResult field.
-    buckets = {label: getattr(result, label.value) for label in SubstreamLabel}
     for edge in edges:
-        buckets[classify(edge, catalog)].append(edge)
+        record = catalog.get(edge.app_id)
+        if record is None:
+            result.unpartitioned.append(edge)
+        elif edge.score >= record.overall_rating:
+            result.boost.append(edge)
+        else:
+            result.sink.append(edge)
     return result

@@ -12,9 +12,9 @@ exactly ``rows * cols`` counters regardless of how many keys or inserts
 pass through.
 
 Hashing is BLAKE2b keyed with an 8-byte per-row seed, so layouts are
-deterministic for fixed seeds on every platform. Callers that keep two
-sketches with identical geometry and seeds (as the detector does) can
-hash once via :meth:`locate` and reuse the slot indices on both.
+deterministic for fixed seeds on every platform. A caller that looks a
+key up many times can hash it once via :meth:`locate` and index
+``counters`` with its slots, as the detector does.
 """
 
 from __future__ import annotations
@@ -60,22 +60,15 @@ class CountMinSketch:
             slots.append(int.from_bytes(h.digest(), "big") % self.cols)
         return tuple(slots)
 
-    def insert_at(self, slots: tuple[int, ...], weight: float) -> None:
+    def insert(self, key: str | bytes, weight: float = 1.0) -> None:
         if weight < 0:
             raise ValueError(f"weight must be non-negative, got {weight}")
-        counters = self.counters
-        for row, col in enumerate(slots):
-            counters[row, col] += weight
-
-    def estimate_at(self, slots: tuple[int, ...]) -> float:
-        counters = self.counters
-        return float(min(counters[row, col] for row, col in enumerate(slots)))
-
-    def insert(self, key: str | bytes, weight: float = 1.0) -> None:
-        self.insert_at(self.locate(key), weight)
+        for row, col in enumerate(self.locate(key)):
+            self.counters[row, col] += weight
 
     def estimate(self, key: str | bytes) -> float:
-        return self.estimate_at(self.locate(key))
+        counters = self.counters
+        return float(min(counters[row, col] for row, col in enumerate(self.locate(key))))
 
     def decay(self, alpha: float) -> bool:
         """Multiply every counter by ``alpha`` in [0, 1]; return whether
@@ -87,9 +80,6 @@ class CountMinSketch:
         before = self.counters.copy()
         self.counters *= alpha
         return not np.array_equal(self.counters, before)
-
-    def clear(self) -> None:
-        self.counters[:] = 0.0
 
     @property
     def memory_bytes(self) -> int:

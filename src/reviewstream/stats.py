@@ -7,7 +7,6 @@ stream counts. All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -99,11 +98,6 @@ class EcdfPoints:
     values: np.ndarray
     fractions: np.ndarray
 
-    def fraction_at(self, x: float) -> float:
-        """F(x) = fraction of the sample <= x."""
-        idx = int(np.searchsorted(self.values, x, side="right"))
-        return 0.0 if idx == 0 else float(self.fractions[idx - 1])
-
     def rows(self) -> Iterable[tuple[float, float]]:
         return zip(self.values.tolist(), self.fractions.tolist())
 
@@ -115,16 +109,6 @@ def ecdf(values: Sequence[float]) -> EcdfPoints:
     uniq, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.size
     return EcdfPoints(values=uniq, fractions=fractions)
-
-
-@dataclass(frozen=True)
-class SharedReviewerEdge:
-    """Undirected app pair weighted by the count of distinct reviewers
-    who reviewed both; ids stored sorted, no self-loops."""
-
-    app_a: str
-    app_b: str
-    weight: int
 
 
 # Pair increments expanded at a time, with about 40 bytes of working arrays
@@ -147,9 +131,6 @@ class SharedReviewerGraph:
 
     def rows(self) -> Iterator[tuple[str, str, int]]:
         return zip(self.app_a.tolist(), self.app_b.tolist(), self.weight.tolist())
-
-    def __iter__(self) -> Iterator[SharedReviewerEdge]:
-        return itertools.starmap(SharedReviewerEdge, self.rows())
 
 
 def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .detector import DetectorConfig
-from .ingest import AppCatalog, AppRecord, ReviewEdge
+from .ingest import AppRecord, ReviewEdge
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -116,7 +116,7 @@ class SynthResult:
     spec: SynthSpec
     edges: list[ReviewEdge]
     truth: list[TruthRecord]
-    catalog: AppCatalog
+    catalog: dict[str, AppRecord]
     metadata: dict = field(default_factory=dict)
 
     def injected_ids(self, injection_index: int | None = None) -> set[str]:
@@ -131,29 +131,14 @@ def app_ids(spec: SynthSpec) -> list[str]:
     return [f"a{i:03d}" for i in range(spec.n_apps)]
 
 
-def catalog_for(spec: SynthSpec) -> AppCatalog:
+def catalog_for(spec: SynthSpec) -> dict[str, AppRecord]:
     """Flat synthetic catalog: every app carries the same rating."""
-    return AppCatalog(
-        AppRecord(app_id, spec.base_rating) for app_id in app_ids(spec)
-    )
+    return {app_id: AppRecord(app_id, spec.base_rating) for app_id in app_ids(spec)}
 
 
 def _tick_timestamp(rng: np.random.Generator, tick: int, origin: int, period: int) -> int:
     # tick n covers (origin + (n-1)*period, origin + n*period]
     return origin + (tick - 1) * period + int(rng.integers(1, period + 1))
-
-
-def gen_background(spec: SynthSpec) -> list[ReviewEdge]:
-    """Poisson background traffic, sorted by timestamp.
-
-    Scores land on either side of the flat catalog rating with equal
-    probability, so both sub-streams receive traffic.
-    """
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    edges = _background_edges(spec, rng)
-    edges.sort(key=lambda e: (e.timestamp, e.review_id))
-    return edges
 
 
 def _background_edges(spec: SynthSpec, rng: np.random.Generator) -> list[ReviewEdge]:
@@ -187,9 +172,9 @@ def _background_edges(spec: SynthSpec, rng: np.random.Generator) -> list[ReviewE
 def make_injection_edges(
     injection: Injection,
     rng: np.random.Generator,
-    origin: int = 0,
-    period: int = SynthSpec.period,
-    injection_index: int = 0,
+    origin: int,
+    period: int,
+    injection_index: int,
 ) -> list[ReviewEdge]:
     """The burst edges for one injection, before merging into a stream.
 
@@ -212,25 +197,6 @@ def make_injection_edges(
             text=templates[j % len(templates)],
         ))
     return edges
-
-
-def inject_lockstep(
-    edges: Iterable[ReviewEdge],
-    injection: Injection,
-    rng: np.random.Generator,
-    origin: int = 0,
-    period: int = SynthSpec.period,
-    injection_index: int = 0,
-) -> list[ReviewEdge]:
-    """Append one injection to a stream and re-sort by timestamp.
-
-    Every input edge is preserved; with ``n_edges == 0`` the stream is
-    returned unchanged apart from ordering normalization.
-    """
-    combined = list(edges)
-    combined.extend(make_injection_edges(injection, rng, origin, period, injection_index))
-    combined.sort(key=lambda e: (e.timestamp, e.review_id))
-    return combined
 
 
 def gen_stream(spec: SynthSpec) -> SynthResult:

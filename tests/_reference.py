@@ -28,7 +28,6 @@ from reviewstream.detector import (
     DetectorConfig,
     MicroclusterEvent,
     TimeRegressionError,
-    evaluate_burst,
 )
 from reviewstream.ingest import (
     REASON_DUPLICATE,
@@ -38,7 +37,6 @@ from reviewstream.ingest import (
     REQUIRED_APP_FIELDS,
     REQUIRED_REVIEW_FIELDS,
     REVIEW_FORMATS,
-    AppCatalog,
     AppRecord,
     LineError,
     ReviewEdge,
@@ -336,14 +334,14 @@ def parse_reviews(
     return edges, errors
 
 
-def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
+def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineError]]:
     """Parse an app catalog from CSV lines.
 
     Header: app_id,overall_rating,install_count,name (the last two are
     optional columns). Duplicate app_ids keep the first record and report
     a LineError(duplicate); ratings outside [1, 5] are rejected.
     """
-    catalog = AppCatalog()
+    catalog: dict[str, AppRecord] = {}
     errors: list[LineError] = []
     columns: dict[str, int] = {}
     header_ok = False
@@ -390,7 +388,7 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
         if app_id in catalog:
             errors.append(LineError(lineno, REASON_DUPLICATE, raw))
             continue
-        catalog.add(AppRecord(app_id, rating, install_count, cell("name")))
+        catalog[app_id] = AppRecord(app_id, rating, install_count, cell("name"))
     return catalog, errors
 
 
@@ -399,6 +397,31 @@ def parse_apps(lines: Iterable[str]) -> tuple[AppCatalog, list[LineError]]:
 # close that merges apps one by one. The batch core in
 # ``reviewstream.detector`` must reproduce its scores, ticks, events and
 # history bit for bit.
+
+def evaluate_burst(
+    prior_count: float, burst_count: float, burst_factor: float, min_prior: float
+) -> float | None:
+    """Ratio of consecutive-tick counts if it strictly exceeds the burst
+    factor, else None. A non-positive guarded denominator never fires."""
+    denom = max(prior_count, min_prior)
+    if denom <= 0:
+        return None
+    ratio = burst_count / denom
+    return ratio if ratio > burst_factor else None
+
+
+def _insert(sketch: CountMinSketch, slots: tuple[int, ...], weight: float) -> None:
+    """Add ``weight`` to the counter at each row's slot."""
+    counters = sketch.counters
+    for row, col in enumerate(slots):
+        counters[row, col] += weight
+
+
+def _estimate(sketch: CountMinSketch, slots: tuple[int, ...]) -> float:
+    """The least of the counters at each row's slot."""
+    counters = sketch.counters
+    return float(min(counters[row, col] for row, col in enumerate(slots)))
+
 
 @dataclass
 class _AppRegister:
@@ -438,7 +461,7 @@ class Detector:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
         register = self._registers.get(app_id)
         slots = register.slots if register is not None else self._history.locate(app_id)
-        return self._history.estimate_at(slots)
+        return _estimate(self._history, slots)
 
     def process_edge(self, edge: ReviewEdge) -> tuple[ReviewEdge, SubstreamLabel, int, float]:
         """The edge scored: ``(edge, substream, tick, score)``."""
@@ -465,9 +488,9 @@ class Detector:
         register.cur_raw += 1
 
         slots = register.slots
-        self._current.insert_at(slots, 1.0)
-        cur = self._current.estimate_at(slots)
-        total = self._history.estimate_at(slots) + cur
+        _insert(self._current, slots, 1.0)
+        cur = _estimate(self._current, slots)
+        total = _estimate(self._history, slots) + cur
         if tick <= 1 or total <= 0.0:
             score = 0.0
         else:
@@ -491,7 +514,7 @@ class Detector:
             for _ in range(new_tick - self._tick):
                 if not self._history.decay(self.config.decay):
                     break
-            self._current.clear()
+            self._current.counters[:] = 0.0
         self._tick = new_tick
 
     def _close_tick(self) -> None:
@@ -515,10 +538,10 @@ class Detector:
                     ))
             slots = register.slots
             if register.last_score > cfg.filter_threshold and closing >= 2:
-                expected = self._history.estimate_at(slots) / (closing - 1)
-                self._history.insert_at(slots, expected)
+                expected = _estimate(self._history, slots) / (closing - 1)
+                _insert(self._history, slots, expected)
             else:
-                self._history.insert_at(slots, float(register.cur_raw))
+                _insert(self._history, slots, float(register.cur_raw))
             register.prev_tick = closing
             register.prev_raw = register.cur_raw
         self._touched = []

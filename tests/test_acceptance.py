@@ -23,7 +23,7 @@ from reviewstream.clusters import (
     pairwise_similarity,
 )
 from reviewstream.detector import DetectorConfig, run_detector
-from reviewstream.ingest import ReviewEdge, read_app_catalog_csv, read_reviews_jsonl
+from reviewstream.ingest import ReviewEdge, parse_apps, parse_reviews
 from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.sketch import CountMinSketch, derive_row_seeds
 from reviewstream.stats import summarize, welch_t
@@ -316,8 +316,10 @@ DATASET_DIR = os.environ.get("REVIEWSTREAM_DATASET")
 def test_full_dataset_headline_counts():
     reviews_path = os.path.join(DATASET_DIR, "reviews.jsonl")
     catalog_path = os.path.join(DATASET_DIR, "apps.csv")
-    edges, _ = read_reviews_jsonl(reviews_path)
-    catalog, _ = read_app_catalog_csv(catalog_path)
+    with open(reviews_path, encoding="utf-8") as fh:
+        edges, _ = parse_reviews(fh)
+    with open(catalog_path, encoding="utf-8") as fh:
+        catalog, _ = parse_apps(fh)
     summary = summarize(partition_stream(edges, catalog))
     counts_ok = (
         summary.reviews == 319_198

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import pytest
@@ -390,6 +391,34 @@ class TestStagedEqualsPipeline:
         for name in ("scores.csv", "events.jsonl", "clusters.json"):
             assert (staged / name).read_bytes() == (out_dir / name).read_bytes(), name
 
+    def test_review_id_with_a_hash_line_round_trips(self, synth_files, tmp_path):
+        # The id's second line starts with "#": in scores.csv that line
+        # continues a quoted cell; only the "#" lines before the header are comments.
+        reviews, _, catalog = synth_files
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        plain_scores, _ = score_files(reviews, catalog, plain)
+        lines = reviews.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        lines[0] = json.dumps({**first, "review_id": first["review_id"] + "\n# odd"}) + "\n"
+        reviews.write_text("".join(lines), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run_pipeline(reviews, catalog, out_dir) == EXIT_OK
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        scores, events = score_files(reviews, catalog, staged)
+        assert "\n# odd" in scores.read_text(encoding="utf-8")
+        report = staged / "clusters.json"
+        assert main([
+            "clusters", "--reviews", str(reviews), "--scores", str(scores),
+            "--events", str(events), "--out", str(report),
+        ]) == EXIT_OK
+        assert report.read_bytes() == (out_dir / "clusters.json").read_bytes()
+        cdf, plain_cdf = staged / "cdf.csv", plain / "cdf.csv"
+        for path, out in ((scores, cdf), (plain_scores, plain_cdf)):
+            assert main(["stats", "cdf", "--scores", str(path), "--out", str(out)]) == EXIT_OK
+        assert cdf.read_bytes() == plain_cdf.read_bytes()
+
 
 class TestRejections:
     def test_top_below_one_exits_3_for_pipeline(self, synth_files, tmp_path):
@@ -444,7 +473,7 @@ class TestRejections:
         "scores", "events", "scores-short-row", "events-str-tick", "events-bool-count",
         "scores-negative-tick", "scores-tick-2-64", "scores-unknown-substream",
         "scores-non-numeric-score", "scores-unknown-review", "scores-plus-tick",
-        "scores-space-tick", "scores-underscore-tick",
+        "scores-space-tick", "scores-underscore-tick", "scores-nan-score", "events-nan-ratio",
     ])
     def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
                                                                caplog, bad):
@@ -476,6 +505,9 @@ class TestRejections:
             "scores-plus-tick": (scores, first_row("tick", "+3")),
             "scores-space-tick": (scores, first_row("tick", " 3")),
             "scores-underscore-tick": (scores, first_row("tick", "1_0")),
+            # a NaN would reach clusters.json as `NaN`, which is not JSON
+            "scores-nan-score": (scores, first_row("score", "nan")),
+            "events-nan-ratio": (events, json.dumps({**event, "ratio": math.nan}) + "\n"),
         }[bad]
         broken.write_text(text)
         report = tmp_path / "clusters.json"
@@ -572,6 +604,14 @@ EXIT_CASES = {
                         {"s.csv": "score\n"}, EXIT_DATA, "s.csv: no values in column 'score'"),
     "pipeline-write-fails": (PIPELINE + ["--origin", "0"], {"out/summary.json/": None},
                              EXIT_CONFIG, "out/summary.json"),
+    "reviews-csv-names-a-column-twice": (
+        PIPELINE + ["--origin", "0", "--reviews", "r.csv", "--format", "csv"],
+        {"r.csv": "review_id,reviewer_id,app_id,timestamp,score,score\nr1,u1,a000,1,5,4\n"},
+        EXIT_DATA, "reviews file r.csv: header names column 'score' twice"),
+    "catalog-names-a-column-twice": (
+        PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
+        {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},
+        EXIT_DATA, "catalog file c.csv: header names column 'app_id' twice"),
 }
 
 

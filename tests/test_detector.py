@@ -13,7 +13,6 @@ from reviewstream.detector import (
     Detector,
     DetectorConfig,
     TimeRegressionError,
-    evaluate_burst,
     read_events_jsonl,
     read_scores_csv,
     run_detector,
@@ -24,7 +23,7 @@ from reviewstream.ingest import BeforeOriginError, ReviewEdge, to_tick
 from reviewstream.partition import SubstreamLabel
 
 import _reference
-from _reference import ExactScorer, brute_force_events
+from _reference import ExactScorer, brute_force_events, evaluate_burst
 
 PERIOD = 10
 BOOST = SubstreamLabel.BOOST
@@ -404,3 +403,45 @@ def test_origin_at_the_int64_floor_gives_exact_ticks():
     scored, _ = run_detector(edges, config, BOOST)
     assert scored.tick.tolist() == [to_tick(e.timestamp, -(2**63), 1) for e in edges]
     assert scored.tick.tolist()[-1] == 2**64 - 1
+
+
+@st.composite
+def faulty_streams(draw):
+    """A stream whose steps may go back in time or before the origin, and
+    the cuts that split it into batches."""
+    period = draw(st.sampled_from([1, 7, 86_400]))
+    origin = draw(st.sampled_from([0, 10**9, 2**62]))
+    timestamp = origin + draw(st.integers(0, 8 * period))
+    edges = []
+    kinds = ["same"] + ["next"] * 4 + ["back"] * 2 + ["before"] * draw(st.integers(0, 1))
+    steps = st.sampled_from(kinds)
+    for i, step in enumerate(draw(st.lists(steps, min_size=1, max_size=30))):
+        if step == "next":
+            timestamp += draw(st.integers(1, 2 * period))
+        elif step == "back":
+            timestamp -= draw(st.integers(1, 3 * period))
+        stamp = origin - draw(st.integers(1, 2 * period)) if step == "before" else timestamp
+        edges.append(ReviewEdge(f"r{i}", f"u{i}", f"app{i % 3}", stamp, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), max_size=6)))
+    return cfg(origin=origin, period=period), edges, cuts
+
+
+def _first_error(feed) -> tuple[type, str] | None:
+    try:
+        feed()
+    except (BeforeOriginError, TimeRegressionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_streams())
+def test_batches_raise_the_per_edge_detectors_error(run):
+    """The first edge before the origin or with a passed tick raises the
+    error, with the message, that the per-edge detector raises for it."""
+    config, edges, cuts = run
+    reference = _reference.Detector(config, BOOST)
+    expected = _first_error(lambda: [reference.process_edge(edge) for edge in edges])
+    detector = Detector(config, BOOST)
+    batches = [edges[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(edges)])]
+    assert _first_error(lambda: [detector.process(batch) for batch in batches]) == expected

@@ -1,0 +1,60 @@
+"""The package's exported names stay in step with what its ``__init__``
+imports, and names removed from the library stay gone."""
+
+import ast
+import re
+from pathlib import Path
+
+import reviewstream
+from reviewstream import cli, detector, ingest, partition, sketch, stats, synth
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Names removed from the library's modules, and members removed from its classes.
+REMOVED_NAMES = {
+    ingest: ["AppCatalog", "read_reviews_jsonl", "read_app_catalog_csv", "review_to_dict"],
+    partition: ["classify"],
+    detector: ["evaluate_burst"],
+    stats: ["SharedReviewerEdge"],
+    synth: ["gen_background", "inject_lockstep"],
+}
+REMOVED_MEMBERS = [
+    (detector.Detector, "tick"), (sketch.CountMinSketch, "insert_at"),
+    (sketch.CountMinSketch, "estimate_at"), (sketch.CountMinSketch, "clear"),
+    (stats.SharedReviewerGraph, "__iter__"), (stats.EcdfPoints, "fraction_at"),
+]
+
+
+def test_all_has_no_duplicates_and_every_name_resolves():
+    names = reviewstream.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(reviewstream, name)] == []
+
+
+def test_every_public_import_is_exported():
+    tree = ast.parse((ROOT / "src" / "reviewstream" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(n for n in imported if not n.startswith("_")) == sorted(
+        n for n in reviewstream.__all__ if n != "__version__")
+
+
+def test_removed_names_stay_gone():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for module, names in REMOVED_NAMES.items():
+        for name in names:
+            assert not hasattr(module, name), name
+            assert name not in reviewstream.__all__
+            assert not re.search(rf"\b{name}\b", readme), name
+    for cls, name in REMOVED_MEMBERS:
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_every_benchmark_entry_point_is_bound_in_cli():
+    """The layer trace wraps these names where ``cli`` resolves them."""
+    for name in ("parse_reviews", "parse_apps", "summarize", "partition_stream",
+                 "run_detector", "collect_clusters", "rank_clusters", "build_cluster_report",
+                 "welch_t", "ecdf", "write_scores_csv", "write_events_jsonl",
+                 "shared_reviewer_graph"):
+        assert callable(getattr(cli, name)), name
+    assert detector.CountMinSketch is sketch.CountMinSketch

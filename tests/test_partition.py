@@ -1,15 +1,22 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reviewstream.ingest import AppCatalog, AppRecord, ReviewEdge
-from reviewstream.partition import SubstreamLabel, classify, partition_stream
+from reviewstream.ingest import AppRecord, ReviewEdge
+from reviewstream.partition import SubstreamLabel, partition_stream
 
 
 def edge(review_id, app_id="a1", score=5, ts=0):
     return ReviewEdge(review_id, f"u-{review_id}", app_id, ts, score)
 
 
-CATALOG = AppCatalog([AppRecord("a1", 4.3), AppRecord("a2", 4.0)])
+def classify(edge, catalog):
+    """The label of the one list of ``partition_stream`` that holds the edge."""
+    result = partition_stream([edge], catalog)
+    (label,) = [label for label in SubstreamLabel if getattr(result, label.value) == [edge]]
+    return label
+
+
+CATALOG = {"a1": AppRecord("a1", 4.3), "a2": AppRecord("a2", 4.0)}
 
 
 def test_score_above_rating_boosts():
@@ -63,7 +70,7 @@ def test_determinism():
 
 @given(rating=st.floats(1.0, 5.0), low=st.integers(1, 5), bump=st.integers(0, 4))
 def test_raising_score_never_flips_boost_to_sink(rating, low, bump):
-    catalog = AppCatalog([AppRecord("a", rating)])
+    catalog = {"a": AppRecord("a", rating)}
     high = min(5, low + bump)
     lo_label = classify(edge("x", "a", low), catalog)
     hi_label = classify(edge("y", "a", high), catalog)

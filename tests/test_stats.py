@@ -13,7 +13,7 @@ from scipy.stats import t as t_dist  # the p-value oracle; welch_t does not impo
 
 from _reference import shared_reviewer_weights
 from reviewstream import stats as stats_module
-from reviewstream.ingest import AppCatalog, AppRecord, ReviewEdge
+from reviewstream.ingest import AppRecord, ReviewEdge
 from reviewstream.partition import partition_stream
 from reviewstream.stats import (
     DegenerateSamplesError,
@@ -130,8 +130,9 @@ def test_imports_load_no_scipy_stats():
 class TestEcdf:
     def test_basic_fractions(self):
         points = ecdf([1.0, 2.0, 3.0])
-        assert points.fraction_at(2.0) == pytest.approx(2 / 3)
-        assert points.fraction_at(0.5) == 0.0
+        assert points.values.tolist() == [1.0, 2.0, 3.0]
+        assert points.fractions[1] == pytest.approx(2 / 3)  # F(2.0)
+        assert points.values[0] > 0.5  # F(0.5) = 0: no support point at or below it
 
     def test_all_equal_collapses_to_one_point(self):
         points = ecdf([5.0, 5.0, 5.0])
@@ -156,8 +157,8 @@ class TestEcdf:
         lower = draws - np.arange(0, n) / n
         d_stat = max(upper.max(), lower.max())
         points = ecdf(draws)
-        for i, x in enumerate(draws):
-            assert points.fraction_at(x) == pytest.approx((i + 1) / n)
+        assert points.values.tolist() == draws.tolist()  # F(draws[i]) = fractions[i]
+        assert points.fractions.tolist() == pytest.approx((np.arange(1, n + 1) / n).tolist())
         assert d_stat < 1.63 / np.sqrt(n)
 
 
@@ -170,17 +171,16 @@ def test_ecdf_last_fraction_is_one(values):
 class TestSharedReviewerGraph:
     def test_one_shared_reviewer(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "B")]
-        graph = shared_reviewer_graph(edges)
-        assert [(g.app_a, g.app_b, g.weight) for g in graph] == [("A", "B", 1)]
+        assert list(shared_reviewer_graph(edges).rows()) == [("A", "B", 1)]
 
     def test_repeat_reviews_count_once(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "A"), edge("r3", "u1", "B")]
-        graph = list(shared_reviewer_graph(edges))
-        assert graph[0].weight == 1
+        graph = list(shared_reviewer_graph(edges).rows())
+        assert graph[0][2] == 1
 
     def test_no_self_loops_or_zero_weights(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u2", "B")]
-        assert list(shared_reviewer_graph(edges)) == []
+        assert list(shared_reviewer_graph(edges).rows()) == []
 
     def test_empty_and_unshared_give_no_pairs(self):
         assert len(shared_reviewer_graph([])) == 0
@@ -204,7 +204,7 @@ class TestSharedReviewerGraph:
         apps = ["f", "a", "e", "b", "d", "c"]
         edges = [edge(f"r{u}{i}", f"u{u}", app) for u in (1, 2) for i, app in enumerate(apps)]
         edges += [edge("r31", "u3", "a"), edge("r32", "u3", "z"), edge("r4", "u4", "q")]
-        got = [(g.app_a, g.app_b, g.weight) for g in shared_reviewer_graph(edges)]
+        got = list(shared_reviewer_graph(edges).rows())
         assert got == shared_reviewer_weights(edges)
         assert sum(w for _, _, w in got) == 31
 
@@ -224,9 +224,9 @@ class TestSharedReviewerGraph:
         edges = [edge(f"r{i}", f"u{u}", app) for i, (u, app) in enumerate(reviews)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stats_module, "_PAIR_BLOCK_ENTRIES", block)
-            graph = list(shared_reviewer_graph(edges))
-        assert [(g.app_a, g.app_b, g.weight) for g in graph] == shared_reviewer_weights(edges)
-        assert all(type(g.weight) is int for g in graph)
+            graph = list(shared_reviewer_graph(edges).rows())
+        assert graph == shared_reviewer_weights(edges)
+        assert all(type(w) is int for _, _, w in graph)
 
     @settings(max_examples=60)
     @given(st.lists(
@@ -236,7 +236,7 @@ class TestSharedReviewerGraph:
         edges = [
             edge(f"r{i}", f"u{u}", f"a{a}") for i, (u, a) in enumerate(pairs)
         ]
-        got = {(g.app_a, g.app_b): g.weight for g in shared_reviewer_graph(edges)}
+        got = {(a, b): w for a, b, w in shared_reviewer_graph(edges).rows()}
         # oracle: direct pairwise intersection of reviewer sets
         reviewers: dict[str, set[str]] = {}
         for e in edges:
@@ -252,7 +252,7 @@ class TestSharedReviewerGraph:
 
 
 class TestSummarize:
-    CATALOG = AppCatalog([AppRecord("A", 4.0)])
+    CATALOG = {"A": AppRecord("A", 4.0)}
 
     def test_counts(self):
         edges = [

@@ -5,13 +5,7 @@ from reviewstream.detector import DetectorConfig, run_detector
 from reviewstream.ingest import review_to_line, to_tick
 from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.stats import shared_reviewer_graph
-from reviewstream.synth import (
-    Injection,
-    SynthSpec,
-    gen_background,
-    gen_stream,
-    inject_lockstep,
-)
+from reviewstream.synth import Injection, SynthSpec, gen_stream
 
 PERIOD = 86_400
 
@@ -47,7 +41,7 @@ def test_different_seed_differs():
 def test_poisson_mean_over_many_seeds():
     # 2 edges/app/tick * 20 apps * 30 ticks = 1200 expected per seed
     totals = [
-        len(gen_background(spec(n_apps=20, ticks=30, background_rate=2.0, seed=i)))
+        len(gen_stream(spec(n_apps=20, ticks=30, background_rate=2.0, seed=i)).edges)
         for i in range(100)
     ]
     assert 1200 * 0.95 <= np.mean(totals) <= 1200 * 1.05
@@ -80,16 +74,14 @@ def test_injection_adds_exactly_n_edges_to_target_tick():
 
 
 def test_zero_edge_injection_is_identity():
-    background = gen_background(spec())
-    rng = np.random.default_rng(0)
-    out = inject_lockstep(background, Injection("a000", 3, 0, 1, "boost"), rng)
+    background = gen_stream(spec()).edges
+    out = gen_stream(spec(injections=(Injection("a000", 3, 0, 1, "boost"),))).edges
     assert out == background
 
 
 def test_injection_preserves_background():
-    background = gen_background(spec())
-    rng = np.random.default_rng(0)
-    out = inject_lockstep(background, Injection("a000", 3, 9, 3, "sink"), rng)
+    background = gen_stream(spec()).edges
+    out = gen_stream(spec(injections=(Injection("a000", 3, 9, 3, "sink"),))).edges
     assert set(background) <= set(out)
     assert len(out) == len(background) + 9
 
@@ -133,7 +125,5 @@ def test_coordinated_reviewers_boosting_two_apps_fire_both():
     fired = {e.app_id for e in events if e.burst_tick == 6}
     assert {"a001", "a002"} <= fired
     # the same three workers appear on both apps
-    weights = {
-        (g.app_a, g.app_b): g.weight for g in shared_reviewer_graph(result.edges)
-    }
+    weights = {(a, b): w for a, b, w in shared_reviewer_graph(result.edges).rows()}
     assert weights.get(("a001", "a002"), 0) >= 3
