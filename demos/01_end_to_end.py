@@ -11,6 +11,7 @@ from reviewstream import (
     DetectorConfig,
     Injection,
     LexicalEmbedder,
+    ReviewTable,
     SubstreamLabel,
     SynthSpec,
     collect_clusters,
@@ -38,8 +39,10 @@ print(f"generated {len(result.edges)} reviews "
       f"({len(result.injected_ids())} injected, hidden from the detector)")
 
 # Split by intent. An edge boosts its app when the star score is at or
-# above the app's overall rating, otherwise it sinks it.
-partitioned = partition_stream(result.edges, result.catalog)
+# above the app's overall rating, otherwise it sinks it. The library reads
+# reviews as a columnar table; the generated edges are already in time order.
+table = ReviewTable.from_edges(result.edges)
+partitioned = partition_stream(table.rows(), result.catalog)
 summary = summarize(partitioned)
 print(f"stream summary: {asdict(summary)}")
 print(f"partition: {partitioned.counts()}")

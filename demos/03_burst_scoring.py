@@ -7,7 +7,7 @@ Run:  python3 demos/03_burst_scoring.py
 
 import math
 
-from reviewstream import DetectorConfig, ReviewEdge, SubstreamLabel, run_detector
+from reviewstream import DetectorConfig, ReviewEdge, ReviewTable, SubstreamLabel, run_detector
 
 PERIOD = 86_400
 
@@ -31,12 +31,12 @@ def day_stream(counts: dict[int, int]) -> list[ReviewEdge]:
 counts = {day: 3 for day in range(1, 20)}
 counts[8] = 90
 counts[16] = 90
-edges = day_stream(counts)
+stream = ReviewTable.from_edges(day_stream(counts)).rows()  # the table's rows, in order
 
 
 def describe(threshold: float, label: str) -> None:
     config = DetectorConfig(origin=0, decay=0.6, filter_threshold=threshold)
-    scored, events = run_detector(edges, config, SubstreamLabel.BOOST)
+    scored, events = run_detector(stream, config, SubstreamLabel.BOOST)
     final = dict(zip(scored.tick.tolist(), scored.score.tolist()))  # last edge of the day wins
     print(f"\n{label} (filter threshold {threshold}):")
     print("  day:   " + " ".join(f"{d:>7d}" for d in sorted(final)))

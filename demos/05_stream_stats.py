@@ -10,6 +10,7 @@ import numpy as np
 from reviewstream import (
     DetectorConfig,
     Injection,
+    ReviewTable,
     SubstreamLabel,
     SynthSpec,
     ecdf,
@@ -35,7 +36,8 @@ spec = SynthSpec(
     ),
 )
 result = gen_stream(spec)
-partitioned = partition_stream(result.edges, result.catalog)
+table = ReviewTable.from_edges(result.edges)
+partitioned = partition_stream(table.rows(), result.catalog)
 config = DetectorConfig(origin=0)
 boost_scored, _ = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
 sink_scored, _ = run_detector(partitioned.sink, config, SubstreamLabel.SINK)
@@ -60,7 +62,7 @@ print(f"\nWelch's t-test, boost mean {outcome.mean_a:.2f} vs sink mean "
 # The same 4 reviewer ids appear on all three boosted apps, so those
 # apps become a visible clique in the shared-reviewer network.
 print("\nstrongest shared-reviewer app pairs:")
-graph = sorted(shared_reviewer_graph(result.edges).rows(), key=lambda row: -row[2])
+graph = sorted(shared_reviewer_graph(table).rows(), key=lambda row: -row[2])
 for app_a, app_b, weight in graph[:6]:
     print(f"  {app_a} -- {app_b}: {weight} shared reviewers")
 

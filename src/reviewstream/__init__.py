@@ -38,6 +38,8 @@ from .ingest import (
     BeforeOriginError,
     LineError,
     ReviewEdge,
+    ReviewRows,
+    ReviewTable,
     parse_apps,
     parse_reviews,
     to_tick,
@@ -86,6 +88,8 @@ __all__ = [
     "PairAnalysis",
     "PartitionResult",
     "ReviewEdge",
+    "ReviewRows",
+    "ReviewTable",
     "ScoredStream",
     "SharedReviewerGraph",
     "SimilarityPair",

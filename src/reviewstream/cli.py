@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -27,6 +28,8 @@ import time
 import typing
 from pathlib import Path
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__
 from .clusters import (
@@ -54,6 +57,7 @@ from .ingest import (
     REVIEW_FORMATS,
     BeforeOriginError,
     LineError,
+    check_csv_header,
     csv_after_comments,
     parse_apps,
     parse_reviews,
@@ -64,6 +68,7 @@ from .ingest import (
 from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .stats import (
     DegenerateSamplesError,
+    SharedReviewerGraph,
     TooSmallError,
     ecdf,
     shared_reviewer_graph,
@@ -151,6 +156,26 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
+def _quoted(cells: Sequence[str]) -> list[str]:
+    """Each cell as ``csv.writer`` writes it, with ``_csv_text``'s line
+    terminator, among other cells of a row: each is written once, in a
+    row of two cells whose second is empty (a row of one empty cell
+    would be quoted), and cut out of the text by the lengths written."""
+    buf = io.StringIO()
+    write = csv.writer(buf, lineterminator="\n").writerow
+    ends = list(itertools.accumulate(write((cell, "")) for cell in cells))
+    text = buf.getvalue()
+    return [text[start:end - 2] for start, end in zip([0, *ends], ends)]
+
+
+def _network_csv(graph: SharedReviewerGraph) -> str:
+    """The ``app_a,app_b,weight`` CSV of a graph, each app id quoted once."""
+    quoted = _quoted(graph.apps)
+    lines = map("{},{},{}\n".format, map(quoted.__getitem__, graph.app_a.tolist()),
+                map(quoted.__getitem__, graph.app_b.tolist()), graph.weight.tolist())
+    return "app_a,app_b,weight\n" + "".join(lines)
+
+
 def _ecdf_csv(values: Sequence[float]) -> str:
     """`value,fraction` CSV of the empirical CDF; only the header if empty."""
     rows = ((repr(v), repr(f)) for v, f in ecdf(values).rows()) if values else ()
@@ -231,7 +256,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigFailure(f"config file {path} is not UTF-8 text: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits
             raise ConfigFailure(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigFailure(f"config file {path} must hold a JSON object")
@@ -298,6 +323,10 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
         raise DataFailure(f"csv file {path} is not UTF-8 text: {exc}")
     if header is None or column not in header:
         raise DataFailure(f"{path}: no column {column!r}")
+    try:
+        check_csv_header(header)
+    except ValueError as exc:
+        raise DataFailure(f"{path}: {exc}")
     idx = header.index(column)
     values = []
     for row in rows:
@@ -352,13 +381,13 @@ def _load_and_score(args: argparse.Namespace, effective: dict, config: DetectorC
     logger.info("effective config: %s",
                 json.dumps({**config.to_dict(), **logged}, sort_keys=True))
     stages = _Stages()
-    edges, review_errors = _load_reviews(reviews_path, effective)
-    stages.done("parse_reviews", len(edges) + len(review_errors), len(edges))
+    table, review_errors = _load_reviews(reviews_path, effective)
+    stages.done("parse_reviews", len(table) + len(review_errors), len(table))
     catalog, catalog_errors = _load(parse_apps, catalog_path, effective, "catalog")
     stages.done("parse_catalog", len(catalog) + len(catalog_errors), len(catalog))
-    ordered = sorted(edges, key=lambda e: e.timestamp)  # stable: ties keep input order
-    partitioned = partition_stream(ordered, catalog)
-    stages.done("partition", len(edges), sum(partitioned.counts().values()))
+    ordered = np.argsort(table.timestamp, kind="stable")  # ties keep input order
+    partitioned = partition_stream(table.rows(ordered), catalog)
+    stages.done("partition", len(table), sum(partitioned.counts().values()))
     try:
         boost, boost_events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
         stages.done("detect_boost", len(partitioned.boost), len(boost))
@@ -389,9 +418,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
     if args.errors:
         Path(args.errors).unlink(missing_ok=True)
-    edges, errors = _load_reviews(reviews_path, effective, args.errors)
-    write_reviews_jsonl(edges, args.out)
-    _print_json({"reviews": len(edges), "errors": len(errors)})
+    table, errors = _load_reviews(reviews_path, effective, args.errors)
+    write_reviews_jsonl(table.edges(), args.out)
+    _print_json({"reviews": len(table), "errors": len(errors)})
     return EXIT_OK
 
 
@@ -406,10 +435,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _scored_from_files(reviews_path: Path, scores_path: Path, effective: dict):
-    edges, _ = _load_reviews(reviews_path, effective)
+    table, _ = _load_reviews(reviews_path, effective)
     try:
-        return read_scores_csv(scores_path, {e.review_id: e for e in edges})[0]
-    except ValueError as exc:  # also bad JSON or UTF-8
+        return read_scores_csv(scores_path, table)[0]
+    except (ValueError, RecursionError) as exc:  # also bad JSON or UTF-8
         raise DataFailure(f"scores file {scores_path} is malformed: {exc}")
 
 
@@ -434,8 +463,8 @@ def cmd_clusters(args: argparse.Namespace) -> int:
 def cmd_pairs(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     provider, tau = _provider(effective)
-    edges, _ = _load_reviews(_require_file(args.reviews, "reviews"), effective)
-    analysis = pairwise_similarity(edges, provider, tau)
+    table, _ = _load_reviews(_require_file(args.reviews, "reviews"), effective)
+    analysis = pairwise_similarity(table.edges(), provider, tau)
     result = {
         "provider": provider.name,
         "tau": tau,
@@ -473,9 +502,8 @@ def cmd_stats_cdf(args: argparse.Namespace) -> int:
 
 def cmd_stats_network(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
-    edges, _ = _load_reviews(reviews_path, _effective_config(args))
-    graph = shared_reviewer_graph(edges)
-    _emit(_csv_text(("app_a", "app_b", "weight"), graph.rows()), args.out)
+    table, _ = _load_reviews(reviews_path, _effective_config(args))
+    _emit(_network_csv(shared_reviewer_graph(table)), args.out)
     return EXIT_OK
 
 
@@ -483,7 +511,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = _require_file(args.spec, "spec")
     try:
         spec = SynthSpec.from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigFailure(f"bad synth spec {spec_path}: {exc}")
     logger.info("synth rng=%s seed=%d", RNG_ALGORITHM, spec.seed)
     result = gen_stream(spec)

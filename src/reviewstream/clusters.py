@@ -24,9 +24,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from math import sqrt
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -158,7 +157,7 @@ class FileEmbedder:
                     obj = json.loads(line)
                     review_id, values = obj["review_id"], obj["vector"]
                     vec = np.asarray(values, dtype=np.float64)
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                     raise EmbeddingFileError(
                         f"{where}: not a {{review_id, vector}} object: {exc!r}"
                     ) from None
@@ -195,32 +194,33 @@ def collect_clusters(
     """One cluster per event: all same-sub-stream scored edges of the
     event's app in its burst tick, in stream order."""
     labels = list(SubstreamLabel)
-    app_code = {e.app_id: code for code, e in enumerate(events)}  # -1: no event
-    app = np.fromiter(map(app_code.get, map(attrgetter("app_id"), scored.edges), repeat(-1)),
-                      np.int64, len(scored))
+    table = scored.table
+    app_code = {app_id: code for code, app_id in enumerate(table.app_ids)}
     ticks, tick_rank = np.unique(scored.tick, return_inverse=True)
     rank_of = dict(zip(ticks.tolist(), range(len(ticks))))
-    keys = (app * len(labels) + scored.substream) * (len(ticks) + 1) + tick_rank
+    keys = (table.app[scored.row] * len(labels) + scored.substream) * (len(ticks) + 1) + tick_rank
     order = np.argsort(keys, kind="stable")
-    wanted = np.array([(app_code[e.app_id] * len(labels) + labels.index(e.substream))
+    wanted = np.array([(app_code.get(e.app_id, -1) * len(labels) + labels.index(e.substream))
                        * (len(ticks) + 1) + rank_of.get(e.burst_tick, len(ticks))
                        for e in events], dtype=np.int64)
     lo, hi = np.searchsorted(keys[order], [wanted, wanted + 1])
-    clusters: list[SuspiciousCluster] = []
-    for event, rows in zip(events, map(order.__getitem__, map(slice, lo.tolist(), hi.tolist()))):
-        if not len(rows):
+    picked = [order[a:b].tolist() for a, b in zip(lo.tolist(), hi.tolist())]
+    for event, rows in zip(events, picked):
+        if not rows:
             raise InconsistentRunError(
                 f"event for app {event.app_id!r} at tick {event.burst_tick} "
                 f"({event.substream.value}) has no scored edges"
             )
-        clusters.append(SuspiciousCluster(
-            app_id=event.app_id,
-            substream=event.substream,
-            tick=event.burst_tick,
-            members=tuple(map(scored.edges.__getitem__, rows.tolist())),
-            mean_score=sum(scored.score[rows].tolist()) / len(rows),
-        ))
-    return clusters
+    # The members of every cluster built in one call, then dealt out in order.
+    members = iter(table.edges(scored.row[[i for rows in picked for i in rows]]))
+    score = scored.score.tolist()
+    return [SuspiciousCluster(
+        app_id=event.app_id,
+        substream=event.substream,
+        tick=event.burst_tick,
+        members=tuple(islice(members, len(rows))),
+        mean_score=sum(map(score.__getitem__, rows)) / len(rows),
+    ) for event, rows in zip(events, picked)]
 
 
 def rank_clusters(

@@ -53,13 +53,12 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
-from .ingest import BeforeOriginError, ReviewEdge, _csv_int, csv_after_comments
+from .ingest import BeforeOriginError, ReviewRows, ReviewTable, _csv_int, csv_after_comments
 from .partition import SubstreamLabel
 from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
@@ -145,23 +144,27 @@ _UINT64 = 1 << 64
 
 @dataclass(frozen=True, eq=False)
 class ScoredStream:
-    """Scored edges as columns: ``edges[i]`` fell in tick ``tick[i]`` of
-    sub-stream ``_LABELS[substream[i]]`` and scored ``score[i]``;
-    ``counters`` are the run counts of the detector that scored it."""
+    """Scored reviews as columns: row ``row[i]`` of ``table`` fell in tick
+    ``tick[i]`` of sub-stream ``_LABELS[substream[i]]`` and scored
+    ``score[i]``; ``counters`` are the run counts of the detector that
+    scored it."""
 
-    edges: Sequence[ReviewEdge]
+    table: ReviewTable
+    row: np.ndarray  # int64 row numbers of table
     tick: np.ndarray  # uint64: ticks reach 2**64 - 1 when origin is -2**63
     score: np.ndarray  # float64
     substream: np.ndarray  # int8
     counters: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.row)
 
     def __add__(self, other: "ScoredStream") -> "ScoredStream":
-        return ScoredStream([*self.edges, *other.edges], *(
+        if other.table is not self.table:
+            raise ValueError("scored streams of different tables do not concatenate")
+        return ScoredStream(self.table, *(
             np.concatenate((getattr(self, c), getattr(other, c)))
-            for c in ("tick", "score", "substream")))
+            for c in ("row", "tick", "score", "substream")))
 
     def scores(self, substream: SubstreamLabel) -> list[float]:
         return self.score[self.substream == _LABEL_CODE[substream]].tolist()
@@ -186,10 +189,10 @@ def _running_count(keys: np.ndarray) -> np.ndarray:
 
 class Detector:
     """Single-pass scorer for one ordered sub-stream, fed in batches of
-    any size; one instance per sub-stream. The edges of the open tick and
-    of the last closed one are kept and grouped again with the next
-    batch, so one edge at a time and the whole stream at once give the
-    same scores, events and history.
+    any size, all rows of one table; one instance per sub-stream. The rows
+    of the open tick and of the last closed one are kept and grouped again
+    with the next batch, so one row at a time and the whole stream at once
+    give the same scores, events and history.
     """
 
     def __init__(self, config: DetectorConfig, substream: SubstreamLabel):
@@ -200,8 +203,8 @@ class Detector:
         self.counters = {"groups": 0, "filtered_merges": 0}  # closed (app, tick) groups
         self._history = CountMinSketch(config.rows, config.cols, config.row_seeds())
         self._slots: dict[str, tuple[int, ...]] = {}  # each app hashed once
-        self._held: list[ReviewEdge] = []  # edges of the last closed and the open tick
-        self._closed_held = 0  # 1 if the held edges start with a closed tick
+        self._held: ReviewRows | None = None  # rows of the last closed and the open tick
+        self._closed_held = 0  # 1 if the held rows start with a closed tick
         self._finished = False
 
     def historical_total(self, app_id: str) -> float:
@@ -211,14 +214,15 @@ class Detector:
     def finish(self) -> list[MicroclusterEvent]:
         """Close the final open tick and return all events of the run."""
         if not self._finished:
-            self.process([], final=True)
+            table = ReviewTable.from_edges(()) if self._held is None else self._held.table
+            self.process(table.rows(()), final=True)
         return self.events
 
-    def _ticks(self, edges: Sequence[ReviewEdge]) -> np.ndarray:
-        """Each edge's tick, exact for any int64 timestamp and origin. The
-        first edge before the origin or with a passed tick raises."""
+    def _ticks(self, table: ReviewTable, row: np.ndarray) -> np.ndarray:
+        """Each row's tick, exact for any int64 timestamp and origin. The
+        first row before the origin or with a passed tick raises."""
         origin, period = self.config.origin, self.config.period
-        stamps = np.fromiter(map(attrgetter("timestamp"), edges), np.int64, len(edges))
+        stamps = table.timestamp[row]
         # 0 <= timestamp - origin < 2**64 at or after the origin: the uint64
         # difference is exact there, and wraps harmlessly before it
         delta = stamps.astype(np.uint64) - np.uint64(origin % _UINT64)
@@ -230,31 +234,34 @@ class Detector:
             return ticks
         i = bad[0]
         if before[i]:
-            raise BeforeOriginError(f"timestamp {edges[i].timestamp} precedes origin {origin}")
-        raise TimeRegressionError(
-            f"edge {edges[i].review_id!r} at tick {ticks[i]} after tick {ticks[i - 1]}")
+            raise BeforeOriginError(f"timestamp {stamps[i]} precedes origin {origin}")
+        raise TimeRegressionError(f"edge {table.review_id[row[i]]!r} at tick {ticks[i]} "
+                                  f"after tick {ticks[i - 1]}")
 
-    def process(self, edges: Sequence[ReviewEdge], final: bool = False) -> ScoredStream:
-        """Score a batch of edges in stream order; with ``final``, also
-        close the last tick and finish the run."""
+    def process(self, rows: ReviewRows, final: bool = False) -> ScoredStream:
+        """Score a batch of rows in stream order; with ``final``, also
+        close the last tick and finish the run. The rows of every batch
+        come from one table."""
         if self._finished:
             raise RuntimeError("detector already finished")
-        cfg, held, done = self.config, len(self._held), self._closed_held
-        edges = [*self._held, *edges]
-        ticks, n = self._ticks(edges), len(edges)
-        self._finished, self._held, self._closed_held = final, [], 0
+        cfg, held, done, table = self.config, 0, self._closed_held, rows.table
+        row = rows.row
+        if self._held is not None:
+            if self._held.table is not table:
+                raise ValueError("every batch of a detector run must come from one table")
+            held, row = len(self._held), np.concatenate((self._held.row, row))
+        ticks, n = self._ticks(table, row), len(row)
+        self._finished, self._held, self._closed_held = final, None, 0
         if not n:
-            return self._scored(edges, ticks, np.zeros(0))
+            return self._scored(table, row, ticks, np.zeros(0))
         tick_start = np.append(0, np.flatnonzero(ticks[1:] != ticks[:-1]) + 1)
         tick_values = ticks[tick_start].tolist()
         edge_tick = np.searchsorted(tick_start, np.arange(n), side="right") - 1
         K, closes = len(tick_values), len(tick_values) - (not final)
 
         # Dense app codes, each app hashed once; cell[r, c] is app c's counter in row r.
-        app_ids = list(map(attrgetter("app_id"), edges))
-        apps = list(dict.fromkeys(app_ids))
-        code = np.fromiter(map({a: c for c, a in enumerate(apps)}.__getitem__, app_ids),
-                           np.int64, n)
+        table_codes, code = np.unique(table.app[row], return_inverse=True)
+        apps = list(map(table.app_ids.__getitem__, table_codes.tolist()))
         slots = [self._slots.get(a) or self._slots.setdefault(a, self._history.locate(a))
                  for a in apps]
         cell = (np.array(slots, np.int64).reshape(len(apps), cfg.rows).T
@@ -294,14 +301,14 @@ class Detector:
 
         self.counters["groups"] += bounds[closes] - bounds[done]
         if not final:
-            self._held = edges[tick_start[closes - 1] if closes else 0:]
+            self._held = ReviewRows(table, row[tick_start[closes - 1] if closes else 0:])
             self._closed_held = int(closes > 0)
-        return self._scored(edges[held:], ticks[held:], score)
+        return self._scored(table, row[held:], ticks[held:], score)
 
-    def _scored(self, edges, ticks, score) -> ScoredStream:
-        labels = np.full(len(edges), _LABEL_CODE[self.substream], np.int8)
+    def _scored(self, table, row, ticks, score) -> ScoredStream:
+        labels = np.full(len(row), _LABEL_CODE[self.substream], np.int8)
         counters = {**self.counters, "events": len(self.events)}
-        return ScoredStream(edges, ticks, score, labels, counters)
+        return ScoredStream(table, row, ticks, score, labels, counters)
 
     def _merge(self, history: np.ndarray, cells: np.ndarray, counts: np.ndarray,
                filtered: np.ndarray, tick: int) -> None:
@@ -342,11 +349,11 @@ class Detector:
 
 
 def run_detector(
-    edges: Iterable[ReviewEdge], config: DetectorConfig, substream: SubstreamLabel
+    rows: ReviewRows, config: DetectorConfig, substream: SubstreamLabel
 ) -> tuple[ScoredStream, list[MicroclusterEvent]]:
     """Score a timestamp-ordered sub-stream in one pass."""
     detector = Detector(config, substream)
-    scored = detector.process(list(edges), final=True)
+    scored = detector.process(rows, final=True)
     return scored, detector.events
 
 
@@ -359,10 +366,15 @@ _EVENT_TYPES = get_type_hints(MicroclusterEvent)
 
 
 def write_scores_csv(scored: ScoredStream, config: DetectorConfig, path: str | Path) -> None:
-    own = {"tick": scored.tick.tolist(), "score": scored.score.tolist(),  # floats as repr
-           "substream": map(_LABELS.__getitem__, scored.substream.tolist())}
-    columns = [own[name] if name in own else map(attrgetter(name), scored.edges)
-               for name in SCORES_COLUMNS]
+    table, row = scored.table, scored.row
+    columns = [
+        map(table.review_id.__getitem__, row.tolist()),
+        map(table.app_ids.__getitem__, table.app[row].tolist()),
+        map(table.reviewer_ids.__getitem__, table.reviewer[row].tolist()),
+        scored.tick.tolist(),
+        map(_LABELS.__getitem__, scored.substream.tolist()),
+        scored.score.tolist(),  # floats as repr
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# reviewstream anomaly scores\n")
         fh.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
@@ -371,15 +383,15 @@ def write_scores_csv(scored: ScoredStream, config: DetectorConfig, path: str | P
         writer.writerows(zip(*columns))
 
 
-def read_scores_csv(
-    path: str | Path, edges: Mapping[str, ReviewEdge]
-) -> tuple[ScoredStream, dict]:
-    """The scored stream of a scores CSV, each row's edge found by its
-    review_id in ``edges``, and the config of its header. A bad header,
-    a row of the wrong width, a cell that does not convert, a tick that
-    is not ASCII digits or lies outside [0, 2**64), a non-finite score,
-    an unknown label or a review id missing from ``edges`` raises
-    ``ValueError``. Only the ``#`` lines before the header are comments."""
+def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream, dict]:
+    """The scored stream of a scores CSV over ``table``, each row found by
+    its review_id, and the config of its header. A bad header, a row of
+    the wrong width, a cell that does not convert, a tick that is not
+    ASCII digits or lies outside [0, 2**64), a non-finite score, an
+    unknown label or a review id missing from ``table`` raises
+    ``ValueError``, and a config line nested past the recursion limit
+    ``RecursionError``. Only the ``#`` lines before the header are
+    comments."""
     with open(path, "r", encoding="utf-8") as fh:
         comments, reader = csv_after_comments(fh)
         header = next(reader, None)
@@ -390,11 +402,12 @@ def read_scores_csv(
             config = json.loads(line[len("# config "):])
     if header is None or tuple(header) != SCORES_COLUMNS:
         raise ValueError(f"unexpected scores header in {path}")
+    index = {review_id: i for i, review_id in enumerate(table.review_id)}
     for row in rows:
         if len(row) != len(SCORES_COLUMNS):
             raise ValueError(f"scores row {row} has {len(row)} cells, not {len(SCORES_COLUMNS)}")
         review_id, _, _, _, substream, _ = row
-        if review_id not in edges:
+        if review_id not in index:
             raise ValueError(f"scores row {row} has no matching review")
         if substream not in _LABEL_CODE:
             raise ValueError(f"scores row {row} has an unknown sub-stream")
@@ -407,7 +420,8 @@ def read_scores_csv(
     finite = np.isfinite(score)
     if not finite.all():
         raise ValueError(f"scores row {rows[finite.argmin()]} has a non-finite score")
-    return ScoredStream(list(map(edges.__getitem__, ids)), tick, score,
+    row = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    return ScoredStream(table, row, tick, score,
                         np.array(list(map(_LABEL_CODE.__getitem__, labels)), np.int8)), config
 
 
@@ -440,8 +454,8 @@ def _event_from_json(obj: object) -> MicroclusterEvent:
 
 
 def read_events_jsonl(path: str | Path) -> list[MicroclusterEvent]:
-    """Events of a JSONL file; a malformed line raises ``ValueError``
-    naming its line number."""
+    """Events of a JSONL file; a malformed line, or one nested past the
+    recursion limit, raises ``ValueError`` naming its line number."""
     events: list[MicroclusterEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -449,6 +463,6 @@ def read_events_jsonl(path: str | Path) -> list[MicroclusterEvent]:
                 continue
             try:
                 events.append(_event_from_json(json.loads(line)))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # also JSON nested too deeply
                 raise ValueError(f"line {lineno}: {exc}") from exc
     return events

@@ -20,7 +20,9 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 REVIEW_FORMATS = ("jsonl", "csv")
 
@@ -60,9 +62,83 @@ class AppRecord:
     name: str | None = None
 
 
+REVIEW_FIELDS = tuple(f.name for f in fields(ReviewEdge))
+APP_FIELDS = tuple(f.name for f in fields(AppRecord))
 # Every input record must give the fields its dataclass has no default for.
 REQUIRED_REVIEW_FIELDS = tuple(f.name for f in fields(ReviewEdge) if f.default is MISSING)
 REQUIRED_APP_FIELDS = tuple(f.name for f in fields(AppRecord) if f.default is MISSING)
+
+
+def _codes(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Each id's int64 code, and the distinct ids in order of first
+    appearance, which the codes index."""
+    distinct = list(dict.fromkeys(ids))
+    index = {name: code for code, name in enumerate(distinct)}
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), distinct
+
+
+@dataclass(frozen=True, eq=False)
+class ReviewTable:
+    """Reviews as columns: row ``i`` is review ``review_id[i]``, written by
+    ``reviewer_ids[reviewer[i]]`` on ``app_ids[app[i]]`` at ``timestamp[i]``
+    with ``score[i]`` stars and ``text[i]``. The id lists hold each id
+    once, in order of first appearance."""
+
+    review_id: list[str]
+    reviewer: np.ndarray  # int64 codes into reviewer_ids
+    app: np.ndarray  # int64 codes into app_ids
+    timestamp: np.ndarray  # int64
+    score: np.ndarray  # int8
+    text: list[str | None]
+    reviewer_ids: list[str]
+    app_ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.review_id)
+
+    def __repr__(self) -> str:
+        return (f"ReviewTable({len(self)} reviews, {len(self.reviewer_ids)} reviewers, "
+                f"{len(self.app_ids)} apps)")
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[tuple]) -> "ReviewTable":
+        """The table of field tuples in ``ReviewEdge`` order."""
+        review_id, reviewer_id, app_id, timestamp, score, text = (
+            zip(*rows) if rows else ((),) * len(REVIEW_FIELDS))
+        reviewer, reviewer_ids = _codes(reviewer_id)
+        app, app_ids = _codes(app_id)
+        return cls(list(review_id), reviewer, app, np.array(timestamp, np.int64),
+                   np.array(score, np.int8), list(text), reviewer_ids, app_ids)
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[ReviewEdge]) -> "ReviewTable":
+        return cls._from_rows(list(map(attrgetter(*REVIEW_FIELDS), edges)))
+
+    def edges(self, rows: Iterable[int] | None = None) -> list[ReviewEdge]:
+        """The given rows, or all, as ``ReviewEdge``s."""
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows, np.int64)
+        index = rows.tolist()
+        return list(map(ReviewEdge, map(self.review_id.__getitem__, index),
+                        map(self.reviewer_ids.__getitem__, self.reviewer[rows].tolist()),
+                        map(self.app_ids.__getitem__, self.app[rows].tolist()),
+                        self.timestamp[rows].tolist(), self.score[rows].tolist(),
+                        map(self.text.__getitem__, index)))
+
+    def rows(self, order: Iterable[int] | None = None) -> "ReviewRows":
+        """The given rows, or all in table order, as a stream."""
+        order = np.arange(len(self)) if order is None else order
+        return ReviewRows(self, np.asarray(order, np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class ReviewRows:
+    """A review stream: rows ``row`` of ``table``, in stream order."""
+
+    table: ReviewTable
+    row: np.ndarray  # int64 row numbers
+
+    def __len__(self) -> int:
+        return len(self.row)
 
 
 @dataclass(frozen=True)
@@ -94,8 +170,9 @@ def _csv_int(cell: str) -> int:
 
 def _review_from_record(
     record: object, as_int: Callable[[object], int]
-) -> tuple[ReviewEdge | None, str | None]:
-    """One review's field checks, shared by both formats.
+) -> tuple[tuple | None, str | None]:
+    """One review's field checks, shared by both formats: its fields in
+    ``ReviewEdge`` order, or the reason it is rejected.
 
     ``record`` is a JSON object, or a CSV row's cells with empty required
     cells left out; ``as_int`` reads the format's integers. The order of
@@ -123,50 +200,73 @@ def _review_from_record(
         return None, REASON_MISSING
     if not 0 <= timestamp <= _INT64_MAX or not 1 <= score <= 5:
         return None, REASON_RANGE
-    return ReviewEdge(review_id, reviewer_id, app_id, timestamp, score, text), None
+    return (review_id, reviewer_id, app_id, timestamp, score, text), None
+
+
+_raw_decode = json.JSONDecoder().raw_decode  # the decoder json.loads uses
 
 
 def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
     """Yield (line_number, raw, value) for each non-blank line; a line that
-    is not JSON yields None, which no record check accepts."""
+    is not JSON, or nests past the recursion limit, yields None, which no
+    record check accepts.
+
+    A line that starts with ``{`` is decoded in place, and the value kept
+    if it ends the line: that is what ``json.loads`` returns for it, without
+    its whitespace scans. Any other line goes to ``json.loads``.
+    """
     for lineno, line in enumerate(lines, 1):
         raw = line.rstrip("\n")
+        if raw[:1] == "{":
+            try:
+                value, end = _raw_decode(raw)
+            except (ValueError, RecursionError):  # json.loads fails the same way
+                value, end = None, len(raw)
+            if end == len(raw):
+                yield lineno, raw, value
+                continue
         if not raw.strip():
             continue
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             value = None
         yield lineno, raw, value
 
 
+def check_csv_header(header: list[str]) -> None:
+    """Raise ``ValueError`` naming the first column a header names twice."""
+    if len(set(header)) < len(header):
+        twice = next(name for i, name in enumerate(header) if name in header[:i])
+        raise ValueError(f"header names column {twice!r} twice")
+
+
 def _csv_records(
-    lines: Iterable[str], required: tuple[str, ...]
+    lines: Iterable[str], names: tuple[str, ...], required: tuple[str, ...]
 ) -> Iterator[tuple[int, list[str], dict[str, str]]]:
     """Yield (line_number, row, cells) for each data row of a CSV stream.
 
-    The first non-blank row is the header, and ``cells`` maps its names
-    to the row's cells; a header that names a column twice raises
-    ``ValueError``. A required cell that is empty or past the end of the
-    row is left out, so it reads as missing. Blank rows are skipped. RFC-4180 quoting
+    The first non-blank row is the header; a header that names a column
+    twice raises ``ValueError``. ``cells`` maps each of ``names`` that the
+    header has to the row's cell, found at the position the header gave
+    it. A required cell that is empty or past the end of the row is left
+    out, so it reads as missing. Blank rows are skipped. RFC-4180 quoting
     (including embedded newlines) is handled by the csv module; line
     numbers refer to the physical line on which a record ends.
     """
     reader = csv.reader(lines)
-    columns: dict[str, int] | None = None
+    positions: list[tuple[str, int, bool]] | None = None
     for row in reader:
         if not row:
             continue
-        if columns is None:
-            columns = {name: i for i, name in enumerate(row)}
-            if len(columns) < len(row):
-                twice = next(name for i, name in enumerate(row) if name in row[:i])
-                raise ValueError(f"header names column {twice!r} twice")
+        if positions is None:
+            check_csv_header(row)
+            positions = [(name, row.index(name), name in required)
+                         for name in names if name in row]
             continue
-        cells = {
-            name: row[i] for name, i in columns.items()
-            if i < len(row) and (row[i] or name not in required)
-        }
+        width = len(row)
+        cells = {name: row[i] for name, i, needed in positions
+                 if i < width and (row[i] or not needed)}
         yield reader.line_num, row, cells
 
 
@@ -195,33 +295,34 @@ def _raw(line: str | list[str]) -> str:
 
 def parse_reviews(
     lines: Iterable[str], format: str = "jsonl"
-) -> tuple[list[ReviewEdge], list[LineError]]:
-    """Parse review records from text lines.
+) -> tuple[ReviewTable, list[LineError]]:
+    """Parse review records from text lines into a ``ReviewTable``.
 
-    Valid records are emitted in input order. Invalid records become
-    LineErrors (reasons: syntax, range, missing_field, duplicate) and
-    never abort the parse. A repeated review_id keeps the first
+    Valid records become the table's rows in input order. Invalid records
+    become LineErrors (reasons: syntax, range, missing_field, duplicate)
+    and never abort the parse. A repeated review_id keeps the first
     occurrence, mirroring the catalog's duplicate handling.
     """
     if format == "jsonl":
         records, as_int = _jsonl_records(lines), _as_int
     elif format == "csv":
-        records, as_int = _csv_records(lines, REQUIRED_REVIEW_FIELDS), _csv_int
+        records = _csv_records(lines, REVIEW_FIELDS, REQUIRED_REVIEW_FIELDS)
+        as_int = _csv_int
     else:
         raise ValueError(f"unknown review format {format!r}")
-    edges: list[ReviewEdge] = []
+    rows: list[tuple] = []
     errors: list[LineError] = []
     seen: set[str] = set()
     for lineno, line, record in records:
-        edge, reason = _review_from_record(record, as_int)
-        if edge is None:
+        row, reason = _review_from_record(record, as_int)
+        if row is None:
             errors.append(LineError(lineno, reason, _raw(line)))
-        elif edge.review_id in seen:
+        elif row[0] in seen:
             errors.append(LineError(lineno, REASON_DUPLICATE, _raw(line)))
         else:
-            seen.add(edge.review_id)
-            edges.append(edge)
-    return edges, errors
+            seen.add(row[0])
+            rows.append(row)
+    return ReviewTable._from_rows(rows), errors
 
 
 def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineError]]:
@@ -234,7 +335,7 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
     """
     catalog: dict[str, AppRecord] = {}
     errors: list[LineError] = []
-    for lineno, row, cells in _csv_records(lines, REQUIRED_APP_FIELDS):
+    for lineno, row, cells in _csv_records(lines, APP_FIELDS, REQUIRED_APP_FIELDS):
         if any(field not in cells for field in REQUIRED_APP_FIELDS):
             errors.append(LineError(lineno, REASON_MISSING, _raw(row)))
             continue

@@ -1,4 +1,4 @@
-"""Split a review edge stream into boosting and sinking sub-streams.
+"""Split a review stream into boosting and sinking sub-streams.
 
 An edge boosts an app when its star score is at or above the app's
 overall catalog rating, and sinks it when below. Edges on apps missing
@@ -8,11 +8,12 @@ three outputs always add back up to the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable
 
-from .ingest import AppRecord, ReviewEdge
+import numpy as np
+
+from .ingest import AppRecord, ReviewRows
 
 
 class SubstreamLabel(str, Enum):
@@ -23,27 +24,23 @@ class SubstreamLabel(str, Enum):
 
 @dataclass
 class PartitionResult:
-    boost: list[ReviewEdge] = field(default_factory=list)
-    sink: list[ReviewEdge] = field(default_factory=list)
-    unpartitioned: list[ReviewEdge] = field(default_factory=list)
+    boost: ReviewRows
+    sink: ReviewRows
+    unpartitioned: ReviewRows
 
     def counts(self) -> dict[str, int]:
         return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
 
-def partition_stream(
-    edges: Iterable[ReviewEdge], catalog: dict[str, AppRecord]
-) -> PartitionResult:
-    """Partition an ordered edge stream into disjoint, order-preserving
-    boost/sink/unpartitioned sequences whose union is the input; ties
+def partition_stream(stream: ReviewRows, catalog: dict[str, AppRecord]) -> PartitionResult:
+    """Partition an ordered stream into disjoint, order-preserving
+    boost/sink/unpartitioned sub-streams whose union is the input; ties
     (score equal to the rating) go to boost."""
-    result = PartitionResult()
-    for edge in edges:
-        record = catalog.get(edge.app_id)
-        if record is None:
-            result.unpartitioned.append(edge)
-        elif edge.score >= record.overall_rating:
-            result.boost.append(edge)
-        else:
-            result.sink.append(edge)
-    return result
+    table, row = stream.table, stream.row
+    records = list(map(catalog.get, table.app_ids))  # one per app of the table
+    listed = np.array([r is not None for r in records], bool)[table.app[row]]
+    rating = np.array([r.overall_rating if r is not None else np.nan for r in records],
+                      np.float64)[table.app[row]]
+    boost = listed & (table.score[row] >= rating)
+    return PartitionResult(*(ReviewRows(table, row[mask])
+                             for mask in (boost, listed & ~boost, ~listed)))

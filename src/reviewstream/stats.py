@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import ReviewEdge
+from .ingest import ReviewTable
 from .partition import PartitionResult
 
 
@@ -120,9 +120,11 @@ _PAIR_BLOCK_ENTRIES = 1 << 18
 @dataclass(frozen=True, eq=False)
 class SharedReviewerGraph:
     """The shared-reviewer network as three equal-length columns, one row
-    per app pair with ``app_a < app_b``, in ``(app_a, app_b)`` order."""
+    per app pair with ``app_a < app_b``, in ``(app_a, app_b)`` order. The
+    app columns hold codes into ``apps``, the app ids in sorted order."""
 
-    app_a: np.ndarray  # object array of app ids
+    apps: list[str]
+    app_a: np.ndarray  # int64 codes into apps
     app_b: np.ndarray
     weight: np.ndarray  # int64, >= 1
 
@@ -130,7 +132,8 @@ class SharedReviewerGraph:
         return len(self.weight)
 
     def rows(self) -> Iterator[tuple[str, str, int]]:
-        return zip(self.app_a.tolist(), self.app_b.tolist(), self.weight.tolist())
+        return zip(map(self.apps.__getitem__, self.app_a.tolist()),
+                   map(self.apps.__getitem__, self.app_b.tolist()), self.weight.tolist())
 
 
 def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,
@@ -146,33 +149,26 @@ def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,
             np.insert(counts, pos[fresh], new_counts[fresh]))
 
 
-def shared_reviewer_graph(edges: Iterable[ReviewEdge]) -> SharedReviewerGraph:
+def shared_reviewer_graph(table: ReviewTable) -> SharedReviewerGraph:
     """Weight(a, b) = number of distinct reviewers with at least one
-    review on each of a and b. Zero-weight pairs are omitted; repeat
-    reviews by the same reviewer on the same app count once.
+    review on each of a and b, over the rows of ``table``. Zero-weight
+    pairs are omitted; repeat reviews by the same reviewer on the same app
+    count once.
 
     Time grows with the sum over reviewers of C(app degree, 2); memory
     with one block of ``_PAIR_BLOCK_ENTRIES`` pair increments plus the
     distinct pairs.
     """
-    app_codes: dict[str, int] = {}
-    reviewer_codes: dict[str, int] = {}
-    apps_seen, reviewers_seen = [], []
-    for edge in edges:
-        apps_seen.append(app_codes.setdefault(edge.app_id, len(app_codes)))
-        reviewers_seen.append(reviewer_codes.setdefault(edge.reviewer_id, len(reviewer_codes)))
     # Re-code apps by their rank in sorted order, so that sorting pairs of
     # codes sorts the pairs of ids.
-    apps = np.array(sorted(app_codes), dtype=object)
+    by_id = sorted(range(len(table.app_ids)), key=table.app_ids.__getitem__)
+    apps = list(map(table.app_ids.__getitem__, by_id))
     n_apps = len(apps)
     rank = np.empty(n_apps, dtype=np.int64)
-    rank[[app_codes[app_id] for app_id in apps.tolist()]] = np.arange(n_apps)
+    rank[by_id] = np.arange(n_apps)
 
     # Distinct (reviewer, app), grouped by reviewer, apps ascending inside.
-    memberships = np.unique(
-        np.asarray(reviewers_seen, dtype=np.int64) * n_apps
-        + rank[np.asarray(apps_seen, dtype=np.int64)]
-    )
+    memberships = np.unique(table.reviewer * n_apps + rank[table.app])
     reviewer, app = np.divmod(memberships, n_apps)
     # Membership i pairs with i+1 .. group_end-1, the rest of its group.
     group_starts = np.flatnonzero(np.concatenate(([True], reviewer[1:] != reviewer[:-1])))
@@ -199,7 +195,7 @@ def shared_reviewer_graph(edges: Iterable[ReviewEdge]) -> SharedReviewerGraph:
                                              return_counts=True)
         keys, counts = _add_counts(keys, counts, block_keys, block_counts)
     code_a, code_b = np.divmod(keys, n_apps)
-    return SharedReviewerGraph(apps[code_a], apps[code_b], counts)
+    return SharedReviewerGraph(apps, code_a, code_b, counts)
 
 
 @dataclass(frozen=True)
@@ -212,18 +208,21 @@ class StreamSummary:
     unpartitioned: int
 
 
+def _used(codes: np.ndarray, n: int) -> int:
+    """How many of the codes 0..n-1 occur in ``codes``."""
+    return int(np.count_nonzero(np.bincount(codes, minlength=n)))
+
+
 def summarize(partitioned: PartitionResult) -> StreamSummary:
-    """Exact headline counts for a partitioned stream; distinctness by id."""
-    reviewers: set[str] = set()
-    apps: set[str] = set()
-    for edges in (partitioned.boost, partitioned.sink, partitioned.unpartitioned):
-        for edge in edges:
-            reviewers.add(edge.reviewer_id)
-            apps.add(edge.app_id)
+    """Exact headline counts for a partitioned stream; distinctness by id,
+    counted as the codes its rows use."""
+    table = partitioned.boost.table
+    row = np.concatenate([partitioned.boost.row, partitioned.sink.row,
+                          partitioned.unpartitioned.row])
     counts = partitioned.counts()
     return StreamSummary(
         reviews=sum(counts.values()),
-        reviewers=len(reviewers),
-        apps=len(apps),
+        reviewers=_used(table.reviewer[row], len(table.reviewer_ids)),
+        apps=_used(table.app[row], len(table.app_ids)),
         **counts,
     )

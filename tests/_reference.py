@@ -5,8 +5,10 @@ counts (no sketches), so detector outputs can be checked against an
 implementation that shares no code with the package under test. The
 pair oracle shares only ``cosine``, the definition of similarity, and
 replaces the pair search with a check of every pair. The ingest oracle
-is the earlier parser, with its own JSONL and CSV loops, and shares only
-the record types, reason codes and required field names. The per-edge
+is the object parser that the columnar one replaced: one ``ReviewEdge``
+per accepted line, ``json.loads`` per JSONL line and a dict of every
+header column per CSV row; it shares only the record types, reason codes
+and required field names. The per-edge
 detector is the earlier ``Detector``, one register per app and one merge
 at a time, over the package's count-min sketch: the batch detector must
 match it bit for bit at any geometry, collisions included.
@@ -18,10 +20,9 @@ import csv
 import io
 import json
 import math
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from reviewstream.clusters import cosine
 from reviewstream.detector import (
@@ -36,7 +37,6 @@ from reviewstream.ingest import (
     REASON_SYNTAX,
     REQUIRED_APP_FIELDS,
     REQUIRED_REVIEW_FIELDS,
-    REVIEW_FORMATS,
     AppRecord,
     LineError,
     ReviewEdge,
@@ -174,86 +174,111 @@ def shared_reviewer_weights(edges) -> list[tuple[str, str, int]]:
     return [(a, b, count) for (a, b), count in sorted(weights.items())]
 
 
-def _as_int(value: object) -> int | None:
-    """Coerce a JSON number to int; reject bools and non-integral floats."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
+def _as_int(value: object) -> int:
+    """Read a JSON number as an int; bools and non-integral floats raise
+    ValueError, as ``_csv_int`` does for CSV text that is not an integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    return None
+    raise ValueError(f"not an integer: {value!r}")
 
 
-def _validate_review(
-    review_id: str,
-    reviewer_id: str,
-    app_id: str,
-    timestamp: int,
-    score: int,
-    text: str | None,
+def _csv_int(cell: str) -> int:
+    """Read a CSV cell of ASCII digits after an optional minus sign; ``int()``
+    alone would also take ``1_0``, ``+2``, `` 7`` and non-ASCII digits."""
+    if not (cell.isascii() and cell.lstrip("-").isdigit()):
+        raise ValueError(f"not an integer: {cell!r}")
+    return int(cell)
+
+
+def _review_from_record(
+    record: object, as_int: Callable[[object], int]
 ) -> tuple[ReviewEdge | None, str | None]:
+    """One review's field checks, shared by both formats.
+
+    ``record`` is a JSON object, or a CSV row's cells with empty required
+    cells left out; ``as_int`` reads the format's integers. The order of
+    the checks fixes each line's reason.
+    """
+    if not isinstance(record, dict):
+        return None, REASON_SYNTAX
+    for field in REQUIRED_REVIEW_FIELDS:
+        if record.get(field) is None:
+            return None, REASON_MISSING
+    review_id = record["review_id"]
+    reviewer_id = record["reviewer_id"]
+    app_id = record["app_id"]
+    if not (isinstance(review_id, str) and isinstance(reviewer_id, str) and isinstance(app_id, str)):
+        return None, REASON_SYNTAX
+    try:
+        timestamp = as_int(record["timestamp"])
+        score = as_int(record["score"])
+    except ValueError:
+        return None, REASON_SYNTAX
+    text = record.get("text")
+    if text is not None and not isinstance(text, str):
+        return None, REASON_SYNTAX
     if not review_id or not reviewer_id or not app_id:
         return None, REASON_MISSING
-    if timestamp < 0 or timestamp > _INT64_MAX:
-        return None, REASON_RANGE
-    if score < 1 or score > 5:
+    if not 0 <= timestamp <= _INT64_MAX or not 1 <= score <= 5:
         return None, REASON_RANGE
     return ReviewEdge(review_id, reviewer_id, app_id, timestamp, score, text), None
 
 
-def _review_from_json(obj: object) -> tuple[ReviewEdge | None, str | None]:
-    if not isinstance(obj, dict):
-        return None, REASON_SYNTAX
-    for field in REQUIRED_REVIEW_FIELDS:
-        if obj.get(field) is None:
-            return None, REASON_MISSING
-    review_id = obj["review_id"]
-    reviewer_id = obj["reviewer_id"]
-    app_id = obj["app_id"]
-    if not (isinstance(review_id, str) and isinstance(reviewer_id, str) and isinstance(app_id, str)):
-        return None, REASON_SYNTAX
-    timestamp = _as_int(obj["timestamp"])
-    score = _as_int(obj["score"])
-    if timestamp is None or score is None:
-        return None, REASON_SYNTAX
-    text = obj.get("text")
-    if text is not None and not isinstance(text, str):
-        return None, REASON_SYNTAX
-    return _validate_review(review_id, reviewer_id, app_id, timestamp, score, text)
+def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
+    """Yield (line_number, raw, value) for each non-blank line; a line that
+    is not JSON, nests past the recursion limit or holds an integer of
+    more than 4300 digits (a plain ``ValueError``) yields None, which no
+    record check accepts."""
+    for lineno, line in enumerate(lines, 1):
+        raw = line.rstrip("\n")
+        if not raw.strip():
+            continue
+        try:
+            value = json.loads(raw)
+        except (ValueError, RecursionError):
+            value = None
+        yield lineno, raw, value
 
 
-def _csv_int(text: str) -> int:
-    """A CSV integer: an optional minus sign, then one or more of 0-9."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+def _csv_records(
+    lines: Iterable[str], required: tuple[str, ...]
+) -> Iterator[tuple[int, list[str], dict[str, str]]]:
+    """Yield (line_number, row, cells) for each data row of a CSV stream.
 
-
-def _csv_join(row: list[str]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(row)
-    return buf.getvalue()
-
-
-def _iter_csv(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | None, list[str]]]:
-    """Yield (line_number, header_or_None, row) triples for a CSV stream.
-
-    The first yielded triple carries the header; subsequent ones carry
-    data rows. Blank rows are skipped. RFC-4180 quoting (including
-    embedded newlines) is handled by the csv module; line numbers refer
-    to the physical line on which a record ends.
+    The first non-blank row is the header, and ``cells`` maps its names
+    to the row's cells; a header that names a column twice raises
+    ``ValueError``. A required cell that is empty or past the end of the
+    row is left out, so it reads as missing. Blank rows are skipped. RFC-4180 quoting
+    (including embedded newlines) is handled by the csv module; line
+    numbers refer to the physical line on which a record ends.
     """
     reader = csv.reader(lines)
-    header: list[str] | None = None
+    columns: dict[str, int] | None = None
     for row in reader:
         if not row:
             continue
-        if header is None:
-            header = row
-            yield reader.line_num, header, row
-        else:
-            yield reader.line_num, None, row
+        if columns is None:
+            columns = {name: i for i, name in enumerate(row)}
+            if len(columns) < len(row):
+                twice = next(name for i, name in enumerate(row) if name in row[:i])
+                raise ValueError(f"header names column {twice!r} twice")
+            continue
+        cells = {
+            name: row[i] for name, i in columns.items()
+            if i < len(row) and (row[i] or name not in required)
+        }
+        yield reader.line_num, row, cells
+
+
+def _raw(line: str | list[str]) -> str:
+    """A rejected line as reported: JSONL as read, a CSV row re-joined."""
+    if isinstance(line, str):
+        return line
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(line)
+    return buf.getvalue()
 
 
 def parse_reviews(
@@ -266,71 +291,24 @@ def parse_reviews(
     never abort the parse. A repeated review_id keeps the first
     occurrence, mirroring the catalog's duplicate handling.
     """
-    if format not in REVIEW_FORMATS:
+    if format == "jsonl":
+        records, as_int = _jsonl_records(lines), _as_int
+    elif format == "csv":
+        records, as_int = _csv_records(lines, REQUIRED_REVIEW_FIELDS), _csv_int
+    else:
         raise ValueError(f"unknown review format {format!r}")
     edges: list[ReviewEdge] = []
     errors: list[LineError] = []
     seen: set[str] = set()
-
-    def emit(edge: ReviewEdge | None, reason: str | None, line: int, raw: str) -> None:
+    for lineno, line, record in records:
+        edge, reason = _review_from_record(record, as_int)
         if edge is None:
-            errors.append(LineError(line, reason or REASON_SYNTAX, raw))
+            errors.append(LineError(lineno, reason, _raw(line)))
         elif edge.review_id in seen:
-            errors.append(LineError(line, REASON_DUPLICATE, raw))
+            errors.append(LineError(lineno, REASON_DUPLICATE, _raw(line)))
         else:
             seen.add(edge.review_id)
             edges.append(edge)
-
-    if format == "jsonl":
-        for lineno, line in enumerate(lines, 1):
-            raw = line.rstrip("\n")
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError:
-                errors.append(LineError(lineno, REASON_SYNTAX, raw))
-                continue
-            edge, reason = _review_from_json(obj)
-            emit(edge, reason, lineno, raw)
-        return edges, errors
-
-    columns: dict[str, int] = {}
-    header_ok = False
-    for lineno, header, row in _iter_csv(lines):
-        if header is not None:
-            columns = {name: i for i, name in enumerate(header)}
-            header_ok = all(f in columns for f in REQUIRED_REVIEW_FIELDS)
-            continue
-        raw = _csv_join(row)
-        if not header_ok:
-            errors.append(LineError(lineno, REASON_MISSING, raw))
-            continue
-        values: dict[str, str | None] = {}
-        short = False
-        for field in REQUIRED_REVIEW_FIELDS:
-            idx = columns[field]
-            if idx >= len(row) or row[idx] == "":
-                short = True
-                break
-            values[field] = row[idx]
-        if short:
-            errors.append(LineError(lineno, REASON_MISSING, raw))
-            continue
-        try:
-            timestamp = _csv_int(values["timestamp"])
-            score = _csv_int(values["score"])
-        except ValueError:
-            errors.append(LineError(lineno, REASON_SYNTAX, raw))
-            continue
-        text: str | None = None
-        if "text" in columns and columns["text"] < len(row):
-            text = row[columns["text"]]
-        edge, reason = _validate_review(
-            values["review_id"], values["reviewer_id"], values["app_id"],
-            timestamp, score, text,
-        )
-        emit(edge, reason, lineno, raw)
     return edges, errors
 
 
@@ -338,57 +316,39 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
     """Parse an app catalog from CSV lines.
 
     Header: app_id,overall_rating,install_count,name (the last two are
-    optional columns). Duplicate app_ids keep the first record and report
-    a LineError(duplicate); ratings outside [1, 5] are rejected.
+    optional columns). The catalog maps each app_id to its record.
+    Duplicate app_ids keep the first record and report a
+    LineError(duplicate); ratings outside [1, 5] are rejected.
     """
     catalog: dict[str, AppRecord] = {}
     errors: list[LineError] = []
-    columns: dict[str, int] = {}
-    header_ok = False
-    for lineno, header, row in _iter_csv(lines):
-        if header is not None:
-            columns = {name: i for i, name in enumerate(header)}
-            header_ok = all(f in columns for f in REQUIRED_APP_FIELDS)
-            continue
-        raw = _csv_join(row)
-        if not header_ok:
-            errors.append(LineError(lineno, REASON_MISSING, raw))
-            continue
-
-        def cell(name: str) -> str | None:
-            idx = columns.get(name)
-            if idx is None or idx >= len(row) or row[idx] == "":
-                return None
-            return row[idx]
-
-        app_id = cell("app_id")
-        rating_raw = cell("overall_rating")
-        if app_id is None or rating_raw is None:
-            errors.append(LineError(lineno, REASON_MISSING, raw))
+    for lineno, row, cells in _csv_records(lines, REQUIRED_APP_FIELDS):
+        if any(field not in cells for field in REQUIRED_APP_FIELDS):
+            errors.append(LineError(lineno, REASON_MISSING, _raw(row)))
             continue
         try:
-            rating = float(rating_raw)
+            rating = float(cells["overall_rating"])
         except ValueError:
-            errors.append(LineError(lineno, REASON_SYNTAX, raw))
+            errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
             continue
         if not 1.0 <= rating <= 5.0:
-            errors.append(LineError(lineno, REASON_RANGE, raw))
+            errors.append(LineError(lineno, REASON_RANGE, _raw(row)))
             continue
-        install_raw = cell("install_count")
         install_count: int | None = None
-        if install_raw is not None:
+        if cells.get("install_count"):
             try:
-                install_count = _csv_int(install_raw)
+                install_count = _csv_int(cells["install_count"])
             except ValueError:
-                errors.append(LineError(lineno, REASON_SYNTAX, raw))
+                errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
                 continue
             if install_count < 0:
-                errors.append(LineError(lineno, REASON_RANGE, raw))
+                errors.append(LineError(lineno, REASON_RANGE, _raw(row)))
                 continue
+        app_id = cells["app_id"]
         if app_id in catalog:
-            errors.append(LineError(lineno, REASON_DUPLICATE, raw))
+            errors.append(LineError(lineno, REASON_DUPLICATE, _raw(row)))
             continue
-        catalog[app_id] = AppRecord(app_id, rating, install_count, cell("name"))
+        catalog[app_id] = AppRecord(app_id, rating, install_count, cells.get("name") or None)
     return catalog, errors
 
 

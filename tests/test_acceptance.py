@@ -23,7 +23,7 @@ from reviewstream.clusters import (
     pairwise_similarity,
 )
 from reviewstream.detector import DetectorConfig, run_detector
-from reviewstream.ingest import ReviewEdge, parse_apps, parse_reviews
+from reviewstream.ingest import ReviewEdge, ReviewTable, parse_apps, parse_reviews
 from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.sketch import CountMinSketch, derive_row_seeds
 from reviewstream.stats import summarize, welch_t
@@ -48,8 +48,12 @@ def standard_config(**kw) -> DetectorConfig:
     return DetectorConfig(**base)
 
 
+def rows(edges):
+    return ReviewTable.from_edges(edges).rows()
+
+
 def run_both_substreams(result, config):
-    partitioned = partition_stream(result.edges, result.catalog)
+    partitioned = partition_stream(rows(result.edges), result.catalog)
     boost_records, boost_events = run_detector(partitioned.boost, config, BOOST)
     sink_records, sink_events = run_detector(partitioned.sink, config, SINK)
     return boost_records + sink_records, boost_events + sink_events
@@ -110,7 +114,7 @@ def test_detector_oracle_equivalence():
         threshold = 10.0 if i % 3 == 0 else 1000.0
         config = standard_config(rows=4, cols=4096, filter_threshold=threshold,
                                  sketch_seed=17)
-        records, _ = run_detector(edges, config, BOOST)
+        records, _ = run_detector(rows(edges), config, BOOST)
         oracle = ExactScorer(0, PERIOD, decay=0.6, filter_threshold=threshold)
         expected = [oracle.process(e.app_id, e.timestamp) for e in edges]
         streams += 1
@@ -143,7 +147,7 @@ def test_injection_recall():
         if any(e.substream is BOOST and e.app_id == "a003" and e.burst_tick == 11
                for e in events):
             fired += 1
-        scores = list(zip(records.edges, records.score.tolist()))
+        scores = list(zip(records.table.edges(records.row), records.score.tolist()))
         injected_scores = [s for e, s in scores if e.review_id in injected]
         background_scores = [s for e, s in scores if e.review_id not in injected]
         if np.mean(injected_scores) > np.percentile(background_scores, 99):
@@ -190,13 +194,14 @@ def test_filtering_anti_poisoning():
         )
         result = gen_stream(spec)
         second_burst = result.injected_ids(injection_index=1)
-        partitioned = partition_stream(result.edges, result.catalog)
+        partitioned = partition_stream(rows(result.edges), result.catalog)
 
         def peak(threshold: float) -> float:
             records, _ = run_detector(
                 partitioned.boost, standard_config(filter_threshold=threshold), BOOST
             )
-            return max(s for e, s in zip(records.edges, records.score.tolist())
+            return max(s for e, s in zip(records.table.edges(records.row),
+                                         records.score.tolist())
                        if e.review_id in second_burst)
 
         if peak(1000.0) >= peak(math.inf):
@@ -249,7 +254,7 @@ def test_pair_analysis_ground_truth():
     ratio = len(analysis.flagged_review_ids) / injected_cluster.size
 
     background_edges = [
-        e for e in records.edges if e.review_id not in result.injected_ids()
+        e for e in records.table.edges(records.row) if e.review_id not in result.injected_ids()
     ][:40]
     control = SuspiciousCluster(
         app_id="control", substream=BOOST, tick=2,
@@ -317,10 +322,10 @@ def test_full_dataset_headline_counts():
     reviews_path = os.path.join(DATASET_DIR, "reviews.jsonl")
     catalog_path = os.path.join(DATASET_DIR, "apps.csv")
     with open(reviews_path, encoding="utf-8") as fh:
-        edges, _ = parse_reviews(fh)
+        table, _ = parse_reviews(fh)
     with open(catalog_path, encoding="utf-8") as fh:
         catalog, _ = parse_apps(fh)
-    summary = summarize(partition_stream(edges, catalog))
+    summary = summarize(partition_stream(table.rows(), catalog))
     counts_ok = (
         summary.reviews == 319_198
         and summary.reviewers == 301_188

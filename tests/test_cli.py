@@ -5,11 +5,17 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import shared_reviewer_weights
+from reviewstream import cli
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
-from reviewstream.ingest import parse_reviews, to_tick
+from reviewstream.ingest import ReviewEdge, ReviewTable, parse_reviews, to_tick
+from reviewstream.stats import shared_reviewer_graph
+
+DEEP = "[" * 100_000  # JSON nested far past the recursion limit
 
 SPEC = {
     "n_apps": 10,
@@ -352,8 +358,8 @@ class TestStages:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["app_a", "app_b", "weight"])
-        edges, _ = parse_reviews(reviews.read_text(encoding="utf-8").splitlines())
-        writer.writerows(shared_reviewer_weights(edges))
+        table, _ = parse_reviews(reviews.read_text(encoding="utf-8").splitlines())
+        writer.writerows(shared_reviewer_weights(table.edges()))
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_synth_rejects_bad_spec(self, tmp_path):
@@ -460,6 +466,15 @@ class TestRejections:
             "--embeddings", str(sidecar),
         ]) == EXIT_DATA
         assert f"{sidecar}:2: " in caplog.text
+
+    def test_deeply_nested_review_line_is_a_syntax_rejection(self, tmp_path):
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_text(ONE_REVIEW + DEEP + "\n", encoding="utf-8")
+        errors = tmp_path / "errors.jsonl"
+        assert main(["ingest", "--reviews", str(reviews), "--out", str(tmp_path / "out.jsonl"),
+                     "--errors", str(errors), "--max-error-rate", "1"]) == EXIT_OK
+        (error,) = map(json.loads, errors.read_text(encoding="utf-8").splitlines())
+        assert (error["line"], error["reason"]) == (2, "syntax")
 
     @pytest.mark.parametrize("command", [
         ["stats", "network"], ["pairs"],
@@ -608,6 +623,30 @@ EXIT_CASES = {
         PIPELINE + ["--origin", "0", "--reviews", "r.csv", "--format", "csv"],
         {"r.csv": "review_id,reviewer_id,app_id,timestamp,score,score\nr1,u1,a000,1,5,4\n"},
         EXIT_DATA, "reviews file r.csv: header names column 'score' twice"),
+    "stats-cdf-names-a-column-twice": (
+        ["stats", "cdf", "--scores", "s.csv", "--out", "cdf.csv"],
+        {"s.csv": "score,score\n1,5\n2,6\n"}, EXIT_DATA, "s.csv: header names column 'score' twice"),
+    "stats-ttest-names-a-column-twice": (
+        ["stats", "ttest", "--a", "s.csv:x", "--b", "s.csv:x"], {"s.csv": "x,y,x\n1,0,5\n2,0,6\n"},
+        EXIT_DATA, "s.csv: header names column 'x' twice"),
+    "events-nested-too-deeply": (CLUSTERS + ["--reviews", "reviews.jsonl"],
+                                 {"events.jsonl": DEEP + "\n"}, EXIT_DATA,
+                                 "events file events.jsonl is malformed: line 1: maximum recursion"),
+    "scores-config-nested-too-deeply": (
+        CLUSTERS + ["--reviews", "reviews.jsonl"],
+        {"scores.csv": f"# config {DEEP}\n{','.join(SCORES_COLUMNS)}\n"}, EXIT_DATA,
+        "scores file scores.csv is malformed: maximum recursion depth exceeded"),
+    "sidecar-nested-too-deeply": (PAIRS + ["--provider", "file", "--embeddings", "vecs.jsonl"],
+                                  {"vecs.jsonl": DEEP + "\n"}, EXIT_DATA,
+                                  "vecs.jsonl:1: not a {review_id, vector} object"),
+    "config-nested-too-deeply": (PIPELINE + ["--config", "run.json"], {"run.json": DEEP},
+                                 EXIT_CONFIG, "config file run.json is not valid JSON"),
+    "config-integer-too-long": (PIPELINE + ["--config", "run.json"],
+                                {"run.json": '{"origin": 1' + "0" * 5000 + "}"}, EXIT_CONFIG,
+                                "config file run.json is not valid JSON: Exceeds the limit"),
+    "synth-spec-nested-too-deeply": (
+        ["synth", "--spec", "spec.json", "--out", "o.jsonl", "--truth", "t.jsonl"],
+        {"spec.json": DEEP}, EXIT_CONFIG, "bad synth spec spec.json"),
     "catalog-names-a-column-twice": (
         PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
         {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},
@@ -649,3 +688,54 @@ class TestTopLevel:
 
     def test_unknown_command_exits_3(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+
+def test_pipeline_builds_review_edges_only_for_cluster_members(synth_files, tmp_path,
+                                                               monkeypatch):
+    """Reviews stay columns through the pipeline: the only ``ReviewEdge``s
+    built are the members of the collected clusters, one each."""
+    reviews, _, catalog = synth_files
+    built, collected = [], []
+    init, collect = ReviewEdge.__init__, cli.collect_clusters
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.review_id)
+
+    def recording_collect(*args):
+        collected.extend(collect(*args))
+        return collected
+
+    monkeypatch.setattr(ReviewEdge, "__init__", counting_init)
+    monkeypatch.setattr(cli, "collect_clusters", recording_collect)
+    assert run_pipeline(reviews, catalog, tmp_path / "out") == EXIT_OK
+    members = [m.review_id for c in collected for m in c.members]
+    assert 0 < len(built) < len(reviews.read_text(encoding="utf-8").splitlines())
+    assert built == members
+
+
+APP_IDS = st.one_of(
+    st.sampled_from(["", "a", "a,b", ",", 'say "hi"', '"', "\r", "\n", "a\r\nb", " a ",
+                     "\u00e9t\u00e9", "\u65e5\u672c", "#x", "a,,b", "\t"]),
+    st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reviews=st.lists(st.tuples(st.integers(0, 4), APP_IDS), max_size=30))
+def test_network_csv_matches_csv_writer(reviews):
+    """Each app id quoted once and the rows joined give the bytes that
+    ``csv.writer`` writes row by row, for ids holding commas, quotes,
+    line breaks, nothing at all or non-ASCII text."""
+    edges = [ReviewEdge(f"r{i}", f"u{u}", app, 0, 5) for i, (u, app) in enumerate(reviews)]
+    graph = shared_reviewer_graph(ReviewTable.from_edges(edges))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["app_a", "app_b", "weight"])
+    writer.writerows(graph.rows())
+    assert cli._network_csv(graph) == expected.getvalue()
+    apps = sorted({app for _, app in reviews})
+    for app in apps:
+        cell = io.StringIO()
+        csv.writer(cell, lineterminator="\n").writerow([app, "x"])
+        assert cli._quoted([app]) == [cell.getvalue()[:-3]]

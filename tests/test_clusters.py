@@ -20,7 +20,7 @@ from reviewstream.clusters import (
     rank_clusters,
 )
 from reviewstream.detector import MicroclusterEvent, ScoredStream
-from reviewstream.ingest import ReviewEdge
+from reviewstream.ingest import ReviewEdge, ReviewTable
 from reviewstream.partition import SubstreamLabel
 
 from _reference import all_pairs_similarity
@@ -35,9 +35,11 @@ def review(review_id, app="a1", tick=5, text="ok"):
 
 
 def stream(*rows):
-    """A ScoredStream of ``(edge, substream, tick, score)`` rows."""
+    """A ScoredStream of ``(edge, substream, tick, score)`` rows, over a
+    table that holds the edges in reverse, so no row is its position."""
     edges, substreams, ticks, scores = zip(*rows)
-    return ScoredStream(list(edges), np.array(ticks, np.uint64), np.array(scores, np.float64),
+    return ScoredStream(ReviewTable.from_edges(edges[::-1]), np.arange(len(edges))[::-1],
+                        np.array(ticks, np.uint64), np.array(scores, np.float64),
                         np.array([LABELS.index(s) for s in substreams], np.int8))
 
 

@@ -19,7 +19,7 @@ from reviewstream.detector import (
     write_events_jsonl,
     write_scores_csv,
 )
-from reviewstream.ingest import BeforeOriginError, ReviewEdge, to_tick
+from reviewstream.ingest import BeforeOriginError, ReviewEdge, ReviewTable, to_tick
 from reviewstream.partition import SubstreamLabel
 
 import _reference
@@ -34,6 +34,18 @@ def cfg(**kw) -> DetectorConfig:
     base = dict(origin=0, period=PERIOD, decay=1.0, filter_threshold=math.inf)
     base.update(kw)
     return DetectorConfig(**base)
+
+
+def rows(edges):
+    """The edges as one table's rows, in order."""
+    return ReviewTable.from_edges(edges).rows()
+
+
+def feed(det: Detector, edges) -> None:
+    """Process the edges one batch of one row at a time, all from one table."""
+    table = ReviewTable.from_edges(edges)
+    for i in range(len(edges)):
+        det.process(table.rows([i]))
 
 
 def mk_edges(spec: list[tuple[str, int, int]]) -> list[ReviewEdge]:
@@ -52,13 +64,13 @@ def mk_edges(spec: list[tuple[str, int, int]]) -> list[ReviewEdge]:
 
 class TestScoreFormula:
     def test_first_tick_scores_zero(self):
-        scored, _ = run_detector(mk_edges([("a", 1, 7)]), cfg(), BOOST)
+        scored, _ = run_detector(rows(mk_edges([("a", 1, 7)])), cfg(), BOOST)
         assert all(s == 0.0 for s in scored.score.tolist())
 
     def test_hand_computed_two_tick_score(self):
         # 1 edge in tick 1, then the 10th edge of tick 2:
         # cur=10, total=11 -> (10 - 5.5)^2 * 4 / 11 = 81/11
-        scored, _ = run_detector(mk_edges([("a", 1, 1), ("a", 2, 10)]), cfg(), BOOST)
+        scored, _ = run_detector(rows(mk_edges([("a", 1, 1), ("a", 2, 10)])), cfg(), BOOST)
         assert scored.tick.tolist()[-1] == 2
         assert scored.score.tolist()[-1] == pytest.approx(81 / 11, rel=1e-12)
 
@@ -67,7 +79,7 @@ class TestScoreFormula:
         # historical mean exactly, so the statistic vanishes
         k = 3
         scored, _ = run_detector(
-            mk_edges([("a", t, k) for t in range(1, 9)]), cfg(), BOOST
+            rows(mk_edges([("a", t, k) for t in range(1, 9)])), cfg(), BOOST
         )
         for t in range(2, 9):
             tick_scores = scored.score[scored.tick == t].tolist()
@@ -75,15 +87,14 @@ class TestScoreFormula:
 
     def test_scores_are_never_negative(self):
         edges = mk_edges([("a", t, 1 + t % 4) for t in range(1, 12)])
-        scored, _ = run_detector(edges, cfg(decay=0.6), BOOST)
+        scored, _ = run_detector(rows(edges), cfg(decay=0.6), BOOST)
         assert all(s >= 0.0 for s in scored.score.tolist())
 
 
 class TestFiltering:
     def two_tick_run(self, threshold: float) -> Detector:
         det = Detector(cfg(filter_threshold=threshold), BOOST)
-        for edge in mk_edges([("a", 1, 8), ("a", 2, 100), ("a", 3, 1)]):
-            det.process([edge])
+        feed(det, mk_edges([("a", 1, 8), ("a", 2, 100), ("a", 3, 1)]))
         return det
 
     def test_anomalous_tick_merges_expected_not_raw(self):
@@ -97,8 +108,7 @@ class TestFiltering:
 
     def test_quiet_tick_merges_raw_count(self):
         det = Detector(cfg(), BOOST)
-        for edge in mk_edges([("a", 1, 10), ("a", 2, 1)]):
-            det.process([edge])
+        feed(det, mk_edges([("a", 1, 10), ("a", 2, 1)]))
         assert det.historical_total("a") == 10.0
 
     def test_second_burst_scores_at_least_as_high_with_filtering(self):
@@ -107,7 +117,7 @@ class TestFiltering:
                 ("a", 1, 8), ("a", 2, 100), ("a", 3, 8), ("a", 4, 8),
                 ("a", 5, 100),
             ])
-            scored, _ = run_detector(edges, cfg(decay=0.6, filter_threshold=threshold), BOOST)
+            scored, _ = run_detector(rows(edges), cfg(decay=0.6, filter_threshold=threshold), BOOST)
             return max(scored.score[scored.tick == 5].tolist())
 
         assert peak_second_burst(50.0) >= peak_second_burst(math.inf)
@@ -116,15 +126,13 @@ class TestFiltering:
 class TestDecayAndGaps:
     def test_idle_ticks_still_decay_history(self):
         det = Detector(cfg(decay=0.5), BOOST)
-        for edge in mk_edges([("a", 1, 5), ("a", 5, 1)]):
-            det.process([edge])
+        feed(det, mk_edges([("a", 1, 5), ("a", 5, 1)]))
         # tick 1 count 5 merged, then decayed over 4 transitions
         assert det.historical_total("a") == 5 * 0.5**4
 
     def test_no_decay_with_factor_one(self):
         det = Detector(cfg(decay=1.0), BOOST)
-        for edge in mk_edges([("a", 1, 5), ("a", 5, 1)]):
-            det.process([edge])
+        feed(det, mk_edges([("a", 1, 5), ("a", 5, 1)]))
         assert det.historical_total("a") == 5.0
 
     @pytest.mark.parametrize("decay", [0.6, 1.0])
@@ -132,8 +140,7 @@ class TestDecayAndGaps:
         # 2**62 s is ~4.6e17 ticks; decay stops once a step changes nothing
         def history_after(gap):
             det = Detector(cfg(decay=decay), BOOST)
-            det.process([ReviewEdge("r0", "u0", "a", 1, 5)])
-            det.process([ReviewEdge("r1", "u1", "a", 1 + gap, 5)])
+            feed(det, [ReviewEdge("r0", "u0", "a", 1, 5), ReviewEdge("r1", "u1", "a", 1 + gap, 5)])
             return det.historical_total("a")
 
         start = time.perf_counter()
@@ -162,12 +169,12 @@ class TestBurstPredicate:
 
 class TestRunDetector:
     def test_empty_stream(self):
-        scored, events = run_detector([], cfg(), BOOST)
-        assert len(scored) == 0 and list(scored.edges) == [] and events == []
+        scored, events = run_detector(rows([]), cfg(), BOOST)
+        assert len(scored) == 0 and scored.table.edges(scored.row) == [] and events == []
 
     def test_burst_after_steady_traffic(self):
         edges = mk_edges([("a", t, 2) for t in range(1, 11)] + [("a", 11, 50)])
-        scored, events = run_detector(edges, cfg(decay=0.6, filter_threshold=1000.0), BOOST)
+        scored, events = run_detector(rows(edges), cfg(decay=0.6, filter_threshold=1000.0), BOOST)
         assert len(scored) == len(edges)
         assert [(e.prior_tick, e.prior_count, e.burst_count) for e in events] == [(10, 2, 50)]
         assert events[0].ratio == 25.0
@@ -178,7 +185,7 @@ class TestRunDetector:
 
     def test_final_tick_burst_is_flushed(self):
         edges = mk_edges([("a", 1, 4), ("a", 2, 40)])
-        _, events = run_detector(edges, cfg(), BOOST)
+        _, events = run_detector(rows(edges), cfg(), BOOST)
         assert [(e.prior_tick, e.burst_count) for e in events] == [(1, 40)]
 
     def test_time_regression_rejected(self):
@@ -187,24 +194,25 @@ class TestRunDetector:
             ReviewEdge("r1", "u1", "a", 5, 5),
         ]
         with pytest.raises(TimeRegressionError):
-            run_detector(edges, cfg(), BOOST)
+            run_detector(rows(edges), cfg(), BOOST)
 
     def test_timestamp_before_origin_rejected(self):
         with pytest.raises(BeforeOriginError):
-            run_detector([ReviewEdge("r0", "u0", "a", 3, 5)], cfg(origin=50), BOOST)
+            run_detector(rows([ReviewEdge("r0", "u0", "a", 3, 5)]), cfg(origin=50), BOOST)
 
     def test_memory_does_not_grow_with_stream_length(self):
         det = Detector(cfg(), BOOST)
         base = det._history.memory_bytes
-        n = 0
-        for tick in range(1, 200):
-            for app in range(20):
-                det.process([ReviewEdge(
-                    f"r{n}", f"u{n}", f"a{app}", (tick - 1) * PERIOD + 1, 5
-                )])
-                n += 1
+        feed(det, [ReviewEdge(f"r{n}", f"u{n}", f"a{n % 20}", (n // 20) * PERIOD + 1, 5)
+                   for n in range(199 * 20)])
         assert det._history.memory_bytes == base
         assert len(det._slots) == 20 and len(det._held) == 40  # the last two ticks' edges
+
+    def test_batches_of_another_table_are_rejected(self):
+        det = Detector(cfg(), BOOST)
+        det.process(rows(mk_edges([("a", 1, 2)])))
+        with pytest.raises(ValueError, match="one table"):
+            det.process(rows(mk_edges([("a", 2, 1)])))
 
 
 def random_stream(rng: np.random.Generator, n_apps: int, ticks: int, n_edges: int):
@@ -223,7 +231,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(1234)
         for _ in range(30):
             edges = random_stream(rng, n_apps=12, ticks=20, n_edges=400)
-            scored, _ = run_detector(edges, config, BOOST)
+            scored, _ = run_detector(rows(edges), config, BOOST)
             oracle = ExactScorer(0, PERIOD, decay=0.6, filter_threshold=8.0)
             expected = [oracle.process(e.app_id, e.timestamp) for e in edges]
             got = scored.score.tolist()
@@ -234,7 +242,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(99)
         for _ in range(25):
             edges = random_stream(rng, n_apps=8, ticks=15, n_edges=250)
-            _, events = run_detector(edges, config, BOOST)
+            _, events = run_detector(rows(edges), config, BOOST)
             got = sorted(
                 (e.app_id, e.prior_tick, e.prior_count, e.burst_count) for e in events
             )
@@ -274,17 +282,17 @@ class TestSerialization:
     def test_scores_csv_round_trip(self, tmp_path):
         edges = mk_edges([("a", 1, 2), ("b", 2, 3)])
         config = cfg(decay=0.6)
-        scored, _ = run_detector(edges, config, BOOST)
+        scored, _ = run_detector(rows(edges), config, BOOST)
         path = tmp_path / "scores.csv"
         write_scores_csv(scored, config, path)
-        rows, header_config = read_scores_csv(path, {e.review_id: e for e in edges})
+        read, header_config = read_scores_csv(path, scored.table)
         assert header_config == config.to_dict()
-        assert _rows(rows) == _rows(scored)
-        assert rows.score.tolist() == scored.score.tolist()
+        assert _rows(read) == _rows(scored)
+        assert read.score.tolist() == scored.score.tolist()
 
     def test_events_jsonl_round_trip(self, tmp_path):
         edges = mk_edges([("a", 1, 3), ("a", 2, 30)])
-        _, events = run_detector(edges, cfg(), BOOST)
+        _, events = run_detector(rows(edges), cfg(), BOOST)
         path = tmp_path / "events.jsonl"
         write_events_jsonl(events, path)
         assert read_events_jsonl(path) == events
@@ -330,7 +338,8 @@ def scored_runs(draw):
 
 def _rows(scored):
     """(review id, tick, sub-stream) of each scored edge, from the columns."""
-    return list(zip([e.review_id for e in scored.edges], scored.tick.tolist(),
+    return list(zip(map(scored.table.review_id.__getitem__, scored.row.tolist()),
+                    scored.tick.tolist(),
                     [LABELS[code] for code in scored.substream.tolist()]))
 
 
@@ -353,15 +362,16 @@ def test_batches_match_the_per_edge_detector(run):
     apps = sorted({e.app_id for e in edges})
     history = [reference.historical_total(a) for a in apps]
 
-    whole, whole_events = run_detector(edges, config, BOOST)
+    table = ReviewTable.from_edges(edges)
+    whole, whole_events = run_detector(table.rows(), config, BOOST)
     split = Detector(config, BOOST)
     split_parts = []
     for lo, hi in zip([0, *cuts], [*cuts, len(edges)]):
         if lo in prefix_history:
             assert {a: split.historical_total(a) for a in prefix_history[lo]} == prefix_history[lo]
-        split_parts.append(split.process(edges[lo:hi]))
+        split_parts.append(split.process(table.rows(range(lo, hi))))
     single = Detector(config, BOOST)
-    single_parts = [single.process([edge]) for edge in edges]
+    single_parts = [single.process(table.rows([i])) for i in range(len(edges))]
     for scored, detector_events in ((whole, whole_events),
                                     (reduce(add, split_parts), split.finish()),
                                     (reduce(add, single_parts), single.finish())):
@@ -400,7 +410,7 @@ def test_score_expression_matches_python(seed):
 def test_origin_at_the_int64_floor_gives_exact_ticks():
     config = cfg(origin=-(2**63), period=1)
     edges = [ReviewEdge("r0", "u0", "a", 0, 5), ReviewEdge("r1", "u1", "a", 2**63 - 1, 5)]
-    scored, _ = run_detector(edges, config, BOOST)
+    scored, _ = run_detector(rows(edges), config, BOOST)
     assert scored.tick.tolist() == [to_tick(e.timestamp, -(2**63), 1) for e in edges]
     assert scored.tick.tolist()[-1] == 2**64 - 1
 
@@ -443,5 +453,6 @@ def test_batches_raise_the_per_edge_detectors_error(run):
     reference = _reference.Detector(config, BOOST)
     expected = _first_error(lambda: [reference.process_edge(edge) for edge in edges])
     detector = Detector(config, BOOST)
-    batches = [edges[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(edges)])]
+    table = ReviewTable.from_edges(edges)
+    batches = [table.rows(range(lo, hi)) for lo, hi in zip([0, *cuts], [*cuts, len(edges)])]
     assert _first_error(lambda: [detector.process(batch) for batch in batches]) == expected

@@ -22,7 +22,10 @@ REMOVED_MEMBERS = [
     (detector.Detector, "tick"), (sketch.CountMinSketch, "insert_at"),
     (sketch.CountMinSketch, "estimate_at"), (sketch.CountMinSketch, "clear"),
     (stats.SharedReviewerGraph, "__iter__"), (stats.EcdfPoints, "fraction_at"),
+    (detector.ScoredStream, "edges"),
 ]
+# The columnar review types: exported, and documented in the README.
+TABLE_TYPES = ["ReviewTable", "ReviewRows"]
 
 
 def test_all_has_no_duplicates_and_every_name_resolves():
@@ -48,6 +51,15 @@ def test_removed_names_stay_gone():
             assert not re.search(rf"\b{name}\b", readme), name
     for cls, name in REMOVED_MEMBERS:
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_table_types_are_exported_and_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name in TABLE_TYPES:
+        assert name in reviewstream.__all__
+        assert getattr(reviewstream, name) is getattr(ingest, name)
+        assert re.search(rf"`{name}`", readme), name
+    assert "ReviewTable.from_edges" in readme and "table.rows(" in readme
 
 
 def test_every_benchmark_entry_point_is_bound_in_cli():

@@ -3,6 +3,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from reviewstream.ingest import (
     BeforeOriginError,
     ReviewEdge,
+    ReviewTable,
     parse_apps,
     parse_reviews,
     review_to_line,
@@ -23,22 +25,28 @@ def jline(**kw) -> str:
     return json.dumps(kw)
 
 
+def parse_edges(lines, format="jsonl"):
+    """``parse_reviews`` with the table's rows as ``ReviewEdge``s."""
+    table, errors = parse_reviews(lines, format=format)
+    return table.edges(), errors
+
+
 VALID = dict(review_id="x1", reviewer_id="u1", app_id="a1", timestamp=0, score=5)
 
 
 class TestParseReviews:
     def test_minimal_valid_record(self):
-        edges, errors = parse_reviews([jline(**VALID)])
+        edges, errors = parse_edges([jline(**VALID)])
         assert errors == []
         assert edges == [ReviewEdge("x1", "u1", "a1", 0, 5, None)]
 
     def test_score_out_of_range(self):
-        edges, errors = parse_reviews([jline(**{**VALID, "score": 6})])
+        edges, errors = parse_edges([jline(**{**VALID, "score": 6})])
         assert edges == []
         assert len(errors) == 1 and errors[0].reason == "range"
 
     def test_negative_timestamp(self):
-        _, errors = parse_reviews([jline(**{**VALID, "timestamp": -5})])
+        _, errors = parse_edges([jline(**{**VALID, "timestamp": -5})])
         assert errors[0].reason == "range"
 
     def test_timestamp_must_fit_int64(self):
@@ -46,22 +54,22 @@ class TestParseReviews:
         lines = [jline(**{**VALID, "review_id": "x1", "timestamp": largest}),
                  jline(**{**VALID, "review_id": "x2", "timestamp": largest + 1}),
                  jline(**{**VALID, "review_id": "x3", "timestamp": 1e19})]
-        edges, errors = parse_reviews(lines)
+        edges, errors = parse_edges(lines)
         assert [e.timestamp for e in edges] == [largest]
         assert [(e.line, e.reason) for e in errors] == [(2, "range"), (3, "range")]
         csv_lines = ["review_id,reviewer_id,app_id,timestamp,score",
                      f"x1,u1,a1,{largest},5", f"x2,u1,a1,{largest + 1},5"]
-        edges, errors = parse_reviews(csv_lines, format="csv")
+        edges, errors = parse_edges(csv_lines, format="csv")
         assert [e.timestamp for e in edges] == [largest]
         assert [(e.line, e.reason) for e in errors] == [(3, "range")]
 
     def test_missing_field(self):
         record = {k: v for k, v in VALID.items() if k != "reviewer_id"}
-        _, errors = parse_reviews([jline(**record)])
+        _, errors = parse_edges([jline(**record)])
         assert errors[0].reason == "missing_field"
 
     def test_wrong_type_is_syntax(self):
-        _, errors = parse_reviews([jline(**{**VALID, "score": "five"})])
+        _, errors = parse_edges([jline(**{**VALID, "score": "five"})])
         assert errors[0].reason == "syntax"
 
     def test_duplicate_id_keeps_first(self):
@@ -69,7 +77,7 @@ class TestParseReviews:
             jline(**VALID),
             jline(**{**VALID, "score": 1}),
         ]
-        edges, errors = parse_reviews(lines)
+        edges, errors = parse_edges(lines)
         assert len(edges) == 1 and edges[0].score == 5
         assert errors[0].reason == "duplicate" and errors[0].line == 2
 
@@ -85,7 +93,7 @@ class TestParseReviews:
             else:
                 lines.append(jline(review_id=f"x{i}", reviewer_id="u", app_id="a",
                                    timestamp=i, score=3))
-        edges, errors = parse_reviews(lines)
+        edges, errors = parse_edges(lines)
         assert len(edges) == 8
         assert [e.review_id for e in edges] == [f"x{i}" for i in range(1, 11) if i not in (4, 8)]
         assert [(e.line, e.reason) for e in errors] == [(4, "syntax"), (8, "range")]
@@ -97,14 +105,14 @@ class TestParseReviews:
             "x2,u2,a1,11,6,",
             "x3,u3,a1,abc,2,",
         ]
-        edges, errors = parse_reviews(lines, format="csv")
+        edges, errors = parse_edges(lines, format="csv")
         assert [e.review_id for e in edges] == ["x1"]
         assert edges[0].text == "nice, works"
         assert [e.reason for e in errors] == ["range", "syntax"]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            parse_reviews([], format="tsv")
+            parse_edges([], format="tsv")
 
     @pytest.mark.parametrize("cell", ["1_0", "+2", " 7", "7 ", "٣", "²", "-", "--1", "0x1"])
     @pytest.mark.parametrize("column", ["timestamp", "score"])
@@ -113,7 +121,7 @@ class TestParseReviews:
                "score": "2", column: cell}
         lines = [",".join(row), ",".join(f'"{v}"' for v in row.values()),
                  "x2,u1,a1,-0,5", "x3,u1,a1,0010,5"]
-        edges, errors = parse_reviews(lines, format="csv")
+        edges, errors = parse_edges(lines, format="csv")
         assert [(e.review_id, e.timestamp) for e in edges] == [("x2", 0), ("x3", 10)]
         assert [(e.line, e.reason) for e in errors] == [(2, "syntax")]
 
@@ -203,7 +211,7 @@ texts = st.one_of(st.none(), st.text(max_size=50))
 )
 def test_round_trip(review_id, reviewer_id, app_id, timestamp, score, text):
     edge = ReviewEdge(review_id, reviewer_id, app_id, timestamp, score, text)
-    reparsed, errors = parse_reviews([review_to_line(edge)])
+    reparsed, errors = parse_edges([review_to_line(edge)])
     assert errors == []
     assert reparsed == [edge]
 
@@ -307,38 +315,116 @@ def jsonl_line(draw):
     return json.dumps(obj)
 
 
-def repeated_column(lines):
-    """The first column the header names twice, or None; the earlier
-    parser let the last column of that name win."""
-    header = next((row for row in csv.reader(lines) if row), [])
-    return next((name for i, name in enumerate(header) if name in header[:i]), None)
+def assert_matches_reference(lines, format="jsonl"):
+    """The table parse gives the object parser's rows, in order, the same
+    LineErrors, and codes into first-appearance id lists; or the same
+    ``ValueError`` for a header that names a column twice."""
+    try:
+        ref_edges, ref_errors = _reference.parse_reviews(lines, format=format)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            parse_reviews(lines, format=format)
+        return
+    table, errors = parse_reviews(lines, format=format)
+    assert errors == ref_errors
+    assert table.edges() == ref_edges
+    assert table.review_id == [e.review_id for e in ref_edges]
+    assert table.app_ids == list(dict.fromkeys(e.app_id for e in ref_edges))
+    assert table.reviewer_ids == list(dict.fromkeys(e.reviewer_id for e in ref_edges))
+    assert table.app.tolist() == [table.app_ids.index(e.app_id) for e in ref_edges]
+    assert table.reviewer.tolist() == [table.reviewer_ids.index(e.reviewer_id)
+                                       for e in ref_edges]
+    assert (table.app.dtype, table.reviewer.dtype, table.timestamp.dtype, table.score.dtype) == (
+        np.int64, np.int64, np.int64, np.int8)
 
 
 @settings(max_examples=400)
 @given(lines=csv_lines(REVIEW_COLUMNS))
 def test_csv_reviews_match_reference(lines):
-    twice = repeated_column(lines)
-    if twice is not None:
-        with pytest.raises(ValueError, match=re.escape(f"header names column {twice!r} twice")):
-            parse_reviews(lines, format="csv")
-        return
-    assert parse_reviews(lines, format="csv") == _reference.parse_reviews(lines, format="csv")
+    assert_matches_reference(lines, format="csv")
 
 
 @settings(max_examples=400)
 @given(lines=csv_lines(APP_COLUMNS))
 def test_catalog_matches_reference(lines):
-    twice = repeated_column(lines)
-    if twice is not None:
-        with pytest.raises(ValueError, match=re.escape(f"header names column {twice!r} twice")):
+    try:
+        ref_catalog, ref_errors = _reference.parse_apps(lines)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
             parse_apps(lines)
         return
     catalog, errors = parse_apps(lines)
-    ref_catalog, ref_errors = _reference.parse_apps(lines)
-    assert (list(catalog.values()), errors) == (list(ref_catalog.values()), ref_errors)
+    assert errors == ref_errors
+    assert list(catalog.items()) == list(ref_catalog.items())
 
 
 @settings(max_examples=400)
 @given(lines=st.lists(jsonl_line(), max_size=12))
 def test_jsonl_reviews_match_reference(lines):
-    assert parse_reviews(lines) == _reference.parse_reviews(lines)
+    assert_matches_reference(lines)
+
+
+DEEP = 100_000  # far past the recursion limit
+
+
+@st.composite
+def odd_jsonl_line(draw):
+    """A line that ``json.loads`` and an in-place decode could read
+    differently: a BOM, whitespace around the object, two objects or
+    trailing data, NaN and Infinity literals, nesting past the recursion
+    limit, a valid object holding a nested value, or an integer too long
+    to convert."""
+    obj = draw(jsonl_line())
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return "\ufeff" + obj
+    if kind == 1:
+        return draw(st.sampled_from(["", " ", "\t", "\r", "\n"])) + obj + draw(
+            st.sampled_from(["", " ", "\t", "\r", " \r", "\n"]))
+    if kind == 2:
+        return draw(st.sampled_from(["{}, {}", "{} {}", "{}{}", obj + ", {}", obj + obj]))
+    if kind == 3:
+        return obj + draw(st.sampled_from([" x", "]", "}", ",", " 1", "\x00", " //"]))
+    if kind == 4:
+        literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+        field = draw(st.sampled_from(["timestamp", "score", "extra"]))
+        return json.dumps({**VALID, field: 0}).replace('": 0', '": ' + literal, 1)
+    if kind == 5:
+        return draw(st.sampled_from(["[", "{\"a\": [", "{\"a\": "])) * DEEP
+    if kind == 6:
+        depth = draw(st.integers(1, 50))
+        return json.dumps(VALID)[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}"
+    if kind == 7:
+        return '{"review_id": "x1", ' + '"t": {' * 20 + "}" * 20 + "}"
+    if kind == 8:  # past the 4300 digits int() converts: a ValueError, not a JSONDecodeError
+        digits = draw(st.sampled_from([4300, 4301, 10_000]))
+        return json.dumps(VALID).replace('"timestamp": 0', '"timestamp": 1' + "0" * (digits - 1))
+    return obj
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(odd_jsonl_line(), max_size=8))
+def test_odd_jsonl_lines_match_reference(lines):
+    assert_matches_reference(lines)
+
+
+def test_deep_or_overlong_line_is_a_syntax_error():
+    """JSON nested past the recursion limit, and an integer of more than
+    4300 digits, reject their line and leave the rest of the parse alone."""
+    overlong = json.dumps(VALID).replace('"timestamp": 0', '"timestamp": 1' + "0" * 5000)
+    lines = [json.dumps(VALID), "[" * DEEP, '{"a": ' + "[" * DEEP, overlong,
+             json.dumps({**VALID, "review_id": "x2"})]
+    table, errors = parse_reviews(lines)
+    assert table.review_id == ["x1", "x2"]
+    assert [(e.line, e.reason) for e in errors] == [(2, "syntax"), (3, "syntax"), (4, "syntax")]
+
+
+def test_table_from_edges_round_trips():
+    edges = [ReviewEdge("x1", "u2", "a1", 5, 3, "t"), ReviewEdge("x2", "u1", "a1", 2**63 - 1, 1),
+             ReviewEdge("x3", "u2", "a0", 0, 5, "")]
+    table = ReviewTable.from_edges(edges)
+    assert table.edges() == edges and table.edges([2, 0]) == [edges[2], edges[0]]
+    assert (table.app_ids, table.app.tolist()) == (["a1", "a0"], [0, 0, 1])
+    assert (table.reviewer_ids, table.reviewer.tolist()) == (["u2", "u1"], [0, 1, 0])
+    assert table.rows([2, 1]).row.tolist() == [2, 1]
+    assert len(ReviewTable.from_edges([])) == 0 and ReviewTable.from_edges([]).edges() == []

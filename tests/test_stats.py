@@ -13,7 +13,7 @@ from scipy.stats import t as t_dist  # the p-value oracle; welch_t does not impo
 
 from _reference import shared_reviewer_weights
 from reviewstream import stats as stats_module
-from reviewstream.ingest import AppRecord, ReviewEdge
+from reviewstream.ingest import AppRecord, ReviewEdge, ReviewTable
 from reviewstream.partition import partition_stream
 from reviewstream.stats import (
     DegenerateSamplesError,
@@ -28,6 +28,14 @@ from reviewstream.stats import (
 
 def edge(review_id, reviewer, app, score=5):
     return ReviewEdge(review_id, reviewer, app, 0, score)
+
+
+def rows_of(edges):
+    return ReviewTable.from_edges(edges).rows()
+
+
+def graph_of(edges):
+    return shared_reviewer_graph(ReviewTable.from_edges(edges))
 
 
 class TestWelch:
@@ -171,26 +179,26 @@ def test_ecdf_last_fraction_is_one(values):
 class TestSharedReviewerGraph:
     def test_one_shared_reviewer(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "B")]
-        assert list(shared_reviewer_graph(edges).rows()) == [("A", "B", 1)]
+        assert list(graph_of(edges).rows()) == [("A", "B", 1)]
 
     def test_repeat_reviews_count_once(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "A"), edge("r3", "u1", "B")]
-        graph = list(shared_reviewer_graph(edges).rows())
+        graph = list(graph_of(edges).rows())
         assert graph[0][2] == 1
 
     def test_no_self_loops_or_zero_weights(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u2", "B")]
-        assert list(shared_reviewer_graph(edges).rows()) == []
+        assert list(graph_of(edges).rows()) == []
 
     def test_empty_and_unshared_give_no_pairs(self):
-        assert len(shared_reviewer_graph([])) == 0
+        assert len(graph_of([])) == 0
         edges = [edge("r1", "u1", "A"), edge("r2", "u2", "B"), edge("r3", "u2", "B")]
-        assert len(shared_reviewer_graph(edges)) == 0
+        assert len(graph_of(edges)) == 0
 
     def test_columns_and_rows(self):
         edges = [edge("r1", "u1", "B"), edge("r2", "u1", "A"), edge("r3", "u2", "A"),
                  edge("r4", "u2", "B"), edge("r5", "u2", "C")]
-        graph = shared_reviewer_graph(edges)
+        graph = graph_of(edges)
         assert len(graph) == len(graph.app_a) == len(graph.app_b) == len(graph.weight) == 3
         assert list(graph.rows()) == [("A", "B", 2), ("A", "C", 1), ("B", "C", 1)]
         assert [type(w) for _, _, w in graph.rows()] == [int, int, int]
@@ -204,7 +212,7 @@ class TestSharedReviewerGraph:
         apps = ["f", "a", "e", "b", "d", "c"]
         edges = [edge(f"r{u}{i}", f"u{u}", app) for u in (1, 2) for i, app in enumerate(apps)]
         edges += [edge("r31", "u3", "a"), edge("r32", "u3", "z"), edge("r4", "u4", "q")]
-        got = list(shared_reviewer_graph(edges).rows())
+        got = list(graph_of(edges).rows())
         assert got == shared_reviewer_weights(edges)
         assert sum(w for _, _, w in got) == 31
 
@@ -224,7 +232,7 @@ class TestSharedReviewerGraph:
         edges = [edge(f"r{i}", f"u{u}", app) for i, (u, app) in enumerate(reviews)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stats_module, "_PAIR_BLOCK_ENTRIES", block)
-            graph = list(shared_reviewer_graph(edges).rows())
+            graph = list(graph_of(edges).rows())
         assert graph == shared_reviewer_weights(edges)
         assert all(type(w) is int for _, _, w in graph)
 
@@ -236,7 +244,7 @@ class TestSharedReviewerGraph:
         edges = [
             edge(f"r{i}", f"u{u}", f"a{a}") for i, (u, a) in enumerate(pairs)
         ]
-        got = {(a, b): w for a, b, w in shared_reviewer_graph(edges).rows()}
+        got = {(a, b): w for a, b, w in graph_of(edges).rows()}
         # oracle: direct pairwise intersection of reviewer sets
         reviewers: dict[str, set[str]] = {}
         for e in edges:
@@ -260,12 +268,12 @@ class TestSummarize:
             edge("r2", "u1", "A", score=1),
             edge("r3", "u2", "A", score=4),
         ]
-        summary = summarize(partition_stream(edges, self.CATALOG))
+        summary = summarize(partition_stream(rows_of(edges), self.CATALOG))
         assert asdict(summary) == {
             "reviews": 3, "reviewers": 2, "apps": 1,
             "boost": 2, "sink": 1, "unpartitioned": 0,
         }
 
     def test_empty_stream(self):
-        summary = summarize(partition_stream([], self.CATALOG))
+        summary = summarize(partition_stream(rows_of([]), self.CATALOG))
         assert summary.reviews == 0 and summary.reviewers == 0 and summary.apps == 0

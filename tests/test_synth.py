@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reviewstream.detector import DetectorConfig, run_detector
-from reviewstream.ingest import review_to_line, to_tick
+from reviewstream.ingest import ReviewTable, review_to_line, to_tick
 from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.stats import shared_reviewer_graph
 from reviewstream.synth import Injection, SynthSpec, gen_stream
@@ -119,11 +119,12 @@ def test_coordinated_reviewers_boosting_two_apps_fire_both():
         ),
     )
     result = gen_stream(s)
-    partitioned = partition_stream(result.edges, result.catalog)
+    table = ReviewTable.from_edges(result.edges)
+    partitioned = partition_stream(table.rows(), result.catalog)
     config = DetectorConfig(origin=0, period=PERIOD, burst_factor=2.0)
     _, events = run_detector(partitioned.boost, config, SubstreamLabel.BOOST)
     fired = {e.app_id for e in events if e.burst_tick == 6}
     assert {"a001", "a002"} <= fired
     # the same three workers appear on both apps
-    weights = {(a, b): w for a, b, w in shared_reviewer_graph(result.edges).rows()}
+    weights = {(a, b): w for a, b, w in shared_reviewer_graph(table).rows()}
     assert weights.get(("a001", "a002"), 0) >= 3
