@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -243,31 +244,31 @@ def check_csv_header(header: list[str]) -> None:
 
 def _csv_records(
     lines: Iterable[str], names: tuple[str, ...], required: tuple[str, ...]
-) -> Iterator[tuple[int, list[str], dict[str, str]]]:
+) -> Iterator[tuple[int, list[str], list[str | None]]]:
     """Yield (line_number, row, cells) for each data row of a CSV stream.
 
     The first non-blank row is the header; a header that names a column
-    twice raises ``ValueError``. ``cells`` maps each of ``names`` that the
-    header has to the row's cell, found at the position the header gave
-    it. A required cell that is empty or past the end of the row is left
-    out, so it reads as missing. Blank rows are skipped. RFC-4180 quoting
-    (including embedded newlines) is handled by the csv module; line
-    numbers refer to the physical line on which a record ends.
+    twice raises ``ValueError``. ``cells`` holds the row's cell for each
+    of ``names``, at the position the header gave it, or None where the
+    header lacks the column, the row ends before it, or a required cell
+    is empty. Blank rows are skipped. RFC-4180 quoting (including
+    embedded newlines) is handled by the csv module; line numbers refer
+    to the physical line on which a record ends.
     """
     reader = csv.reader(lines)
-    positions: list[tuple[str, int, bool]] | None = None
+    positions: list[tuple[int, bool]] | None = None
     for row in reader:
         if not row:
             continue
         if positions is None:
             check_csv_header(row)
-            positions = [(name, row.index(name), name in required)
-                         for name in names if name in row]
+            # A column the header lacks lies past the end of every row.
+            positions = [(row.index(name) if name in row else math.inf, name in required)
+                         for name in names]
             continue
         width = len(row)
-        cells = {name: row[i] for name, i, needed in positions
-                 if i < width and (row[i] or not needed)}
-        yield reader.line_num, row, cells
+        yield reader.line_num, row, [row[i] if i < width and (row[i] or not needed) else None
+                                     for i, needed in positions]
 
 
 def csv_after_comments(lines: Iterable[str]) -> tuple[list[str], Iterator[list[str]]]:
@@ -306,7 +307,8 @@ def parse_reviews(
     if format == "jsonl":
         records, as_int = _jsonl_records(lines), _as_int
     elif format == "csv":
-        records = _csv_records(lines, REVIEW_FIELDS, REQUIRED_REVIEW_FIELDS)
+        records = ((lineno, row, dict(zip(REVIEW_FIELDS, cells))) for lineno, row, cells
+                   in _csv_records(lines, REVIEW_FIELDS, REQUIRED_REVIEW_FIELDS))
         as_int = _csv_int
     else:
         raise ValueError(f"unknown review format {format!r}")
@@ -336,11 +338,12 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
     catalog: dict[str, AppRecord] = {}
     errors: list[LineError] = []
     for lineno, row, cells in _csv_records(lines, APP_FIELDS, REQUIRED_APP_FIELDS):
-        if any(field not in cells for field in REQUIRED_APP_FIELDS):
+        app_id, rating_cell, install_cell, name = cells  # APP_FIELDS order
+        if app_id is None or rating_cell is None:
             errors.append(LineError(lineno, REASON_MISSING, _raw(row)))
             continue
         try:
-            rating = float(cells["overall_rating"])
+            rating = float(rating_cell)
         except ValueError:
             errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
             continue
@@ -348,20 +351,19 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
             errors.append(LineError(lineno, REASON_RANGE, _raw(row)))
             continue
         install_count: int | None = None
-        if cells.get("install_count"):
+        if install_cell:
             try:
-                install_count = _csv_int(cells["install_count"])
+                install_count = _csv_int(install_cell)
             except ValueError:
                 errors.append(LineError(lineno, REASON_SYNTAX, _raw(row)))
                 continue
             if install_count < 0:
                 errors.append(LineError(lineno, REASON_RANGE, _raw(row)))
                 continue
-        app_id = cells["app_id"]
         if app_id in catalog:
             errors.append(LineError(lineno, REASON_DUPLICATE, _raw(row)))
             continue
-        catalog[app_id] = AppRecord(app_id, rating, install_count, cells.get("name") or None)
+        catalog[app_id] = AppRecord(app_id, rating, install_count, name or None)
     return catalog, errors
 
 
