@@ -21,7 +21,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,14 +70,6 @@ REQUIRED_REVIEW_FIELDS = tuple(f.name for f in fields(ReviewEdge) if f.default i
 REQUIRED_APP_FIELDS = tuple(f.name for f in fields(AppRecord) if f.default is MISSING)
 
 
-def _codes(ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Each id's int64 code, and the distinct ids in order of first
-    appearance, which the codes index."""
-    distinct = list(dict.fromkeys(ids))
-    index = {name: code for code, name in enumerate(distinct)}
-    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), distinct
-
-
 @dataclass(frozen=True, eq=False)
 class ReviewTable:
     """Reviews as columns: row ``i`` is review ``review_id[i]``, written by
@@ -102,18 +94,27 @@ class ReviewTable:
                 f"{len(self.app_ids)} apps)")
 
     @classmethod
-    def _from_rows(cls, rows: Sequence[tuple]) -> "ReviewTable":
-        """The table of field tuples in ``ReviewEdge`` order."""
-        review_id, reviewer_id, app_id, timestamp, score, text = (
-            zip(*rows) if rows else ((),) * len(REVIEW_FIELDS))
-        reviewer, reviewer_ids = _codes(reviewer_id)
-        app, app_ids = _codes(app_id)
-        return cls(list(review_id), reviewer, app, np.array(timestamp, np.int64),
-                   np.array(score, np.int8), list(text), reviewer_ids, app_ids)
+    def _from_rows(cls, rows: Iterable[tuple]) -> "ReviewTable":
+        """The table of field tuples in ``ReviewEdge`` order. Each reviewer
+        and app id is coded as it arrives, so a repeat of an id is dropped
+        at once and no row outlives the loop."""
+        review_id, reviewer, app, timestamp, score, text = [], [], [], [], [], []
+        reviewer_code: dict[str, int] = {}
+        app_code: dict[str, int] = {}
+        for row in rows:
+            review_id.append(row[0])
+            reviewer.append(reviewer_code.setdefault(row[1], len(reviewer_code)))
+            app.append(app_code.setdefault(row[2], len(app_code)))
+            timestamp.append(row[3])
+            score.append(row[4])
+            text.append(row[5])
+        return cls(review_id, np.array(reviewer, np.int64), np.array(app, np.int64),
+                   np.array(timestamp, np.int64), np.array(score, np.int8), text,
+                   list(reviewer_code), list(app_code))
 
     @classmethod
     def from_edges(cls, edges: Iterable[ReviewEdge]) -> "ReviewTable":
-        return cls._from_rows(list(map(attrgetter(*REVIEW_FIELDS), edges)))
+        return cls._from_rows(map(attrgetter(*REVIEW_FIELDS), edges))
 
     def edges(self, rows: Iterable[int] | None = None) -> list[ReviewEdge]:
         """The given rows, or all, as ``ReviewEdge``s."""
@@ -312,19 +313,21 @@ def parse_reviews(
         as_int = _csv_int
     else:
         raise ValueError(f"unknown review format {format!r}")
-    rows: list[tuple] = []
     errors: list[LineError] = []
     seen: set[str] = set()
-    for lineno, line, record in records:
-        row, reason = _review_from_record(record, as_int)
-        if row is None:
-            errors.append(LineError(lineno, reason, _raw(line)))
-        elif row[0] in seen:
-            errors.append(LineError(lineno, REASON_DUPLICATE, _raw(line)))
-        else:
-            seen.add(row[0])
-            rows.append(row)
-    return ReviewTable._from_rows(rows), errors
+
+    def accepted() -> Iterator[tuple]:
+        for lineno, line, record in records:
+            row, reason = _review_from_record(record, as_int)
+            if row is None:
+                errors.append(LineError(lineno, reason, _raw(line)))
+            elif row[0] in seen:
+                errors.append(LineError(lineno, REASON_DUPLICATE, _raw(line)))
+            else:
+                seen.add(row[0])
+                yield row
+
+    return ReviewTable._from_rows(accepted()), errors
 
 
 def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineError]]:
