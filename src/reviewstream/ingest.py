@@ -176,9 +176,9 @@ def _review_from_record(
     """One review's field checks, shared by both formats: its fields in
     ``ReviewEdge`` order, or the reason it is rejected.
 
-    ``record`` is a JSON object, or a CSV row's cells with empty required
-    cells left out; ``as_int`` reads the format's integers. The order of
-    the checks fixes each line's reason.
+    ``record`` is a JSON object, or a CSV row's cells by field name, None
+    where ``_csv_records`` finds none; ``as_int`` reads the format's
+    integers. The order of the checks fixes each line's reason.
     """
     if not isinstance(record, dict):
         return None, REASON_SYNTAX
@@ -210,8 +210,9 @@ _raw_decode = json.JSONDecoder().raw_decode  # the decoder json.loads uses
 
 def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
     """Yield (line_number, raw, value) for each non-blank line; a line that
-    is not JSON, or nests past the recursion limit, yields None, which no
-    record check accepts.
+    the decoder rejects (also for nesting past the recursion limit, or an
+    integer of more than 4300 digits) yields None, which no record check
+    accepts.
 
     A line that starts with ``{`` is decoded in place, and the value kept
     if it ends the line: that is what ``json.loads`` returns for it, without
