@@ -214,6 +214,12 @@ class TestRunDetector:
         with pytest.raises(ValueError, match="one table"):
             det.process(rows(mk_edges([("a", 2, 1)])))
 
+    def test_streams_of_two_tables_do_not_concatenate(self):
+        one, _ = run_detector(rows(mk_edges([("a", 1, 2)])), cfg(), BOOST)
+        two, _ = run_detector(rows(mk_edges([("a", 1, 2)])), cfg(), BOOST)
+        with pytest.raises(ValueError, match="different tables"):
+            one + two
+
 
 def random_stream(rng: np.random.Generator, n_apps: int, ticks: int, n_edges: int):
     apps = [f"app{i}" for i in range(n_apps)]

@@ -277,3 +277,10 @@ class TestSummarize:
     def test_empty_stream(self):
         summary = summarize(partition_stream(rows_of([]), self.CATALOG))
         assert summary.reviews == 0 and summary.reviewers == 0 and summary.apps == 0
+
+    def test_counts_only_the_rows_of_the_stream(self):
+        """Reviewers and apps of table rows outside the stream are not counted."""
+        table = ReviewTable.from_edges([edge("r1", "u1", "A"), edge("r2", "u2", "B"),
+                                        edge("r3", "u3", "A")])
+        summary = summarize(partition_stream(table.rows([2, 0]), self.CATALOG))
+        assert (summary.reviews, summary.reviewers, summary.apps) == (2, 2, 1)
