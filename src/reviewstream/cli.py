@@ -15,11 +15,8 @@ invalid parameters).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
-import itertools
 import json
 import logging
 import math
@@ -57,11 +54,14 @@ from .ingest import (
     REVIEW_FORMATS,
     BeforeOriginError,
     LineError,
+    ReviewTable,
+    _quoted,
     check_csv_header,
     csv_after_comments,
     parse_apps,
     parse_reviews,
     write_app_catalog_csv,
+    write_columns,
     write_line_errors,
     write_reviews_jsonl,
 )
@@ -107,7 +107,7 @@ def _require_file(path: str, what: str) -> Path:
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -148,46 +148,31 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _quoted(cells: Sequence[str]) -> list[str]:
-    """Each cell as ``csv.writer`` writes it, with ``_csv_text``'s line
-    terminator, among other cells of a row: each is written once, in a
-    row of two cells whose second is empty (a row of one empty cell
-    would be quoted), and cut out of the text by the lengths written."""
-    buf = io.StringIO()
-    write = csv.writer(buf, lineterminator="\n").writerow
-    ends = list(itertools.accumulate(write((cell, "")) for cell in cells))
-    text = buf.getvalue()
-    return [text[start:end - 2] for start, end in zip([0, *ends], ends)]
-
-
-def _network_csv(graph: SharedReviewerGraph) -> str:
-    """The ``app_a,app_b,weight`` CSV of a graph, each app id quoted once."""
+def _network_csv(graph: SharedReviewerGraph, write) -> None:
+    """Write the ``app_a,app_b,weight`` CSV of a graph, each app id quoted once."""
     quoted = _quoted(graph.apps)
-    lines = map("{},{},{}\n".format, map(quoted.__getitem__, graph.app_a.tolist()),
-                map(quoted.__getitem__, graph.app_b.tolist()), graph.weight.tolist())
-    return "app_a,app_b,weight\n" + "".join(lines)
+    write("app_a,app_b,weight\n")
+    write_columns(write, "%s,%s,%d\n", len(graph), map(quoted.__getitem__, graph.app_a.tolist()),
+                  map(quoted.__getitem__, graph.app_b.tolist()), graph.weight.tolist())
 
 
-def _ecdf_csv(values: Sequence[float]) -> str:
-    """`value,fraction` CSV of the empirical CDF; only the header if empty."""
-    rows = ((repr(v), repr(f)) for v, f in ecdf(values).rows()) if values else ()
-    return _csv_text(["value", "fraction"], rows)
+def _ecdf_csv(values: Sequence[float], write) -> None:
+    """Write the `value,fraction` CSV of the empirical CDF; only the header if empty."""
+    write("value,fraction\n")
+    if values:
+        points = ecdf(values)
+        write_columns(write, "%r,%r\n", len(points.values), points.values.tolist(),
+                      points.fractions.tolist())
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout without one."""
+def _emit(write_to, out: str | None) -> None:
+    """Call ``write_to`` with the write method of the file ``out``, or of
+    stdout without one."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            write_to(fh.write)
     else:
-        sys.stdout.write(text)
+        write_to(sys.stdout.write)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +404,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.errors:
         Path(args.errors).unlink(missing_ok=True)
     table, errors = _load_reviews(reviews_path, effective, args.errors)
-    write_reviews_jsonl(table.edges(), args.out)
+    write_reviews_jsonl(table, args.out)
     _print_json({"reviews": len(table), "errors": len(errors)})
     return EXIT_OK
 
@@ -473,7 +458,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         "flagged": sorted(analysis.flagged_review_ids),
         "pairs": [p.to_dict() for p in analysis.pairs],
     }
-    _emit(_json_text(result), args.out)
+    _emit(lambda write: write(_json_text(result)), args.out)
     if args.out:
         _print_json({"pairs": len(analysis.pairs), "flagged": len(analysis.flagged_review_ids)})
     return EXIT_OK
@@ -496,14 +481,15 @@ def cmd_stats_cdf(args: argparse.Namespace) -> int:
     values = _read_csv_column(path, column)
     if not values:
         raise DataFailure(f"{path}: no values in column {column!r}")
-    _emit(_ecdf_csv(values), args.out)
+    _emit(lambda write: _ecdf_csv(values, write), args.out)
     return EXIT_OK
 
 
 def cmd_stats_network(args: argparse.Namespace) -> int:
     reviews_path = _require_file(args.reviews, "reviews")
     table, _ = _load_reviews(reviews_path, _effective_config(args))
-    _emit(_network_csv(shared_reviewer_graph(table)), args.out)
+    graph = shared_reviewer_graph(table)
+    _emit(lambda write: _network_csv(graph, write), args.out)
     return EXIT_OK
 
 
@@ -515,7 +501,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigFailure(f"bad synth spec {spec_path}: {exc}")
     logger.info("synth rng=%s seed=%d", RNG_ALGORITHM, spec.seed)
     result = gen_stream(spec)
-    write_reviews_jsonl(result.edges, args.out)
+    write_reviews_jsonl(ReviewTable.from_edges(result.edges), args.out)
     write_truth_jsonl(result.truth, args.truth)
     if args.catalog:
         write_app_catalog_csv(result.catalog, args.catalog)
@@ -566,7 +552,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         write_events_jsonl(run.events, target("events.jsonl"))
         target("clusters.json").write_text(_json_text(report), encoding="utf-8")
         for name, scores in (("cdf_boost.csv", boost_scores), ("cdf_sink.csv", sink_scores)):
-            target(name).write_text(_ecdf_csv(scores), encoding="utf-8")
+            with open(target(name), "w", encoding="utf-8") as fh:
+                _ecdf_csv(scores, fh.write)
         summary = {
             "counts": dataclasses.asdict(summary_counts),
             "partition": run.partitioned.counts(),

@@ -49,16 +49,17 @@ and the edges of the last two ticks; it does not grow with stream length.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
 import numpy as np
 
-from .ingest import BeforeOriginError, ReviewRows, ReviewTable, _csv_int, csv_after_comments
+from .ingest import (BeforeOriginError, ReviewRows, ReviewTable, _csv_int, _quoted,
+                     csv_after_comments, write_columns)
 from .partition import SubstreamLabel
 from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
@@ -107,6 +108,8 @@ class DetectorConfig:
             )
         if self.min_prior < 0.0:
             raise ValueError(f"min_prior must be non-negative, got {self.min_prior}")
+        if 0.0 < self.min_prior < 2.0**-960:  # 2**63 / 2**-960 is finite: no ratio overflows
+            raise ValueError(f"min_prior must be 0 or at least 2**-960, got {self.min_prior}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"sketch geometry must be positive, got {self.rows}x{self.cols}")
 
@@ -139,6 +142,7 @@ class MicroclusterEvent:
 
 _LABELS = tuple(SubstreamLabel)  # a sub-stream column holds indices into this
 _LABEL_CODE = {label: code for code, label in enumerate(_LABELS)}
+_LABEL_VALUES = tuple(label.value for label in _LABELS)
 _UINT64 = 1 << 64
 
 
@@ -367,20 +371,18 @@ _EVENT_TYPES = get_type_hints(MicroclusterEvent)
 
 def write_scores_csv(scored: ScoredStream, config: DetectorConfig, path: str | Path) -> None:
     table, row = scored.table, scored.row
-    columns = [
-        map(table.review_id.__getitem__, row.tolist()),
-        map(table.app_ids.__getitem__, table.app[row].tolist()),
-        map(table.reviewer_ids.__getitem__, table.reviewer[row].tolist()),
-        scored.tick.tolist(),
-        map(_LABELS.__getitem__, scored.substream.tolist()),
-        scored.score.tolist(),  # floats as repr
-    ]
+    app_ids, reviewer_ids = _quoted(table.app_ids), _quoted(table.reviewer_ids)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# reviewstream anomaly scores\n")
         fh.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORES_COLUMNS)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(SCORES_COLUMNS) + "\n")
+        write_columns(fh.write, "%s,%s,%s,%d,%s,%r\n", len(row),
+                      _quoted(list(map(table.review_id.__getitem__, row.tolist()))),
+                      map(app_ids.__getitem__, table.app[row].tolist()),
+                      map(reviewer_ids.__getitem__, table.reviewer[row].tolist()),
+                      scored.tick.tolist(),
+                      map(_LABEL_VALUES.__getitem__, scored.substream.tolist()),
+                      scored.score.tolist())
 
 
 def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream, dict]:
@@ -425,11 +427,19 @@ def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream,
                         np.array(list(map(_LABEL_CODE.__getitem__, labels)), np.int8)), config
 
 
+_EVENT_LINE = ('{"app_id": %s, "burst_count": %d, "prior_count": %d, "prior_tick": %d, '
+               '"ratio": %r, "substream": "%s"}\n')  # the fields in sorted order
+
+
 def write_events_jsonl(events: Iterable[MicroclusterEvent], path: str | Path) -> None:
+    events = list(events)
+    app_ids = {app: json.dumps(app) for app in {event.app_id for event in events}}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for event in events:
-            fh.write(json.dumps(asdict(event), sort_keys=True))
-            fh.write("\n")
+        write_columns(fh.write, _EVENT_LINE, len(events),
+                      map(app_ids.__getitem__, map(attrgetter("app_id"), events)),
+                      *(map(attrgetter(name), events)
+                        for name in ("burst_count", "prior_count", "prior_tick", "ratio")),
+                      map(attrgetter("substream.value"), events))
 
 
 def _event_from_json(obj: object) -> MicroclusterEvent:

@@ -21,7 +21,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,24 +178,24 @@ def _review_from_record(
 
     ``record`` is a JSON object, or a CSV row's cells by field name, None
     where ``_csv_records`` finds none; ``as_int`` reads the format's
-    integers. The order of the checks fixes each line's reason.
+    integers, where they are not ints already. Each field is read once.
+    The order of the checks fixes each line's reason.
     """
     if not isinstance(record, dict):
         return None, REASON_SYNTAX
-    for field in REQUIRED_REVIEW_FIELDS:
-        if record.get(field) is None:
-            return None, REASON_MISSING
-    review_id = record["review_id"]
-    reviewer_id = record["reviewer_id"]
-    app_id = record["app_id"]
+    get = record.get
+    review_id, reviewer_id, app_id = get("review_id"), get("reviewer_id"), get("app_id")
+    timestamp, score, text = get("timestamp"), get("score"), get("text")
+    if review_id is None or reviewer_id is None or app_id is None or timestamp is None \
+            or score is None:  # REQUIRED_REVIEW_FIELDS
+        return None, REASON_MISSING
     if not (isinstance(review_id, str) and isinstance(reviewer_id, str) and isinstance(app_id, str)):
         return None, REASON_SYNTAX
     try:
-        timestamp = as_int(record["timestamp"])
-        score = as_int(record["score"])
+        timestamp = timestamp if type(timestamp) is int else as_int(timestamp)
+        score = score if type(score) is int else as_int(score)
     except ValueError:
         return None, REASON_SYNTAX
-    text = record.get("text")
     if text is not None and not isinstance(text, str):
         return None, REASON_SYNTAX
     if not review_id or not reviewer_id or not app_id:
@@ -205,7 +205,8 @@ def _review_from_record(
     return (review_id, reviewer_id, app_id, timestamp, score, text), None
 
 
-_raw_decode = json.JSONDecoder().raw_decode  # the decoder json.loads uses
+# The scanner that json.loads runs, called without raw_decode's wrapper.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
@@ -214,7 +215,7 @@ def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
     integer of more than 4300 digits) yields None, which no record check
     accepts.
 
-    A line that starts with ``{`` is decoded in place, and the value kept
+    A line that starts with ``{`` is scanned in place, and the value kept
     if it ends the line: that is what ``json.loads`` returns for it, without
     its whitespace scans. Any other line goes to ``json.loads``.
     """
@@ -222,8 +223,8 @@ def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
         raw = line.rstrip("\n")
         if raw[:1] == "{":
             try:
-                value, end = _raw_decode(raw)
-            except (ValueError, RecursionError):  # json.loads fails the same way
+                value, end = _scan_once(raw, 0)
+            except (StopIteration, ValueError, RecursionError):  # json.loads fails too
                 value, end = None, len(raw)
             if end == len(raw):
                 yield lineno, raw, value
@@ -398,11 +399,55 @@ def review_to_line(edge: ReviewEdge) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def write_reviews_jsonl(edges: Iterable[ReviewEdge], path: str | Path) -> None:
+# Rows per block of ``write_columns``: the text of one block is held at a time.
+_BLOCK_ROWS = 4096
+
+
+def write_columns(write: Callable[[str], object], template: str, rows: int,
+                  *columns: Iterable) -> None:
+    """Write ``template % row`` for each of ``rows`` rows of equal-length
+    columns, in blocks of at most ``_BLOCK_ROWS`` rows: each block's cells
+    are interleaved row by row and formatted by one ``%`` call. ``%r``
+    writes a float as ``csv.writer`` and ``json.dumps`` do; strings go in
+    as given, quoted or encoded by the caller."""
+    columns = tuple(map(iter, columns))
+    width = len(columns)
+    for start in range(0, rows, _BLOCK_ROWS):
+        k = min(_BLOCK_ROWS, rows - start)
+        cells = [None] * (k * width)
+        for j, column in enumerate(columns):
+            cells[j::width] = itertools.islice(column, k)
+        write((template * k) % tuple(cells))
+
+
+def _quoted(cells: Sequence[str]) -> list[str]:
+    """Each cell as ``csv.writer`` writes it among other cells of a row:
+    each is written once, in a row of two cells whose second is empty (a
+    row of one empty cell would be quoted), and cut out of the text by the
+    lengths written; a cell written as it is comes back as itself."""
+    buf = io.StringIO()
+    write = csv.writer(buf, lineterminator="\n").writerow
+    ends = list(itertools.accumulate(map(write, zip(cells, itertools.repeat("")))))
+    text = buf.getvalue()
+    return [cell if end - start == len(cell) + 2 else text[start:end - 2]
+            for cell, start, end in zip(cells, [0, *ends], ends)]
+
+
+_REVIEW_LINE = ('{"app_id": %s, "review_id": %s, "reviewer_id": %s, "score": %d%s, '
+                '"timestamp": %d}\n')
+
+
+def write_reviews_jsonl(table: ReviewTable, path: str | Path) -> None:
+    """The table's reviews as ``review_to_line`` writes each, one per line;
+    each app and reviewer id is encoded once."""
+    encode = json.encoder.encode_basestring  # the encoder of ensure_ascii=False
+    app_ids, reviewer_ids = list(map(encode, table.app_ids)), list(map(encode, table.reviewer_ids))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for edge in edges:
-            fh.write(review_to_line(edge))
-            fh.write("\n")
+        write_columns(fh.write, _REVIEW_LINE, len(table),
+                      map(app_ids.__getitem__, table.app.tolist()), map(encode, table.review_id),
+                      map(reviewer_ids.__getitem__, table.reviewer.tolist()), table.score.tolist(),
+                      ("" if text is None else ', "text": ' + encode(text) for text in table.text),
+                      table.timestamp.tolist())
 
 
 def write_app_catalog_csv(catalog: dict[str, AppRecord], path: str | Path) -> None:

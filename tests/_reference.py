@@ -11,7 +11,10 @@ header column per CSV row; it shares only the record types, reason codes
 and required field names. The per-edge
 detector is the earlier ``Detector``, one register per app and one merge
 at a time, over the package's count-min sketch: the batch detector must
-match it bit for bit at any geometry, collisions included.
+match it bit for bit at any geometry, collisions included. The per-row
+writers are the ones the column writer replaced: ``csv.writer`` for the
+scores and CDF CSVs, ``asdict`` and ``json.dumps`` per event, and
+``str.format`` over ids quoted one at a time for the network CSV.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ import csv
 import io
 import json
 import math
+import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
 from reviewstream.clusters import cosine
 from reviewstream.detector import (
+    SCORES_COLUMNS,
     DetectorConfig,
     MicroclusterEvent,
+    ScoredStream,
     TimeRegressionError,
 )
 from reviewstream.ingest import (
@@ -44,6 +50,7 @@ from reviewstream.ingest import (
 )
 from reviewstream.partition import SubstreamLabel
 from reviewstream.sketch import CountMinSketch
+from reviewstream.stats import SharedReviewerGraph, ecdf
 
 _INT64_MAX = 2**63 - 1
 
@@ -350,6 +357,51 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
             continue
         catalog[app_id] = AppRecord(app_id, rating, install_count, cells.get("name") or None)
     return catalog, errors
+
+
+# ---------------------------------------------------------------------------
+# Per-row writers: the text of each output, one row at a time.
+
+def scores_csv_text(scored: ScoredStream, config: DetectorConfig) -> str:
+    table, row = scored.table, scored.row
+    buf = io.StringIO()
+    buf.write("# reviewstream anomaly scores\n")
+    buf.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SCORES_COLUMNS)
+    writer.writerows(zip(
+        map(table.review_id.__getitem__, row.tolist()),
+        map(table.app_ids.__getitem__, table.app[row].tolist()),
+        map(table.reviewer_ids.__getitem__, table.reviewer[row].tolist()),
+        scored.tick.tolist(),
+        map(tuple(SubstreamLabel).__getitem__, scored.substream.tolist()),
+        scored.score.tolist(),
+    ))
+    return buf.getvalue()
+
+
+def events_jsonl_text(events: Iterable[MicroclusterEvent]) -> str:
+    return "".join(json.dumps(asdict(event), sort_keys=True) + "\n" for event in events)
+
+
+def ecdf_csv_text(values: list[float]) -> str:
+    rows = ((repr(v), repr(f)) for v, f in ecdf(values).rows()) if values else ()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["value", "fraction"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def network_csv_text(graph: SharedReviewerGraph) -> str:
+    buf = io.StringIO()
+    write = csv.writer(buf, lineterminator="\n").writerow
+    ends = list(itertools.accumulate(write((app, "")) for app in graph.apps))
+    text = buf.getvalue()
+    quoted = [text[start:end - 2] for start, end in zip([0, *ends], ends)]
+    lines = map("{},{},{}\n".format, map(quoted.__getitem__, graph.app_a.tolist()),
+                map(quoted.__getitem__, graph.app_b.tolist()), graph.weight.tolist())
+    return "app_a,app_b,weight\n" + "".join(lines)
 
 
 # ---------------------------------------------------------------------------

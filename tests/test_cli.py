@@ -380,6 +380,31 @@ def score_files(reviews, catalog, tmp_path, *extra):
     return scores, events
 
 
+def test_min_prior_that_overflows_the_burst_ratio_exits_3(tmp_path, caplog):
+    """A burst after silence divides by ``min_prior``: below 2**-960 the
+    ratio could overflow to infinity, which no events reader takes."""
+    reviews = tmp_path / "reviews.jsonl"
+    reviews.write_text("".join(
+        json.dumps({"review_id": f"r{i}", "reviewer_id": f"u{i}", "app_id": "a",
+                    "timestamp": ts, "score": 5}) + "\n"
+        for i, ts in enumerate([2, 3])), encoding="utf-8")
+    catalog = tmp_path / "apps.csv"
+    catalog.write_text("app_id,overall_rating\na,3.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["score", "--reviews", str(reviews), "--catalog", str(catalog), "--origin", "0",
+            "--period", "1", "--out-scores", str(out / "scores.csv"),
+            "--out-events", str(out / "events.jsonl")]
+    assert main([*argv, "--min-prior", "5e-324"]) == EXIT_CONFIG
+    assert "min_prior must be 0 or at least 2**-960" in caplog.text
+    assert not list(out.iterdir())
+    assert main([*argv, "--min-prior", str(2.0**-960)]) == EXIT_OK
+    event = json.loads((out / "events.jsonl").read_text(encoding="utf-8"))
+    assert (event["prior_count"], event["burst_count"], event["ratio"]) == (0, 1, 2.0**960)
+    assert main(["clusters", "--reviews", str(reviews), "--scores", str(out / "scores.csv"),
+                 "--events", str(out / "events.jsonl"), "--out", str(out / "c.json")]) == EXIT_OK
+
+
 class TestStagedEqualsPipeline:
     def test_score_then_clusters_matches_pipeline(self, synth_files, tmp_path):
         reviews, _, catalog = synth_files
@@ -733,9 +758,12 @@ def test_network_csv_matches_csv_writer(reviews):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["app_a", "app_b", "weight"])
     writer.writerows(graph.rows())
-    assert cli._network_csv(graph) == expected.getvalue()
+    chunks = []
+    cli._network_csv(graph, chunks.append)
+    assert "".join(chunks) == expected.getvalue()
     apps = sorted({app for _, app in reviews})
-    for app in apps:
+    for app, quoted in zip(apps, cli._quoted(apps), strict=True):
         cell = io.StringIO()
         csv.writer(cell, lineterminator="\n").writerow([app, "x"])
-        assert cli._quoted([app]) == [cell.getvalue()[:-3]]
+        assert quoted == cell.getvalue()[:-3]
+        assert quoted is app or quoted != app  # an unquoted id is not copied

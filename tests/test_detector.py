@@ -271,12 +271,19 @@ class TestConfigValidation:
         dict(decay=math.nan),
         dict(filter_threshold=math.nan),
         dict(min_prior=math.nan),
+        dict(min_prior=5e-324),
+        dict(min_prior=2.0**-961),
         dict(origin=-(2**63) - 1),
         dict(origin=2**63),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
             cfg(**bad).validate()
+
+    def test_min_prior_of_zero_or_past_the_overflow_floor_is_valid(self):
+        cfg(min_prior=0.0).validate()
+        cfg(min_prior=2.0**-960).validate()
+        assert math.isfinite((2**63 - 1) / 2.0**-960)
 
     def test_defaults_are_valid(self):
         DetectorConfig(origin=0).validate()

@@ -364,6 +364,25 @@ def test_jsonl_reviews_match_reference(lines):
     assert_matches_reference(lines)
 
 
+ODD_FIELDS = ["missing", None, True, False, "", 0.0, 1.0, 2.5, -0.0, float(2**63), -1, 6]
+
+
+@st.composite
+def odd_record(draw):
+    """A review object whose every field, independently, is valid, a bool,
+    a float, empty, None or missing."""
+    obj = {name: draw(st.sampled_from(VALID_JSON[name] + ODD_FIELDS)) for name in VALID_JSON}
+    return json.dumps({name: value for name, value in obj.items() if value != "missing"})
+
+
+@settings(max_examples=400)
+@given(lines=st.lists(odd_record(), max_size=10))
+def test_record_fields_read_once_match_reference(lines):
+    """Reading each field once, and ints without ``as_int``, keeps the
+    object parser's rows and every ``LineError`` reason."""
+    assert_matches_reference(lines)
+
+
 DEEP = 100_000  # far past the recursion limit
 
 
