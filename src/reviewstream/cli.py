@@ -166,8 +166,7 @@ def _ecdf_csv(values: Sequence[float], write) -> None:
 
 
 def _emit(write_to, out: str | None) -> None:
-    """Call ``write_to`` with the write method of the file ``out``, or of
-    stdout without one."""
+    """Call ``write_to`` with the write method of the file ``out``, or of stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             write_to(fh.write)
