@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,9 +97,6 @@ class EcdfPoints:
 
     values: np.ndarray
     fractions: np.ndarray
-
-    def rows(self) -> Iterable[tuple[float, float]]:
-        return zip(self.values.tolist(), self.fractions.tolist())
 
 
 def ecdf(values: Sequence[float]) -> EcdfPoints:

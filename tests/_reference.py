@@ -385,7 +385,9 @@ def events_jsonl_text(events: Iterable[MicroclusterEvent]) -> str:
 
 
 def ecdf_csv_text(values: list[float]) -> str:
-    rows = ((repr(v), repr(f)) for v, f in ecdf(values).rows()) if values else ()
+    points = ecdf(values) if values else None
+    rows = () if points is None else (
+        (repr(v), repr(f)) for v, f in zip(points.values.tolist(), points.fractions.tolist()))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["value", "fraction"])
