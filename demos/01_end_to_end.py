@@ -11,12 +11,12 @@ from reviewstream import (
     DetectorConfig,
     Injection,
     LexicalEmbedder,
+    PairAnalysis,
     ReviewTable,
     SubstreamLabel,
     SynthSpec,
     collect_clusters,
     gen_stream,
-    pairwise_similarity,
     partition_stream,
     rank_clusters,
     run_detector,
@@ -64,7 +64,7 @@ for c in top:
 # The injected campaign should dominate. Check its review texts for the
 # copy-paste signature of lockstep behavior.
 suspect = top[0]
-analysis = pairwise_similarity(suspect.members, LexicalEmbedder(), tau=0.95)
+analysis = PairAnalysis(suspect.review_ids, suspect.texts, LexicalEmbedder(), tau=0.95)
 print(f"\nmost suspicious cluster: {suspect.app_id} at tick {suspect.tick}")
 print(f"  near-identical pairs: {len(analysis.pairs)}")
 print(f"  reviews in at least one pair: "
@@ -74,7 +74,7 @@ for pair in analysis.pairs[:3]:
           f"(similarity {pair.similarity:.2f})")
 
 # Do boosting reviews behave more anomalously than sinking ones here?
-outcome = welch_t(boost_scored.score.tolist(), sink_scored.score.tolist())
+outcome = welch_t(boost_scored.score, sink_scored.score)
 print(f"\nboost vs sink mean score: {outcome.mean_a:.2f} vs {outcome.mean_b:.2f} "
       f"(t={outcome.t:.2f}, one-sided p={outcome.p_one_sided:.2e})")
 

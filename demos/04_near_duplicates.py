@@ -12,10 +12,9 @@ from pathlib import Path
 from reviewstream import (
     FileEmbedder,
     LexicalEmbedder,
-    ReviewEdge,
+    PairAnalysis,
     cosine,
     lexical_vector,
-    pairwise_similarity,
 )
 
 # The built-in embedding is a normalized term-frequency vector over word
@@ -32,15 +31,13 @@ for a, b in probes:
     sim = cosine(lexical_vector(a), lexical_vector(b))
     print(f"  {a!r:28} vs {b!r:28} -> {sim:.3f}")
 
-# Pairwise analysis over a batch of reviews, the same operation the
-# cluster report runs on each suspicious cluster.
+# Pairwise analysis over a batch of reviews, given as a column of ids and
+# one of texts: the same operation the cluster report runs on each
+# suspicious cluster's review_ids and texts.
 texts = ["good app", "good app", "very good app", "nice app", "bad", None]
-reviews = [
-    ReviewEdge(f"r{i}", f"u{i}", "a1", i, 5, text)
-    for i, text in enumerate(texts)
-]
-analysis = pairwise_similarity(reviews, LexicalEmbedder(), tau=0.95)
-print(f"\nbatch of {len(reviews)} reviews "
+review_ids = [f"r{i}" for i in range(len(texts))]
+analysis = PairAnalysis(review_ids, texts, LexicalEmbedder(), tau=0.95)
+print(f"\nbatch of {len(texts)} reviews "
       f"({analysis.textless_count} without text):")
 for pair in analysis.pairs:
     print(f"  duplicate: {pair.review_id_a} ~ {pair.review_id_b} "
@@ -62,7 +59,7 @@ with tempfile.TemporaryDirectory() as tmp:
         for rid, vec in vectors.items()
     ))
     provider = FileEmbedder.load(sidecar)
-    analysis = pairwise_similarity(reviews[:4], provider, tau=0.999)
+    analysis = PairAnalysis(review_ids[:4], texts[:4], provider, tau=0.999)
     print("\nexternal vectors at tau=0.999:")
     for pair in analysis.pairs:
         print(f"  {pair.review_id_a} ~ {pair.review_id_b} "

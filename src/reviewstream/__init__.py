@@ -22,7 +22,6 @@ from .clusters import (
     collect_clusters,
     cosine,
     lexical_vector,
-    pairwise_similarity,
     rank_clusters,
 )
 from .detector import (
@@ -109,7 +108,6 @@ __all__ = [
     "ecdf",
     "gen_stream",
     "lexical_vector",
-    "pairwise_similarity",
     "parse_apps",
     "parse_reviews",
     "partition_stream",

@@ -35,9 +35,9 @@ from .clusters import (
     InconsistentRunError,
     LexicalEmbedder,
     MissingEmbeddingError,
+    PairAnalysis,
     build_cluster_report,
     collect_clusters,
-    pairwise_similarity,
     rank_clusters,
 )
 from .detector import (
@@ -104,7 +104,7 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path | str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -159,7 +159,7 @@ def _network_csv(graph: SharedReviewerGraph, write) -> None:
 def _ecdf_csv(values: Sequence[float], write) -> None:
     """Write the `value,fraction` CSV of the empirical CDF; only the header if empty."""
     write("value,fraction\n")
-    if values:
+    if len(values):
         points = ecdf(values)
         write_columns(write, "%r,%r\n", len(points.values), points.values.tolist(),
                       points.fractions.tolist())
@@ -448,7 +448,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     effective = _effective_config(args)
     provider, tau = _provider(effective)
     table, _ = _load_reviews(_require_file(args.reviews, "reviews"), effective)
-    analysis = pairwise_similarity(table.edges(), provider, tau)
+    analysis = PairAnalysis(table.review_id, table.text, provider, tau)
     result = {
         "provider": provider.name,
         "tau": tau,
@@ -567,13 +567,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "version": __version__,
             "inputs": {
                 name: {"path": str(path), "sha256": _sha256(path)}
-                for name, path in (("reviews", run.reviews_path), ("catalog", run.catalog_path))
+                for name, path in (("reviews", run.reviews_path), ("catalog", run.catalog_path),
+                                   ("embeddings", effective["embeddings"])) if path
             },
             "config": {
                 **config.to_dict(),
                 "provider": provider.name,
                 "tau": tau,
                 "top": top,
+                "embeddings": effective["embeddings"],
                 "max_error_rate": effective["max_error_rate"],
                 "format": effective["format"],
             },
@@ -584,7 +586,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         target("manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     except Exception:
         for path in written:
-            path.unlink(missing_ok=True)
+            if not path.is_dir():  # a directory in the way was there before the run
+                path.unlink(missing_ok=True)
         raise
     _print_json(summary)
     return EXIT_OK

@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .detector import MicroclusterEvent, ScoredStream
-from .ingest import ReviewEdge
 from .partition import SubstreamLabel
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -56,12 +55,13 @@ class SuspiciousCluster:
     app_id: str
     substream: SubstreamLabel
     tick: int  # burst tick (the period after the prior baseline)
-    members: tuple[ReviewEdge, ...]  # in stream order
+    review_ids: tuple[str, ...]  # the members, in stream order
+    texts: tuple[str | None, ...]  # their texts, in the same order
     mean_score: float
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.review_ids)
 
 
 @dataclass(frozen=True)
@@ -204,23 +204,29 @@ def collect_clusters(
                        * (len(ticks) + 1) + rank_of.get(e.burst_tick, len(ticks))
                        for e in events], dtype=np.int64)
     lo, hi = np.searchsorted(keys[order], [wanted, wanted + 1])
-    picked = [order[a:b].tolist() for a, b in zip(lo.tolist(), hi.tolist())]
-    for event, rows in zip(events, picked):
-        if not rows:
+    sizes = hi - lo
+    for event, size in zip(events, sizes.tolist()):
+        if not size:
             raise InconsistentRunError(
                 f"event for app {event.app_id!r} at tick {event.burst_tick} "
                 f"({event.substream.value}) has no scored edges"
             )
-    # The members of every cluster built in one call, then dealt out in order.
-    members = iter(table.edges(scored.row[[i for rows in picked for i in rows]]))
-    score = scored.score.tolist()
+    # The members of every cluster gathered at once, laid end to end, then
+    # dealt out in order: cluster c's f-th member is order[lo[c] + f].
+    start = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    member = order[start + np.arange(len(start))]
+    rows = scored.row[member].tolist()
+    review_ids = iter(map(table.review_id.__getitem__, rows))
+    texts = iter(map(table.text.__getitem__, rows))
+    scores = iter(scored.score[member].tolist())
     return [SuspiciousCluster(
         app_id=event.app_id,
         substream=event.substream,
         tick=event.burst_tick,
-        members=tuple(islice(members, len(rows))),
-        mean_score=sum(map(score.__getitem__, rows)) / len(rows),
-    ) for event, rows in zip(events, picked)]
+        review_ids=tuple(islice(review_ids, size)),
+        texts=tuple(islice(texts, size)),
+        mean_score=sum(islice(scores, size)) / size,  # left to right; np.sum is pairwise
+    ) for event, size in zip(events, sizes.tolist())]
 
 
 def rank_clusters(
@@ -237,20 +243,22 @@ def rank_clusters(
 
 
 class PairAnalysis:
-    """The pairs with similarity >= tau among a set of reviews, held as
-    groups of members with equal vectors (every pair inside a group
-    scores exactly 1.0) plus the verified pairs across groups. Reviews
-    without text are left out of pairing but counted."""
+    """The pairs with similarity >= tau among a set of reviews, given as
+    equal-length columns of ids and texts, such as a cluster's
+    ``review_ids`` and ``texts``. They are held as groups of members with
+    equal vectors (every pair inside a group scores exactly 1.0) plus the
+    verified pairs across groups. Reviews without text are left out of
+    pairing but counted."""
 
-    def __init__(self, reviews: Iterable[ReviewEdge], provider, tau: float):
+    def __init__(self, review_ids: Sequence[str], texts: Sequence[str | None], provider,
+                 tau: float):
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {tau}")
-        reviews = list(reviews)
-        with_text = [r for r in reviews if r.text is not None]
-        vectors = [provider.vector(r.review_id, r.text) for r in with_text]
-        self._ids = [r.review_id for r in with_text]
+        with_text = [(r, t) for r, t in zip(review_ids, texts, strict=True) if t is not None]
+        vectors = [provider.vector(r, t) for r, t in with_text]
+        self._ids = [r for r, _ in with_text]
         self.evaluated_count = len(with_text)
-        self.textless_count = len(reviews) - len(with_text)
+        self.textless_count = len(texts) - len(with_text)
         self._groups = _equal_vector_groups(vectors)
         self._scored: list[tuple[float, int, int]] = []  # (similarity, i, j), i < j
         # Each pair is scored by cosine itself, with its arguments in member
@@ -367,15 +375,6 @@ def _candidate_groups(reps: Sequence, tau: float) -> Iterator[tuple[int, int]]:
         yield from zip(rows[keep].tolist(), cols[keep].tolist())
 
 
-def pairwise_similarity(
-    reviews: Iterable[ReviewEdge], provider, tau: float
-) -> PairAnalysis:
-    """Evaluate all unordered text pairs among a set of reviews, such as
-    a cluster's ``members``: the pairs with similarity >= tau, sorted by
-    similarity desc then ids asc, and the reviews in at least one pair."""
-    return PairAnalysis(reviews, provider, tau)
-
-
 def build_cluster_report(
     ranked: Sequence[SuspiciousCluster],
     provider,
@@ -384,7 +383,7 @@ def build_cluster_report(
     """JSON-ready report entries, one per cluster, in rank order."""
     report = []
     for cluster in ranked:
-        found = pairwise_similarity(cluster.members, provider, tau)
+        found = PairAnalysis(cluster.review_ids, cluster.texts, provider, tau)
         report.append({
             "app_id": cluster.app_id,
             "substream": cluster.substream.value,

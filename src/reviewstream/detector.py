@@ -112,6 +112,9 @@ class DetectorConfig:
             raise ValueError(f"min_prior must be 0 or at least 2**-960, got {self.min_prior}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"sketch geometry must be positive, got {self.rows}x{self.cols}")
+        if self.rows > 64 or self.rows * self.cols > 2**24:  # 128 MB of counters
+            raise ValueError(f"sketch geometry must have at most 64 rows and 2**24 counters, "
+                             f"got {self.rows}x{self.cols}")
 
     def row_seeds(self) -> tuple[int, ...]:
         return derive_row_seeds(self.sketch_seed, self.rows)
@@ -170,8 +173,8 @@ class ScoredStream:
             np.concatenate((getattr(self, c), getattr(other, c)))
             for c in ("row", "tick", "score", "substream")))
 
-    def scores(self, substream: SubstreamLabel) -> list[float]:
-        return self.score[self.substream == _LABEL_CODE[substream]].tolist()
+    def scores(self, substream: SubstreamLabel) -> np.ndarray:
+        return self.score[self.substream == _LABEL_CODE[substream]]
 
 
 def _chi2(cur, hist, tick, tick2, tick1):

@@ -116,16 +116,6 @@ class ReviewTable:
     def from_edges(cls, edges: Iterable[ReviewEdge]) -> "ReviewTable":
         return cls._from_rows(map(attrgetter(*REVIEW_FIELDS), edges))
 
-    def edges(self, rows: Iterable[int] | None = None) -> list[ReviewEdge]:
-        """The given rows, or all, as ``ReviewEdge``s."""
-        rows = np.arange(len(self)) if rows is None else np.asarray(rows, np.int64)
-        index = rows.tolist()
-        return list(map(ReviewEdge, map(self.review_id.__getitem__, index),
-                        map(self.reviewer_ids.__getitem__, self.reviewer[rows].tolist()),
-                        map(self.app_ids.__getitem__, self.app[rows].tolist()),
-                        self.timestamp[rows].tolist(), self.score[rows].tolist(),
-                        map(self.text.__getitem__, index)))
-
     def rows(self, order: Iterable[int] | None = None) -> "ReviewRows":
         """The given rows, or all in table order, as a stream."""
         order = np.arange(len(self)) if order is None else order
@@ -389,16 +379,6 @@ def to_tick(timestamp: int, origin: int, period: int) -> int:
     return max(1, -(-delta // period))
 
 
-def review_to_line(edge: ReviewEdge) -> str:
-    """Canonical JSON line of a review; ``text`` omitted when absent."""
-    # A copy of vars(), not asdict: asdict deep-copies every field, which
-    # costs more than encoding the line, once per review.
-    obj = dict(vars(edge))
-    if edge.text is None:
-        del obj["text"]
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
-
-
 # Rows per block of ``write_columns``: the text of one block is held at a time.
 _BLOCK_ROWS = 4096
 
@@ -438,8 +418,9 @@ _REVIEW_LINE = ('{"app_id": %s, "review_id": %s, "reviewer_id": %s, "score": %d%
 
 
 def write_reviews_jsonl(table: ReviewTable, path: str | Path) -> None:
-    """The table's reviews as ``review_to_line`` writes each, one per line;
-    each app and reviewer id is encoded once."""
+    """The table's reviews, one canonical JSON line each: keys sorted, text
+    left out when absent, non-ASCII as is; each app and reviewer id is
+    encoded once."""
     encode = json.encoder.encode_basestring  # the encoder of ensure_ascii=False
     app_ids, reviewer_ids = list(map(encode, table.app_ids)), list(map(encode, table.reviewer_ids))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -15,9 +15,10 @@ on any platform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -50,6 +51,8 @@ _BACKGROUND_WORDS = (
 )
 
 SCORE_MODES = ("boost", "sink")
+_INT64_MAX = 2**63 - 1
+_POISSON_LAM_MAX = 9.223372006484771e18  # the largest mean numpy's Poisson sampler takes
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,18 @@ class SynthSpec:
     def validate(self) -> None:
         if self.n_apps < 1 or self.n_reviewers < 1 or self.ticks < 1:
             raise ValueError("n_apps, n_reviewers and ticks must be positive")
-        if self.background_rate < 0:
-            raise ValueError(f"background_rate must be >= 0, got {self.background_rate}")
+        if not 0 <= self.background_rate <= _POISSON_LAM_MAX:
+            raise ValueError(f"background_rate must be in [0, {_POISSON_LAM_MAX!r}], "
+                             f"got {self.background_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.period <= 0:
             raise ValueError(f"period must be positive, got {self.period}")
+        if self.origin < 0 or self.origin + self.ticks * self.period > _INT64_MAX:
+            raise ValueError(f"origin + ticks * period must lie in [0, 2**63 - 1], got "
+                             f"{self.origin} + {self.ticks} * {self.period}")
+        if not 1 <= self.base_rating <= 5:
+            raise ValueError(f"base_rating must be in [1, 5], got {self.base_rating}")
         apps = set(app_ids(self))
         for inj in self.injections:
             if not 1 <= inj.tick <= self.ticks:
@@ -92,16 +103,42 @@ class SynthSpec:
                 raise ValueError(f"score_mode must be one of {SCORE_MODES}")
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "SynthSpec":
-        """Validated spec from JSON; absent keys take the field defaults."""
-        injections = tuple(
-            Injection(**{f.name: i[f.name] for f in fields(Injection)})
-            for i in obj.get("injections", ())
-        )
-        values = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-        spec = cls(**{**values, "injections": injections})
+    def from_dict(cls, obj: object) -> "SynthSpec":
+        """Validated spec from a JSON object; absent keys take the field defaults."""
+        values = _json_fields(cls, obj)
+        values["injections"] = tuple(Injection(**_json_fields(Injection, i))
+                                     for i in values.get("injections", ()))
+        spec = cls(**values)
         spec.validate()
         return spec
+
+
+_KINDS = {int: "an integer that fits int64", float: "a finite number", str: "a string"}
+
+
+def _json_fields(cls, obj: object) -> dict:
+    """A copy of ``obj``, a JSON object of ``cls``'s fields, each value of
+    its field's type: an ``int`` is not a ``bool`` and fits int64, a
+    ``float`` may be an ``int`` but is finite, ``injections`` is a list;
+    an unknown key or another value raises ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
+    types = get_type_hints(cls)
+    for name, value in obj.items():
+        kind = types.get(name)
+        if kind is None:
+            raise ValueError(f"unknown {cls.__name__} key {name!r}")
+        if kind is int:
+            ok = type(value) is int and -_INT64_MAX - 1 <= value <= _INT64_MAX
+        elif kind is float:
+            ok = type(value) in (int, float) and math.isfinite(value)
+        elif kind is str:
+            ok = type(value) is str
+        else:  # injections
+            ok = type(value) is list
+        if not ok:
+            raise ValueError(f"{name} must be {_KINDS.get(kind, 'a list')}, got {value!r}")
+    return dict(obj)
 
 
 @dataclass(frozen=True)

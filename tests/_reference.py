@@ -13,8 +13,9 @@ detector is the earlier ``Detector``, one register per app and one merge
 at a time, over the package's count-min sketch: the batch detector must
 match it bit for bit at any geometry, collisions included. The per-row
 writers are the ones the column writer replaced: ``csv.writer`` for the
-scores and CDF CSVs, ``asdict`` and ``json.dumps`` per event, and
-``str.format`` over ids quoted one at a time for the network CSV.
+scores and CDF CSVs, ``asdict`` and ``json.dumps`` per event,
+``str.format`` over ids quoted one at a time for the network CSV, and
+``json.dumps`` per review for the canonical review lines.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from reviewstream.ingest import (
     AppRecord,
     LineError,
     ReviewEdge,
+    ReviewTable,
     to_tick,
 )
 from reviewstream.partition import SubstreamLabel
@@ -146,24 +148,41 @@ def brute_force_events(
     return sorted(fired)
 
 
-def all_pairs_similarity(reviews, provider, tau: float):
+def all_pairs_similarity(review_ids, texts, provider, tau: float):
     """Near-identical pairs by scoring every unordered pair of reviews
-    with text: (pairs as (id_a, id_b, similarity) sorted by similarity
-    desc then ids asc, flagged ids, reviews with text, reviews without)."""
-    reviews = list(reviews)
-    with_text = [r for r in reviews if r.text is not None]
-    vectors = [provider.vector(r.review_id, r.text) for r in with_text]
+    with text, given as columns of ids and texts: (pairs as (id_a, id_b,
+    similarity) sorted by similarity desc then ids asc, flagged ids,
+    reviews with text, reviews without)."""
+    with_text = [(r, t) for r, t in zip(review_ids, texts) if t is not None]
+    vectors = [provider.vector(r, t) for r, t in with_text]
     pairs = []
     flagged = set()
     for i in range(len(with_text)):
         for j in range(i + 1, len(with_text)):
             sim = cosine(vectors[i], vectors[j])
             if sim >= tau:
-                id_a, id_b = sorted((with_text[i].review_id, with_text[j].review_id))
+                id_a, id_b = sorted((with_text[i][0], with_text[j][0]))
                 pairs.append((id_a, id_b, sim))
                 flagged.update((id_a, id_b))
     pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
-    return pairs, frozenset(flagged), len(with_text), len(reviews) - len(with_text)
+    return pairs, frozenset(flagged), len(with_text), len(texts) - len(with_text)
+
+
+def review_to_line(edge: ReviewEdge) -> str:
+    """Canonical JSON line of a review; ``text`` omitted when absent."""
+    obj = dict(vars(edge))
+    if edge.text is None:
+        del obj["text"]
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+
+
+def table_edges(table: ReviewTable, rows: Iterable[int] | None = None) -> list[ReviewEdge]:
+    """The given rows of a table, or all, as ``ReviewEdge``s."""
+    rows = range(len(table)) if rows is None else map(int, rows)
+    reviewer, app = table.reviewer.tolist(), table.app.tolist()
+    timestamp, score = table.timestamp.tolist(), table.score.tolist()
+    return [ReviewEdge(table.review_id[i], table.reviewer_ids[reviewer[i]], table.app_ids[app[i]],
+                       timestamp[i], score[i], table.text[i]) for i in rows]
 
 
 def shared_reviewer_weights(edges) -> list[tuple[str, str, int]]:

@@ -18,9 +18,9 @@ import pytest
 from reviewstream.cli import EXIT_OK, main
 from reviewstream.clusters import (
     LexicalEmbedder,
+    PairAnalysis,
     SuspiciousCluster,
     collect_clusters,
-    pairwise_similarity,
 )
 from reviewstream.detector import DetectorConfig, run_detector
 from reviewstream.ingest import ReviewEdge, ReviewTable, parse_apps, parse_reviews
@@ -29,7 +29,7 @@ from reviewstream.sketch import CountMinSketch, derive_row_seeds
 from reviewstream.stats import summarize, welch_t
 from reviewstream.synth import Injection, SynthSpec, gen_stream
 
-from _reference import ExactScorer
+from _reference import ExactScorer, table_edges
 
 BOOST = SubstreamLabel.BOOST
 SINK = SubstreamLabel.SINK
@@ -147,7 +147,7 @@ def test_injection_recall():
         if any(e.substream is BOOST and e.app_id == "a003" and e.burst_tick == 11
                for e in events):
             fired += 1
-        scores = list(zip(records.table.edges(records.row), records.score.tolist()))
+        scores = list(zip(table_edges(records.table, records.row), records.score.tolist()))
         injected_scores = [s for e, s in scores if e.review_id in injected]
         background_scores = [s for e, s in scores if e.review_id not in injected]
         if np.mean(injected_scores) > np.percentile(background_scores, 99):
@@ -200,7 +200,7 @@ def test_filtering_anti_poisoning():
             records, _ = run_detector(
                 partitioned.boost, standard_config(filter_threshold=threshold), BOOST
             )
-            return max(s for e, s in zip(records.table.edges(records.row),
+            return max(s for e, s in zip(table_edges(records.table, records.row),
                                          records.score.tolist())
                        if e.review_id in second_burst)
 
@@ -250,18 +250,21 @@ def test_pair_analysis_ground_truth():
         c for c in clusters
         if c.app_id == "a003" and c.tick == 12 and c.substream is BOOST
     )
-    analysis = pairwise_similarity(injected_cluster.members, LexicalEmbedder(), tau=0.95)
+    analysis = PairAnalysis(injected_cluster.review_ids, injected_cluster.texts, LexicalEmbedder(),
+                            tau=0.95)
     ratio = len(analysis.flagged_review_ids) / injected_cluster.size
 
     background_edges = [
-        e for e in records.table.edges(records.row) if e.review_id not in result.injected_ids()
+        e for e in table_edges(records.table, records.row)
+        if e.review_id not in result.injected_ids()
     ][:40]
     control = SuspiciousCluster(
         app_id="control", substream=BOOST, tick=2,
-        members=tuple(background_edges),
+        review_ids=tuple(e.review_id for e in background_edges),
+        texts=tuple(e.text for e in background_edges),
         mean_score=0.0,
     )
-    control_analysis = pairwise_similarity(control.members, LexicalEmbedder(), tau=0.95)
+    control_analysis = PairAnalysis(control.review_ids, control.texts, LexicalEmbedder(), tau=0.95)
     report(
         "pair-analysis-ground-truth",
         ratio >= 0.9 and len(control_analysis.pairs) == 0,

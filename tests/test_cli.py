@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import shared_reviewer_weights
+from _reference import shared_reviewer_weights, table_edges
 from reviewstream import cli
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
@@ -73,10 +74,36 @@ class TestPipeline:
         detector_config = DetectorConfig(origin=0).to_dict()
         assert {k: manifest["config"][k] for k in detector_config} == detector_config
         assert manifest["inputs"]["reviews"]["sha256"]
+        assert sorted(manifest["inputs"]) == ["catalog", "reviews"]
+        assert manifest["config"]["embeddings"] is None
         header = (out_dir / "scores.csv").read_text().splitlines()[1]
         assert header.startswith("# config ")
         stdout = capsys.readouterr().out.strip().splitlines()[-1]
         assert json.loads(stdout)["counts"] == counts
+
+    def test_manifest_records_the_embeddings_sidecar(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        ids = [json.loads(line)["review_id"] for line in reviews.read_text().splitlines()]
+        sidecar = tmp_path / "vectors.jsonl"
+        sidecar.write_text("".join(json.dumps({"review_id": r, "vector": [1.0, i % 3]}) + "\n"
+                                   for i, r in enumerate(ids)), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run_pipeline(reviews, catalog, out_dir, "--provider", "file",
+                            "--embeddings", str(sidecar)) == EXIT_OK
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        assert manifest["inputs"]["embeddings"] == {"path": str(sidecar), "sha256": digest}
+        assert manifest["config"]["embeddings"] == str(sidecar)
+        assert manifest["config"]["provider"] == "file"
+
+    def test_write_failure_removes_the_outputs_written_before_it(self, synth_files, tmp_path,
+                                                                 caplog):
+        reviews, _, catalog = synth_files
+        out_dir = tmp_path / "out"
+        (out_dir / "clusters.json").mkdir(parents=True)  # written after three other outputs
+        assert run_pipeline(reviews, catalog, out_dir) == EXIT_CONFIG
+        assert f"Is a directory: '{out_dir / 'clusters.json'}'" in caplog.text
+        assert list(out_dir.iterdir()) == [out_dir / "clusters.json"]  # the directory stays
 
     def test_injected_app_tops_cluster_report(self, synth_files, tmp_path):
         reviews, _, catalog = synth_files
@@ -297,6 +324,17 @@ class TestStages:
         assert result["evaluated"] == 60
         assert len(result["flagged"]) == 60  # every template repeats
 
+    def test_pairs_out_writes_the_report_and_prints_its_counts(self, synth_files, tmp_path,
+                                                               capsys):
+        reviews, _, _ = synth_files
+        out = tmp_path / "pairs.json"
+        argv = ["pairs", "--reviews", str(reviews), "--tau", "1.0", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        result = json.loads(out.read_text(encoding="utf-8"))
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == {"pairs": len(result["pairs"]), "flagged": len(result["flagged"])}
+        assert printed["pairs"] > 0
+
     def test_stats_ttest_and_flags(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -359,7 +397,7 @@ class TestStages:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["app_a", "app_b", "weight"])
         table, _ = parse_reviews(reviews.read_text(encoding="utf-8").splitlines())
-        writer.writerows(shared_reviewer_weights(table.edges()))
+        writer.writerows(shared_reviewer_weights(table_edges(table)))
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_synth_rejects_bad_spec(self, tmp_path):
@@ -479,8 +517,9 @@ class TestRejections:
         '{"review_id": "x", "vector": ["1", "2"]}',
         '{"review_id": "x", "vector": [true, false]}',
         '{"review_id": "x", "vector": [1' + "0" * 400 + ', 1]}',
+        '{"review_id": 5, "vector": [1.0, 0.0]}',
     ], ids=["bad-json", "no-review-id", "no-vector", "not-1d", "ragged-dim", "nan",
-            "ragged-nested", "str-elements", "bool-elements", "int-overflow"])
+            "ragged-nested", "str-elements", "bool-elements", "int-overflow", "int-review-id"])
     def test_bad_embedding_sidecar_exits_2_naming_the_line(self, synth_files, tmp_path,
                                                           caplog, line):
         reviews, _, _ = synth_files
@@ -514,6 +553,7 @@ class TestRejections:
         "scores-negative-tick", "scores-tick-2-64", "scores-unknown-substream",
         "scores-non-numeric-score", "scores-unknown-review", "scores-plus-tick",
         "scores-space-tick", "scores-underscore-tick", "scores-nan-score", "events-nan-ratio",
+        "events-not-an-object", "events-missing-field",
     ])
     def test_malformed_clusters_input_exits_2_naming_the_file(self, synth_files, tmp_path,
                                                                caplog, bad):
@@ -548,6 +588,9 @@ class TestRejections:
             # a NaN would reach clusters.json as `NaN`, which is not JSON
             "scores-nan-score": (scores, first_row("score", "nan")),
             "events-nan-ratio": (events, json.dumps({**event, "ratio": math.nan}) + "\n"),
+            "events-not-an-object": (events, "[1, 2]\n"),
+            "events-missing-field": (events, json.dumps({k: v for k, v in event.items()
+                                                         if k != "ratio"}) + "\n"),
         }[bad]
         broken.write_text(text)
         report = tmp_path / "clusters.json"
@@ -596,9 +639,18 @@ class TestRejections:
 PIPELINE = ["pipeline", "--reviews", "reviews.jsonl", "--catalog", "apps.csv", "--out-dir", "out"]
 CLUSTERS = ["clusters", "--scores", "scores.csv", "--events", "events.jsonl", "--out", "report.json"]
 PAIRS = ["pairs", "--reviews", "reviews.jsonl", "--out", "pairs.json"]
+SYNTH = ["synth", "--spec", "spec.json", "--out", "o.jsonl", "--truth", "t.jsonl"]
 VECTORS = {"vecs.jsonl": '{"review_id": "nobody", "vector": [1.0, 0.0]}\n'}
 NO_EDGES_EVENT = json.dumps({"app_id": "a000", "substream": "boost", "prior_tick": 500,
                              "prior_count": 1, "burst_count": 5, "ratio": 5.0}) + "\n"
+SMALL_SPEC = {"n_apps": 3, "n_reviewers": 5, "ticks": 2, "background_rate": 1.0}
+
+
+def spec_file(**changes) -> dict[str, str]:
+    """A spec.json of ``SMALL_SPEC`` with ``changes``."""
+    return {"spec.json": json.dumps({**SMALL_SPEC, **changes})}
+
+
 ONE_REVIEW = json.dumps({"review_id": "r1", "reviewer_id": "u1", "app_id": "a000",
                          "timestamp": 0, "score": 5}) + "\n"
 
@@ -669,9 +721,30 @@ EXIT_CASES = {
     "config-integer-too-long": (PIPELINE + ["--config", "run.json"],
                                 {"run.json": '{"origin": 1' + "0" * 5000 + "}"}, EXIT_CONFIG,
                                 "config file run.json is not valid JSON: Exceeds the limit"),
-    "synth-spec-nested-too-deeply": (
-        ["synth", "--spec", "spec.json", "--out", "o.jsonl", "--truth", "t.jsonl"],
-        {"spec.json": DEEP}, EXIT_CONFIG, "bad synth spec spec.json"),
+    "synth-spec-nested-too-deeply": (SYNTH, {"spec.json": DEEP}, EXIT_CONFIG,
+                                     "bad synth spec spec.json"),
+    "synth-spec-not-an-object": (SYNTH, {"spec.json": "[1, 2]"}, EXIT_CONFIG,
+                                 "SynthSpec must be a JSON object, got [1, 2]"),
+    "synth-ticks-not-an-integer": (SYNTH, spec_file(ticks=2.5), EXIT_CONFIG,
+                                   "ticks must be an integer that fits int64, got 2.5"),
+    "synth-background-rate-nan": (SYNTH, spec_file(background_rate=math.nan), EXIT_CONFIG,
+                                  "background_rate must be a finite number, got nan"),
+    "synth-background-rate-past-poisson-limit": (
+        SYNTH, spec_file(background_rate=1e300), EXIT_CONFIG,
+        "background_rate must be in [0, 9.223372006484771e+18], got 1e+300"),
+    "synth-negative-seed": (SYNTH, spec_file(seed=-1), EXIT_CONFIG,
+                            "seed must be non-negative, got -1"),
+    "synth-bool-count": (SYNTH, spec_file(n_apps=True), EXIT_CONFIG,
+                         "n_apps must be an integer that fits int64, got True"),
+    "synth-unknown-key": (SYNTH, spec_file(sed=5), EXIT_CONFIG, "unknown SynthSpec key 'sed'"),
+    "synth-negative-origin": (SYNTH, spec_file(origin=-1_000_000), EXIT_CONFIG,
+                              "origin + ticks * period must lie in [0, 2**63 - 1]"),
+    "synth-base-rating-out-of-range": (SYNTH, spec_file(base_rating=9), EXIT_CONFIG,
+                                       "base_rating must be in [1, 5], got 9"),
+    "sketch-too-wide": (PIPELINE + ["--origin", "0", "--cols", "1000000000000000"], {},
+                        EXIT_CONFIG, "sketch geometry must have at most 64 rows and 2**24"),
+    "sketch-too-many-rows": (PIPELINE + ["--origin", "0", "--rows", "4000000000000000000"], {},
+                             EXIT_CONFIG, "sketch geometry must have at most 64 rows and 2**24"),
     "catalog-names-a-column-twice": (
         PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
         {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},
@@ -715,28 +788,26 @@ class TestTopLevel:
         assert main(["frobnicate"]) == EXIT_CONFIG
 
 
-def test_pipeline_builds_review_edges_only_for_cluster_members(synth_files, tmp_path,
-                                                               monkeypatch):
-    """Reviews stay columns through the pipeline: the only ``ReviewEdge``s
-    built are the members of the collected clusters, one each."""
+def test_pipeline_clusters_and_pairs_build_no_review_edge(synth_files, tmp_path, monkeypatch):
+    """Reviews stay columns from the parse to every output: ``pipeline``,
+    ``clusters`` and ``pairs`` construct no ``ReviewEdge``."""
     reviews, _, catalog = synth_files
-    built, collected = [], []
-    init, collect = ReviewEdge.__init__, cli.collect_clusters
+    scores, events = score_files(reviews, catalog, tmp_path)
+    built = []
+    init = ReviewEdge.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self.review_id)
 
-    def recording_collect(*args):
-        collected.extend(collect(*args))
-        return collected
-
     monkeypatch.setattr(ReviewEdge, "__init__", counting_init)
-    monkeypatch.setattr(cli, "collect_clusters", recording_collect)
     assert run_pipeline(reviews, catalog, tmp_path / "out") == EXIT_OK
-    members = [m.review_id for c in collected for m in c.members]
-    assert 0 < len(built) < len(reviews.read_text(encoding="utf-8").splitlines())
-    assert built == members
+    report = json.loads((tmp_path / "out" / "clusters.json").read_text(encoding="utf-8"))
+    assert report[0]["pair_count"] > 0  # the report read the members' texts
+    assert main(["clusters", "--reviews", str(reviews), "--scores", str(scores),
+                 "--events", str(events), "--out", str(tmp_path / "c.json")]) == EXIT_OK
+    assert main(["pairs", "--reviews", str(reviews), "--out", str(tmp_path / "p.json")]) == EXIT_OK
+    assert built == []
 
 
 APP_IDS = st.one_of(

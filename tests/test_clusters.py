@@ -11,12 +11,12 @@ from reviewstream.clusters import (
     InconsistentRunError,
     LexicalEmbedder,
     MissingEmbeddingError,
+    PairAnalysis,
     SuspiciousCluster,
     build_cluster_report,
     collect_clusters,
     cosine,
     lexical_vector,
-    pairwise_similarity,
     rank_clusters,
 )
 from reviewstream.detector import MicroclusterEvent, ScoredStream
@@ -52,10 +52,10 @@ def event(app="a1", prior_tick=4, substream=BOOST):
 
 
 def cluster(texts, app="a1", tick=5, mean=1.0, scores=None):
-    members = tuple(review(f"m{i}", app=app, tick=tick, text=t) for i, t in enumerate(texts))
+    review_ids = tuple(f"m{i}" for i in range(len(texts)))
     member_scores = [scores[i] if scores else mean for i in range(len(texts))]
-    actual_mean = sum(member_scores) / len(members)
-    return SuspiciousCluster(app, BOOST, tick, members, actual_mean)
+    actual_mean = sum(member_scores) / len(review_ids)
+    return SuspiciousCluster(app, BOOST, tick, review_ids, tuple(texts), actual_mean)
 
 
 class TestCollect:
@@ -81,7 +81,7 @@ class TestCollect:
     def test_substreams_are_separate(self):
         records = [record("r1", substream=BOOST), record("r2", substream=SINK)]
         clusters = collect_clusters([event(substream=SINK)], stream(*records))
-        assert clusters[0].members[0].review_id == "r2"
+        assert clusters[0].review_ids == ("r2",)
 
     def test_mean_sums_left_to_right(self):
         # 2**53 + 1 rounds back to 2**53, so the nine ones vanish one by
@@ -132,7 +132,8 @@ def test_collect_matches_a_brute_force_recount(rows, data):
     for key, c in zip(picked, clusters):
         assert (c.app_id, c.substream, c.tick) == key
         matching = [row for row, row_key in zip(rows, keys) if row_key == key]
-        assert [m.review_id for m in c.members] == [edge.review_id for edge, *_ in matching]
+        assert list(c.review_ids) == [edge.review_id for edge, *_ in matching]
+        assert list(c.texts) == [edge.text for edge, *_ in matching]
         mean = sum(score for *_, score in matching) / len(matching)  # left to right
         assert c.mean_score.hex() == mean.hex()
 
@@ -224,19 +225,20 @@ def test_self_similarity_property(a):
 class TestNearIdenticalPairs:
     def test_exact_duplicates_flagged(self):
         c = cluster(["good app", "good app", "bad service"])
-        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=1.0)
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
         assert len(analysis.pairs) == 1
         assert analysis.pairs[0].similarity == 1.0
         assert analysis.flagged_review_ids == {"m0", "m1"}
         assert analysis.evaluated_count == 3
 
     def test_single_member_has_no_pairs(self):
-        analysis = pairwise_similarity(cluster(["solo"]).members, LexicalEmbedder(), tau=0.95)
+        c = cluster(["solo"])
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=0.95)
         assert analysis.pairs == ()
 
     def test_textless_members_excluded_but_counted(self):
         c = cluster(["good app", None, "good app"])
-        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=1.0)
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
         assert analysis.textless_count == 1
         assert analysis.evaluated_count == 2
         assert len(analysis.pairs) == 1
@@ -244,20 +246,20 @@ class TestNearIdenticalPairs:
 
     def test_pair_count_bounded_by_combinations(self):
         c = cluster(["a b"] * 6)
-        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=1.0)
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
         assert len(analysis.pairs) == 15  # C(6, 2)
-        assert analysis.flagged_review_ids <= {m.review_id for m in c.members}
+        assert analysis.flagged_review_ids <= set(c.review_ids)
 
     def test_pairs_sorted_by_similarity_then_ids(self):
         c = cluster(["good app", "good app", "very good app"])
-        analysis = pairwise_similarity(c.members, LexicalEmbedder(), tau=0.5)
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=0.5)
         sims = [p.similarity for p in analysis.pairs]
         assert sims == sorted(sims, reverse=True)
         assert (analysis.pairs[0].review_id_a, analysis.pairs[0].review_id_b) == ("m0", "m1")
 
     def test_tau_validated(self):
         with pytest.raises(ValueError):
-            pairwise_similarity(cluster(["x"]).members, LexicalEmbedder(), tau=0.0)
+            PairAnalysis(("m0",), ("x",), LexicalEmbedder(), tau=0.0)
 
 
 class TestFileEmbedder:
@@ -276,14 +278,14 @@ class TestFileEmbedder:
         ])
         provider = FileEmbedder.load(path)
         c = cluster(["w1", "w2", "w3"])
-        analysis = pairwise_similarity(c.members, provider, tau=1.0)
+        analysis = PairAnalysis(c.review_ids, c.texts, provider, tau=1.0)
         assert [(p.review_id_a, p.review_id_b) for p in analysis.pairs] == [("m0", "m1")]
 
     def test_missing_review_id(self, tmp_path):
         path = self.write_sidecar(tmp_path, [{"review_id": "m0", "vector": [1.0]}])
         provider = FileEmbedder.load(path)
         with pytest.raises(MissingEmbeddingError) as err:
-            pairwise_similarity(cluster(["a", "b"]).members, provider, tau=1.0)
+            PairAnalysis(("m0", "m1"), ("a", "b"), provider, tau=1.0)
         assert "m1" in str(err.value)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -313,16 +315,14 @@ ORDER_PROBE = "a c b d f"
 def members_with_ids(values, id_order):
     """Cluster of reviews carrying ``values`` as text, with review ids
     ranked by ``id_order`` so id order differs from member order."""
-    members = tuple(
-        review(f"r{rank:02d}", text=value) for rank, value in zip(id_order, values)
-    )
-    return SuspiciousCluster("a1", BOOST, 5, members, 1.0)
+    review_ids = tuple(f"r{rank:02d}" for rank in id_order)
+    return SuspiciousCluster("a1", BOOST, 5, review_ids, tuple(values), 1.0)
 
 
 def assert_matches_oracle(c, provider, tau):
-    reviews = list(c.members)
-    pairs, flagged, evaluated, textless = all_pairs_similarity(reviews, provider, tau)
-    analysis = pairwise_similarity(reviews, provider, tau)
+    pairs, flagged, evaluated, textless = all_pairs_similarity(c.review_ids, c.texts, provider,
+                                                               tau)
+    analysis = PairAnalysis(c.review_ids, c.texts, provider, tau)
     got = [(p.review_id_a, p.review_id_b, p.similarity) for p in analysis.pairs]
     assert got == pairs  # floats compared with ==: bit-identical similarities
     assert analysis.flagged_review_ids == flagged
@@ -335,7 +335,7 @@ def assert_matches_oracle(c, provider, tau):
 
 
 def observed_similarities(c, provider):
-    vectors = [provider.vector(m.review_id, m.text) for m in c.members if m.text is not None]
+    vectors = [provider.vector(r, t) for r, t in zip(c.review_ids, c.texts) if t is not None]
     sims = {cosine(vectors[i], vectors[j])
             for i in range(len(vectors)) for j in range(i + 1, len(vectors))}
     return sorted(x for x in sims if 0.0 < x <= 1.0)
@@ -402,7 +402,7 @@ def file_vector(draw):
 def test_file_vector_pairs_match_all_pairs_oracle(vectors, textless, tau, data):
     texts = [None if i < len(textless) and textless[i] else "t" for i in range(len(vectors))]
     c = draw_cluster(data, texts)
-    provider = FileEmbedder({m.review_id: v for m, v in zip(c.members, vectors)})
+    provider = FileEmbedder(dict(zip(c.review_ids, vectors)))
     assert_matches_oracle(c, provider, draw_tau(data, tau, c, provider))
 
 
@@ -423,7 +423,7 @@ class TestPairMining:
                  if vectors[i] != vectors[j]]
         assert len(cross) == 2 and cross[0] != cross[1]
         c = members_with_ids(texts, [0, 1, 2])
-        analysis = pairwise_similarity(c.members, LexicalEmbedder(), max(cross))
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), max(cross))
         assert len(analysis.pairs) == 2
         assert_matches_oracle(c, LexicalEmbedder(), max(cross))
 
@@ -434,7 +434,7 @@ class TestPairMining:
         texts = ["d e g d f e d g", "d f b a e"]
         tau = cosine(*(lexical_vector(t) for t in texts))
         c = members_with_ids(texts, [0, 1])
-        assert len(pairwise_similarity(c.members, LexicalEmbedder(), tau).pairs) == 1
+        assert len(PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau).pairs) == 1
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
     @pytest.mark.parametrize("tau", [1.0, 0.95, 0.6, 0.3])

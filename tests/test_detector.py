@@ -23,7 +23,7 @@ from reviewstream.ingest import BeforeOriginError, ReviewEdge, ReviewTable, to_t
 from reviewstream.partition import SubstreamLabel
 
 import _reference
-from _reference import ExactScorer, brute_force_events, evaluate_burst
+from _reference import ExactScorer, brute_force_events, evaluate_burst, table_edges
 
 PERIOD = 10
 BOOST = SubstreamLabel.BOOST
@@ -170,7 +170,7 @@ class TestBurstPredicate:
 class TestRunDetector:
     def test_empty_stream(self):
         scored, events = run_detector(rows([]), cfg(), BOOST)
-        assert len(scored) == 0 and scored.table.edges(scored.row) == [] and events == []
+        assert len(scored) == 0 and table_edges(scored.table, scored.row) == [] and events == []
 
     def test_burst_after_steady_traffic(self):
         edges = mk_edges([("a", t, 2) for t in range(1, 11)] + [("a", 11, 50)])
@@ -219,6 +219,16 @@ class TestRunDetector:
         two, _ = run_detector(rows(mk_edges([("a", 1, 2)])), cfg(), BOOST)
         with pytest.raises(ValueError, match="different tables"):
             one + two
+
+    def test_scores_of_a_sub_stream_are_its_float64_column(self):
+        table = ReviewTable.from_edges(mk_edges([("a", 1, 2), ("b", 2, 2)]))
+        boost, _ = run_detector(table.rows([0, 2]), cfg(), BOOST)
+        sink, _ = run_detector(table.rows([1, 3]), cfg(), SubstreamLabel.SINK)
+        both = boost + sink
+        for label, part in ((BOOST, boost), (SubstreamLabel.SINK, sink)):
+            scores = both.scores(label)
+            assert scores.dtype == np.float64
+            assert scores.tolist() == part.score.tolist()
 
 
 def random_stream(rng: np.random.Generator, n_apps: int, ticks: int, n_edges: int):
@@ -275,6 +285,11 @@ class TestConfigValidation:
         dict(min_prior=2.0**-961),
         dict(origin=-(2**63) - 1),
         dict(origin=2**63),
+        dict(rows=65, cols=1),
+        dict(rows=1, cols=2**24 + 1),
+        dict(rows=64, cols=2**18 + 1),
+        dict(rows=4_000_000_000_000_000_000),
+        dict(cols=1_000_000_000_000_000),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -284,6 +299,10 @@ class TestConfigValidation:
         cfg(min_prior=0.0).validate()
         cfg(min_prior=2.0**-960).validate()
         assert math.isfinite((2**63 - 1) / 2.0**-960)
+
+    def test_sketch_geometry_up_to_64_rows_and_2_24_counters_is_valid(self):
+        cfg(rows=64, cols=2**18).validate()
+        cfg(rows=1, cols=2**24).validate()
 
     def test_defaults_are_valid(self):
         DetectorConfig(origin=0).validate()

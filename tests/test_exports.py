@@ -6,14 +6,16 @@ import re
 from pathlib import Path
 
 import reviewstream
-from reviewstream import cli, detector, ingest, partition, sketch, stats, synth
+from reviewstream import cli, clusters, detector, ingest, partition, sketch, stats, synth
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Names removed from the library's modules, and members removed from its classes.
 REMOVED_NAMES = {
-    ingest: ["AppCatalog", "read_reviews_jsonl", "read_app_catalog_csv", "review_to_dict"],
+    ingest: ["AppCatalog", "read_reviews_jsonl", "read_app_catalog_csv", "review_to_dict",
+             "review_to_line"],
     partition: ["classify"],
+    clusters: ["pairwise_similarity"],
     detector: ["evaluate_burst"],
     stats: ["SharedReviewerEdge"],
     synth: ["gen_background", "inject_lockstep"],
@@ -22,7 +24,7 @@ REMOVED_MEMBERS = [
     (detector.Detector, "tick"), (sketch.CountMinSketch, "insert_at"),
     (sketch.CountMinSketch, "estimate_at"), (sketch.CountMinSketch, "clear"),
     (stats.SharedReviewerGraph, "__iter__"), (stats.EcdfPoints, "fraction_at"),
-    (detector.ScoredStream, "edges"),
+    (detector.ScoredStream, "edges"), (ingest.ReviewTable, "edges"),
 ]
 # The columnar review types: exported, and documented in the README.
 TABLE_TYPES = ["ReviewTable", "ReviewRows"]

@@ -14,7 +14,6 @@ from reviewstream.ingest import (
     ReviewTable,
     parse_apps,
     parse_reviews,
-    review_to_line,
     to_tick,
 )
 
@@ -28,7 +27,7 @@ def jline(**kw) -> str:
 def parse_edges(lines, format="jsonl"):
     """``parse_reviews`` with the table's rows as ``ReviewEdge``s."""
     table, errors = parse_reviews(lines, format=format)
-    return table.edges(), errors
+    return _reference.table_edges(table), errors
 
 
 VALID = dict(review_id="x1", reviewer_id="u1", app_id="a1", timestamp=0, score=5)
@@ -156,6 +155,15 @@ class TestParseApps:
         assert [(r.app_id, r.install_count) for r in catalog.values()] == [("a2", 42)]
         assert [(e.line, e.reason) for e in errors] == [(2, "syntax")]
 
+    def test_negative_install_count_is_out_of_range(self):
+        catalog, errors = parse_apps([
+            "app_id,overall_rating,install_count",
+            "a1,4.0,-1",
+            "a2,4.0,0",
+        ])
+        assert [(r.app_id, r.install_count) for r in catalog.values()] == [("a2", 0)]
+        assert [(e.line, e.reason, e.raw) for e in errors] == [(2, "range", "a1,4.0,-1")]
+
     def test_rating_out_of_range(self):
         catalog, errors = parse_apps([
             "app_id,overall_rating",
@@ -211,7 +219,7 @@ texts = st.one_of(st.none(), st.text(max_size=50))
 )
 def test_round_trip(review_id, reviewer_id, app_id, timestamp, score, text):
     edge = ReviewEdge(review_id, reviewer_id, app_id, timestamp, score, text)
-    reparsed, errors = parse_edges([review_to_line(edge)])
+    reparsed, errors = parse_edges([_reference.review_to_line(edge)])
     assert errors == []
     assert reparsed == [edge]
 
@@ -327,7 +335,7 @@ def assert_matches_reference(lines, format="jsonl"):
         return
     table, errors = parse_reviews(lines, format=format)
     assert errors == ref_errors
-    assert table.edges() == ref_edges
+    assert _reference.table_edges(table) == ref_edges
     assert table.review_id == [e.review_id for e in ref_edges]
     assert table.app_ids == list(dict.fromkeys(e.app_id for e in ref_edges))
     assert table.reviewer_ids == list(dict.fromkeys(e.reviewer_id for e in ref_edges))
@@ -442,8 +450,10 @@ def test_table_from_edges_round_trips():
     edges = [ReviewEdge("x1", "u2", "a1", 5, 3, "t"), ReviewEdge("x2", "u1", "a1", 2**63 - 1, 1),
              ReviewEdge("x3", "u2", "a0", 0, 5, "")]
     table = ReviewTable.from_edges(edges)
-    assert table.edges() == edges and table.edges([2, 0]) == [edges[2], edges[0]]
+    assert _reference.table_edges(table) == edges
+    assert _reference.table_edges(table, [2, 0]) == [edges[2], edges[0]]
     assert (table.app_ids, table.app.tolist()) == (["a1", "a0"], [0, 0, 1])
     assert (table.reviewer_ids, table.reviewer.tolist()) == (["u2", "u1"], [0, 1, 0])
     assert table.rows([2, 1]).row.tolist() == [2, 1]
-    assert len(ReviewTable.from_edges([])) == 0 and ReviewTable.from_edges([]).edges() == []
+    empty = ReviewTable.from_edges([])
+    assert len(empty) == 0 and _reference.table_edges(empty) == []

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 from reviewstream.ingest import AppRecord, ReviewEdge, ReviewTable
 from reviewstream.partition import SubstreamLabel, partition_stream
 
+from _reference import table_edges
+
 
 def edge(review_id, app_id="a1", score=5, ts=0):
     return ReviewEdge(review_id, f"u-{review_id}", app_id, ts, score)
@@ -14,7 +16,7 @@ def partition(edges, catalog):
     list of ``ReviewEdge``s."""
     result = partition_stream(ReviewTable.from_edges(edges).rows(), catalog)
     parts = {label: getattr(result, label.value) for label in SubstreamLabel}
-    return {label: part.table.edges(part.row) for label, part in parts.items()}
+    return {label: table_edges(part.table, part.row) for label, part in parts.items()}
 
 
 def classify(edge, catalog):
@@ -46,7 +48,7 @@ def test_partition_counts():
     edges = [edge("1", "a2", 5, 0), edge("2", "a2", 1, 1), edge("3", "a2", 5, 2)]
     result = partition_stream(ReviewTable.from_edges(edges).rows(), CATALOG)
     assert result.counts() == {"boost": 2, "sink": 1, "unpartitioned": 0}
-    assert [e.review_id for e in result.boost.table.edges(result.boost.row)] == ["1", "3"]
+    assert [e.review_id for e in table_edges(result.boost.table, result.boost.row)] == ["1", "3"]
 
 
 def test_unknown_app_is_kept_not_dropped():

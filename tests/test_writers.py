@@ -28,7 +28,6 @@ from reviewstream.ingest import (
     _BLOCK_ROWS,
     ReviewEdge,
     ReviewTable,
-    review_to_line,
     write_columns,
     write_reviews_jsonl,
 )
@@ -133,7 +132,7 @@ def test_reviews_jsonl_matches_review_to_line(data):
         cycled(data.draw, st.sampled_from([0, 1, 2**63 - 1]) | st.integers(0, 2**63 - 1), n),
         cycled(data.draw, st.integers(1, 5), n),
         cycled(data.draw, st.none() | IDS | st.text(max_size=30), n))]
-    expected = "".join(review_to_line(edge) + "\n" for edge in edges)
+    expected = "".join(_reference.review_to_line(edge) + "\n" for edge in edges)
     assert written(lambda path: write_reviews_jsonl(ReviewTable.from_edges(edges), path)) \
         == expected
 
