@@ -41,7 +41,6 @@ from .ingest import (
     ReviewTable,
     parse_apps,
     parse_reviews,
-    to_tick,
 )
 from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .sketch import CountMinSketch, derive_row_seeds
@@ -115,6 +114,5 @@ __all__ = [
     "run_detector",
     "shared_reviewer_graph",
     "summarize",
-    "to_tick",
     "welch_t",
 ]

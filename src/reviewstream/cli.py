@@ -15,7 +15,9 @@ invalid parameters).
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -23,6 +25,7 @@ import math
 import sys
 import time
 import typing
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -582,6 +585,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "runtime_seconds": round(time.monotonic() - started, 3),
             "stages": stages,
             "detector": run.detector,
+            "parse_errors": {"reviews": Counter(err.reason for err in run.review_errors),
+                             "catalog": Counter(err.reason for err in run.catalog_errors)},
         }
         target("manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     except Exception:
@@ -683,6 +688,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # A run is one batch, and what the imports built lives until exit.
+    # Freezing it keeps the collector's passes to the run's own objects,
+    # and freezing again at exit (atexit handlers run before teardown's
+    # collections) leaves the whole heap to the OS. No output depends on
+    # when cycles are collected. A caller that froze first keeps its state.
+    froze = gc.get_freeze_count() == 0
+    if froze:
+        gc.freeze()
+    atexit.unregister(gc.freeze)  # registered once however often main runs
+    atexit.register(gc.freeze)
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -699,6 +714,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
+    finally:
+        if froze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -72,11 +72,13 @@ class TimeRegressionError(ValueError):
 class DetectorConfig:
     """Full parameterization of one detector run.
 
-    ``origin`` anchors tick 1 and must be given explicitly; input
-    timestamp resolution (days vs seconds) is unknowable from the data
-    alone. All other fields have working defaults: one-day ticks,
-    better-than-doubling burst factor, and provisional decay/filter
-    values that are echoed into every output header.
+    ``origin`` anchors tick 1 and must be given explicitly: tick ``n``
+    covers ``(origin + (n-1)*period, origin + n*period]``, and ``origin``
+    itself maps to tick 1. Input timestamp resolution (days vs seconds)
+    is unknowable from the data alone. All other fields have working
+    defaults: one-day ticks, better-than-doubling burst factor, and
+    provisional decay/filter values that are echoed into every output
+    header.
     """
 
     origin: int

@@ -4,11 +4,6 @@ Reviews arrive as JSONL (one object per line) or CSV with the same field
 names; app catalogs are CSV. Parsing is single-pass and never aborts on a
 bad record: every rejected line is reported as a :class:`LineError` with
 its line number and a reason, so dataset accounting always closes.
-
-Timestamps are mapped onto discrete detection ticks with :func:`to_tick`.
-Tick ``n`` covers the half-open window ``(origin + (n-1)*period,
-origin + n*period]``; a timestamp equal to ``origin`` maps to tick 1 so
-that every record lands in some tick.
 """
 
 from __future__ import annotations
@@ -362,23 +357,6 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
     return catalog, errors
 
 
-def to_tick(timestamp: int, origin: int, period: int) -> int:
-    """Map a timestamp to its 1-based detection tick.
-
-    Tick n covers (origin + (n-1)*period, origin + n*period]; the origin
-    itself maps to tick 1. Timestamps before the origin raise
-    BeforeOriginError.
-    """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    delta = timestamp - origin
-    if delta < 0:
-        raise BeforeOriginError(
-            f"timestamp {timestamp} precedes origin {origin}"
-        )
-    return max(1, -(-delta // period))
-
-
 # Rows per block of ``write_columns``: the text of one block is held at a time.
 _BLOCK_ROWS = 4096
 
@@ -400,11 +378,22 @@ def write_columns(write: Callable[[str], object], template: str, rows: int,
         write((template * k) % tuple(cells))
 
 
-def _quoted(cells: Sequence[str]) -> list[str]:
+# Every character for which ``csv.writer`` may quote a cell in the dialect
+# of ``_quoted``: its delimiter, its quotechar, line breaks and the line
+# terminator. A superset: Python 3.11 quotes "\r" only for a "\r" terminator.
+_QUOTE_TRIGGERS = (csv.excel.delimiter, csv.excel.quotechar, "\r", "\n")
+
+
+def _quoted(cells: Sequence[str]) -> Sequence[str]:
     """Each cell as ``csv.writer`` writes it among other cells of a row:
-    each is written once, in a row of two cells whose second is empty (a
-    row of one empty cell would be quoted), and cut out of the text by the
-    lengths written; a cell written as it is comes back as itself."""
+    ``cells`` itself when none holds a character that may be quoted for;
+    otherwise each is written once, in a row of two cells whose second is
+    empty (a row of one empty cell would be quoted), and cut out of the
+    text by the lengths written; a cell written as it is comes back as
+    itself."""
+    joined = "".join(cells)
+    if not any(char in joined for char in _QUOTE_TRIGGERS):
+        return cells
     buf = io.StringIO()
     write = csv.writer(buf, lineterminator="\n").writerow
     ends = list(itertools.accumulate(map(write, zip(cells, itertools.repeat("")))))

@@ -10,12 +10,14 @@ per accepted line, ``json.loads`` per JSONL line and a dict of every
 header column per CSV row; it shares only the record types, reason codes
 and required field names. The per-edge
 detector is the earlier ``Detector``, one register per app and one merge
-at a time, over the package's count-min sketch: the batch detector must
-match it bit for bit at any geometry, collisions included. The per-row
+at a time, over the package's count-min sketch, with ``to_tick`` as its
+per-edge tick rule: the batch detector must match it bit for bit at any
+geometry, collisions included. The per-row
 writers are the ones the column writer replaced: ``csv.writer`` for the
 scores and CDF CSVs, ``asdict`` and ``json.dumps`` per event,
 ``str.format`` over ids quoted one at a time for the network CSV, and
-``json.dumps`` per review for the canonical review lines.
+``json.dumps`` per review for the canonical review lines; ``csv.writer``
+per cell checks the ids the writers quote.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from reviewstream.ingest import (
     REQUIRED_APP_FIELDS,
     REQUIRED_REVIEW_FIELDS,
     AppRecord,
+    BeforeOriginError,
     LineError,
     ReviewEdge,
     ReviewTable,
-    to_tick,
 )
 from reviewstream.partition import SubstreamLabel
 from reviewstream.sketch import CountMinSketch
@@ -425,6 +427,20 @@ def network_csv_text(graph: SharedReviewerGraph) -> str:
     return "app_a,app_b,weight\n" + "".join(lines)
 
 
+def quoted_cells(cells: Iterable[str]) -> list[str]:
+    """Each cell as ``csv.writer`` writes it in a row of its own, before a
+    second cell."""
+    buf = io.StringIO()
+    write = csv.writer(buf, lineterminator="\n").writerow
+    out = []
+    for cell in cells:
+        buf.seek(0)
+        buf.truncate()
+        write((cell, "x"))
+        out.append(buf.getvalue()[:-3])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The per-edge detector: one edge at a time, a register per app, and a
 # close that merges apps one by one. The batch core in
@@ -441,6 +457,23 @@ def evaluate_burst(
         return None
     ratio = burst_count / denom
     return ratio if ratio > burst_factor else None
+
+
+def to_tick(timestamp: int, origin: int, period: int) -> int:
+    """Map a timestamp to its 1-based detection tick.
+
+    Tick n covers (origin + (n-1)*period, origin + n*period]; the origin
+    itself maps to tick 1. Timestamps before the origin raise
+    BeforeOriginError.
+    """
+    if period <= 0:
+        raise ValueError(f"period must be positive, got {period}")
+    delta = timestamp - origin
+    if delta < 0:
+        raise BeforeOriginError(
+            f"timestamp {timestamp} precedes origin {origin}"
+        )
+    return max(1, -(-delta // period))
 
 
 def _insert(sketch: CountMinSketch, slots: tuple[int, ...], weight: float) -> None:

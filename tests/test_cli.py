@@ -1,19 +1,27 @@
+import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import shared_reviewer_weights, table_edges
+from _reference import shared_reviewer_weights, table_edges, to_tick
 from reviewstream import cli
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
-from reviewstream.ingest import ReviewEdge, ReviewTable, parse_reviews, to_tick
+from reviewstream.ingest import ReviewEdge, ReviewTable, parse_reviews
 from reviewstream.stats import shared_reviewer_graph
 
 DEEP = "[" * 100_000  # JSON nested far past the recursion limit
@@ -95,6 +103,30 @@ class TestPipeline:
         assert manifest["inputs"]["embeddings"] == {"path": str(sidecar), "sha256": digest}
         assert manifest["config"]["embeddings"] == str(sidecar)
         assert manifest["config"]["provider"] == "file"
+
+    def test_manifest_counts_parse_errors_by_reason(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        lines = reviews.read_text().splitlines()
+        lines[0] = lines[1] = "{broken"
+        lines[2] = json.dumps({k: v for k, v in json.loads(lines[2]).items() if k != "score"})
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = catalog.read_text().splitlines()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join([*rows, rows[1]]) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run_pipeline(dirty, doubled, out_dir, "--max-error-rate", "0.5") == EXIT_OK
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["parse_errors"] == {
+            "reviews": {"syntax": 2, "missing_field": 1}, "catalog": {"duplicate": 1}}
+        sidecar = [json.loads(line)
+                   for line in (out_dir / "parse_errors.jsonl").read_text().splitlines()]
+        for name, path in (("reviews", dirty), ("catalog", doubled)):
+            assert Counter(e["reason"] for e in sidecar if e["file"] == str(path)) \
+                == manifest["parse_errors"][name]
+        assert run_pipeline(reviews, catalog, tmp_path / "clean") == EXIT_OK
+        manifest = json.loads((tmp_path / "clean" / "manifest.json").read_text())
+        assert manifest["parse_errors"] == {"reviews": {}, "catalog": {}}
 
     def test_write_failure_removes_the_outputs_written_before_it(self, synth_files, tmp_path,
                                                                  caplog):
@@ -772,6 +804,93 @@ def test_failure_exits_with_its_code_naming_the_cause_and_writes_nothing(
         assert caplog.records[-1].getMessage().startswith(message)
     assert sorted(tmp_path.rglob("*")) == before  # no output is left behind
     assert capsys.readouterr().out == ""
+
+
+def in_process_argv(command: str, reviews, catalog, tmp_path) -> list[str]:
+    if command == "pipeline":
+        return ["pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+                "--out-dir", str(tmp_path / "out"), "--origin", "0"]
+    return ["stats", "network", "--reviews", str(reviews), "--out", str(tmp_path / "net.csv")]
+
+
+def gc_state() -> tuple[int, bool]:
+    return gc.get_freeze_count(), gc.isenabled()
+
+
+class TestInProcess:
+    """What a program calling ``main`` in-process relies on: an exit code
+    returned, not raised; output only through ``sys.stdout`` and
+    ``sys.stderr``; no thread left running; and the collector left as the
+    caller set it."""
+
+    @pytest.mark.parametrize("caller_froze", [False, True])
+    @pytest.mark.parametrize("command", ["pipeline", "network"])
+    def test_main_returns_writing_nothing_to_fd_1(self, synth_files, tmp_path, capfd, command,
+                                                   caller_froze):
+        reviews, _, catalog = synth_files
+        out, err = io.StringIO(), io.StringIO()
+        if caller_froze:
+            gc.freeze()
+        try:
+            before, threads = gc_state(), threading.active_count()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(in_process_argv(command, reviews, catalog, tmp_path))
+            after = gc_state()
+        finally:
+            if caller_froze:
+                gc.unfreeze()
+        assert code == EXIT_OK
+        assert threading.active_count() == threads
+        assert after[1] == before[1]
+        if caller_froze:  # frozen objects may die, but none is unfrozen or frozen anew
+            assert 0 < after[0] <= before[0]
+        else:
+            assert after[0] == before[0] == 0
+        assert capfd.readouterr().out == ""
+        if command == "pipeline":
+            assert json.loads(out.getvalue())["events"] >= 1
+
+    @pytest.mark.parametrize("case", ["exit-2", "exit-3", "version"])
+    def test_failing_runs_leave_the_collector_as_they_found_it(self, tmp_path, case):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{broken\n", encoding="utf-8")
+        argv, code = {"exit-2": (["stats", "network", "--reviews", str(bad)], EXIT_DATA),
+                      "exit-3": (["pipeline", "--bogus"], EXIT_CONFIG),
+                      "version": (["--version"], None)}[case]
+        before = gc_state()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if code is None:  # argparse's --version action exits 0
+                with pytest.raises(SystemExit) as err:
+                    main(argv)
+                assert err.value.code == 0
+            else:
+                assert main(argv) == code
+        assert gc_state() == before
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# The console script's entry, with a collection after ``main`` returns: a
+# file left in a reference cycle is finalized there, and warns.
+COLLECTED_ENTRY = ("import gc, sys; from reviewstream.cli import main; "
+                   "c = main(); gc.collect(); sys.exit(c)")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "network"])
+def test_cli_leaves_no_file_for_teardown_to_close(synth_files, tmp_path, command):
+    """Teardown collects nothing once ``main`` froze the heap at exit, so
+    no file may be left for it to close: with unclosed files an error,
+    the command exits 0 and reports none."""
+    reviews, _, catalog = synth_files
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *([path] if path else [])])}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", COLLECTED_ENTRY,
+         *in_process_argv(command, reviews, catalog, tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for marker in ("ResourceWarning", "unclosed", "Exception ignored"):
+        assert marker not in proc.stderr
 
 
 class TestTopLevel:

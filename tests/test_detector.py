@@ -19,11 +19,11 @@ from reviewstream.detector import (
     write_events_jsonl,
     write_scores_csv,
 )
-from reviewstream.ingest import BeforeOriginError, ReviewEdge, ReviewTable, to_tick
+from reviewstream.ingest import BeforeOriginError, ReviewEdge, ReviewTable
 from reviewstream.partition import SubstreamLabel
 
 import _reference
-from _reference import ExactScorer, brute_force_events, evaluate_burst, table_edges
+from _reference import ExactScorer, brute_force_events, evaluate_burst, table_edges, to_tick
 
 PERIOD = 10
 BOOST = SubstreamLabel.BOOST

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Names removed from the library's modules, and members removed from its classes.
 REMOVED_NAMES = {
     ingest: ["AppCatalog", "read_reviews_jsonl", "read_app_catalog_csv", "review_to_dict",
-             "review_to_line"],
+             "review_to_line", "to_tick"],
     partition: ["classify"],
     clusters: ["pairwise_similarity"],
     detector: ["evaluate_burst"],

@@ -14,10 +14,10 @@ from reviewstream.ingest import (
     ReviewTable,
     parse_apps,
     parse_reviews,
-    to_tick,
 )
 
 import _reference
+from _reference import to_tick
 
 
 def jline(**kw) -> str:

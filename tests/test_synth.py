@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from reviewstream.detector import DetectorConfig, run_detector
-from reviewstream.ingest import ReviewTable, to_tick
+from reviewstream.ingest import ReviewTable
 from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.stats import shared_reviewer_graph
 from reviewstream.synth import Injection, SynthSpec, gen_stream
 
-from _reference import review_to_line
+from _reference import review_to_line, to_tick
 
 PERIOD = 86_400
 

@@ -28,6 +28,7 @@ from reviewstream.ingest import (
     _BLOCK_ROWS,
     ReviewEdge,
     ReviewTable,
+    _quoted,
     write_columns,
     write_reviews_jsonl,
 )
@@ -148,3 +149,21 @@ def test_write_columns_writes_one_block_per_call(rows):
 def test_write_columns_rejects_a_short_column():
     with pytest.raises(ValueError):
         write_columns([].append, "%d,%d\n", 3, [1, 2, 3], [1, 2])
+
+
+@pytest.mark.parametrize("context", ["{}", "a{}b", " {}"])
+def test_quoted_matches_csv_writer_for_every_code_point(context):
+    """Each code point alone, between two letters and after a space, as
+    ``csv.writer`` writes it: one cell at a time, where a cell that may
+    not be quoted comes back unchanged, and all cells at once, where
+    every one goes through ``csv.writer``."""
+    cells = [context.format(chr(code)) for code in range(0x110000)]
+    expected = _reference.quoted_cells(cells)
+    assert [_quoted((cell,))[0] for cell in cells] == expected
+    assert list(_quoted(cells)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(IDS, max_size=12))
+def test_quoted_matches_csv_writer_per_cell(cells):
+    assert list(_quoted(cells)) == _reference.quoted_cells(cells)
