@@ -29,6 +29,7 @@ from .detector import (
     DetectorConfig,
     MicroclusterEvent,
     ScoredStream,
+    TickGapError,
     TimeRegressionError,
     run_detector,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "SuspiciousCluster",
     "SynthResult",
     "SynthSpec",
+    "TickGapError",
     "TimeRegressionError",
     "TooSmallError",
     "TruthRecord",

@@ -7,7 +7,7 @@ manifest with input digests and the full effective configuration.
 
 Exit codes: 0 success; 2 data failure (parse error rate above the
 threshold, inconsistent stage inputs, a malformed or undecodable input
-file, malformed embedding sidecar);
+file, malformed embedding sidecar, a tick gap too costly to decay);
 3 configuration failure (bad flags or config file, missing input files,
 invalid parameters).
 """
@@ -47,6 +47,7 @@ from .detector import (
     DetectorConfig,
     MicroclusterEvent,
     ScoredStream,
+    TickGapError,
     read_events_jsonl,
     read_scores_csv,
     run_detector,
@@ -155,8 +156,10 @@ def _network_csv(graph: SharedReviewerGraph, write) -> None:
     """Write the ``app_a,app_b,weight`` CSV of a graph, each app id quoted once."""
     quoted = _quoted(graph.apps)
     write("app_a,app_b,weight\n")
-    write_columns(write, "%s,%s,%d\n", len(graph), map(quoted.__getitem__, graph.app_a.tolist()),
-                  map(quoted.__getitem__, graph.app_b.tolist()), graph.weight.tolist())
+    write_columns(write, "%s,%s,%d\n", len(graph),
+                  lambda s: map(quoted.__getitem__, graph.app_a[s].tolist()),
+                  lambda s: map(quoted.__getitem__, graph.app_b[s].tolist()),
+                  lambda s: graph.weight[s].tolist())
 
 
 def _ecdf_csv(values: Sequence[float], write) -> None:
@@ -164,8 +167,8 @@ def _ecdf_csv(values: Sequence[float], write) -> None:
     write("value,fraction\n")
     if len(values):
         points = ecdf(values)
-        write_columns(write, "%r,%r\n", len(points.values), points.values.tolist(),
-                      points.fractions.tolist())
+        write_columns(write, "%r,%r\n", len(points.values), lambda s: points.values[s].tolist(),
+                      lambda s: points.fractions[s].tolist())
 
 
 def _emit(write_to, out: str | None) -> None:
@@ -333,16 +336,32 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
 # Stages shared by the subcommands. They call the layer entry points
 # through this module's globals, where the benchmark's layer trace wraps them.
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far (``VmHWM``), or None where
+    ``/proc/self/status`` does not exist."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            kb = next((int(line.split()[1]) for line in fh if line.startswith("VmHWM:")), None)
+    except OSError:
+        return None
+    return None if kb is None else round(kb / 1024, 1)
+
+
 class _Stages(dict):
-    """Seconds and items in and out of each stage, for the manifest: a
-    stage runs from the ``done`` call before it to its own."""
+    """Seconds, items in and out and the peak RSS so far at the end of each
+    stage, for the manifest: a stage runs from the ``done`` call before it
+    to its own."""
 
     def __init__(self) -> None:
         self._mark = time.perf_counter()
+        self._peak = 0.0
 
     def done(self, name: str, items_in: int, items_out: int) -> None:
         now = time.perf_counter()
         self[name] = {"seconds": round(now - self._mark, 6), "in": items_in, "out": items_out}
+        peak = _peak_rss_mb()
+        if peak is not None:  # a later VmHWM reading can be lower than an earlier one
+            self._peak = self[name]["peak_rss_mb"] = max(self._peak, peak)
         self._mark = now
 
 
@@ -708,7 +727,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         logger.error("%s", exc)
         return EXIT_CONFIG
     except (DataFailure, EmbeddingFileError, InconsistentRunError, MissingEmbeddingError,
-            TooSmallError, DegenerateSamplesError) as exc:
+            TickGapError, TooSmallError, DegenerateSamplesError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
     except OSError as exc:

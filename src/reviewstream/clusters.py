@@ -255,7 +255,11 @@ class PairAnalysis:
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {tau}")
         with_text = [(r, t) for r, t in zip(review_ids, texts, strict=True) if t is not None]
-        vectors = [provider.vector(r, t) for r, t in with_text]
+        if isinstance(provider, LexicalEmbedder):  # the text alone makes the vector
+            by_text = {t: lexical_vector(t) for t in {t for _, t in with_text}}
+            vectors = [by_text[t] for _, t in with_text]
+        else:
+            vectors = [provider.vector(r, t) for r, t in with_text]
         self._ids = [r for r, _ in with_text]
         self.evaluated_count = len(with_text)
         self.textless_count = len(texts) - len(with_text)

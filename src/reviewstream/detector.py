@@ -54,7 +54,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -66,6 +66,16 @@ from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
 class TimeRegressionError(ValueError):
     """Raised when an edge's tick precedes the detector's current tick."""
+
+
+class TickGapError(ValueError):
+    """Raised when decaying history across tick gaps would pass the work bound."""
+
+
+# Counter updates a detector may spend decaying history, across all its
+# batches: about 14 s at the default 2 x 1024 sketch. A gap costs one
+# step per tick until a step changes nothing, about 750 / (1 - decay).
+_DECAY_WORK_LIMIT = 2**32
 
 
 @dataclass(frozen=True)
@@ -215,6 +225,7 @@ class Detector:
         self._held: ReviewRows | None = None  # rows of the last closed and the open tick
         self._closed_held = 0  # 1 if the held rows start with a closed tick
         self._finished = False
+        self._decay_work = 0  # counters decayed so far, across batches
 
     def historical_total(self, app_id: str) -> float:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
@@ -303,6 +314,13 @@ class Detector:
                 filtered = (last > cfg.filter_threshold) & (tick >= 2)
                 self._merge(history, g_cell[:, a:b], counts[close[a:b]], filtered, tick)
                 for _ in range(tick_values[k + 1] - tick if k + 1 < K else 0):
+                    self._decay_work += cfg.rows * cfg.cols
+                    if self._decay_work > _DECAY_WORK_LIMIT:
+                        raise TickGapError(
+                            f"decaying history from tick {tick} to tick {tick_values[k + 1]}, "
+                            f"before review {table.review_id[row[tick_start[k + 1]]]!r}, would "
+                            f"pass {_DECAY_WORK_LIMIT} counter updates; use a longer period "
+                            f"or a lower decay")
                     if not self._history.decay(cfg.decay):
                         break
             score = _chi2(cur[held:], g_hist[group[held:]], *factors[:, edge_tick[held:]])
@@ -382,12 +400,12 @@ def write_scores_csv(scored: ScoredStream, config: DetectorConfig, path: str | P
         fh.write(f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n")
         fh.write(",".join(SCORES_COLUMNS) + "\n")
         write_columns(fh.write, "%s,%s,%s,%d,%s,%r\n", len(row),
-                      _quoted(list(map(table.review_id.__getitem__, row.tolist()))),
-                      map(app_ids.__getitem__, table.app[row].tolist()),
-                      map(reviewer_ids.__getitem__, table.reviewer[row].tolist()),
-                      scored.tick.tolist(),
-                      map(_LABEL_VALUES.__getitem__, scored.substream.tolist()),
-                      scored.score.tolist())
+                      lambda s: _quoted(list(map(table.review_id.__getitem__, row[s].tolist()))),
+                      lambda s: map(app_ids.__getitem__, table.app[row[s]].tolist()),
+                      lambda s: map(reviewer_ids.__getitem__, table.reviewer[row[s]].tolist()),
+                      lambda s: scored.tick[s].tolist(),
+                      lambda s: map(_LABEL_VALUES.__getitem__, scored.substream[s].tolist()),
+                      lambda s: scored.score[s].tolist())
 
 
 def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream, dict]:
@@ -437,14 +455,13 @@ _EVENT_LINE = ('{"app_id": %s, "burst_count": %d, "prior_count": %d, "prior_tick
 
 
 def write_events_jsonl(events: Iterable[MicroclusterEvent], path: str | Path) -> None:
-    events = list(events)
+    events = events if isinstance(events, Sequence) else list(events)
     app_ids = {app: json.dumps(app) for app in {event.app_id for event in events}}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_columns(fh.write, _EVENT_LINE, len(events),
-                      map(app_ids.__getitem__, map(attrgetter("app_id"), events)),
-                      *(map(attrgetter(name), events)
-                        for name in ("burst_count", "prior_count", "prior_tick", "ratio")),
-                      map(attrgetter("substream.value"), events))
+                      lambda s: map(app_ids.__getitem__, map(attrgetter("app_id"), events[s])),
+                      *((lambda s, get=attrgetter(name): map(get, events[s])) for name in
+                        ("burst_count", "prior_count", "prior_tick", "ratio", "substream.value")))
 
 
 def _event_from_json(obj: object) -> MicroclusterEvent:

@@ -362,19 +362,21 @@ _BLOCK_ROWS = 4096
 
 
 def write_columns(write: Callable[[str], object], template: str, rows: int,
-                  *columns: Iterable) -> None:
+                  *columns: Callable[[slice], Iterable]) -> None:
     """Write ``template % row`` for each of ``rows`` rows of equal-length
     columns, in blocks of at most ``_BLOCK_ROWS`` rows: each block's cells
-    are interleaved row by row and formatted by one ``%`` call. ``%r``
-    writes a float as ``csv.writer`` and ``json.dumps`` do; strings go in
-    as given, quoted or encoded by the caller."""
-    columns = tuple(map(iter, columns))
+    are interleaved row by row and formatted by one ``%`` call. A column
+    is a function of a block's slice of rows that returns the block's
+    cells, so a writer gathers and converts one column's block at a time.
+    ``%r`` writes a float as ``csv.writer`` and ``json.dumps`` do; strings
+    go in as given, quoted or encoded by the caller."""
     width = len(columns)
     for start in range(0, rows, _BLOCK_ROWS):
         k = min(_BLOCK_ROWS, rows - start)
+        block = slice(start, start + k)
         cells = [None] * (k * width)
         for j, column in enumerate(columns):
-            cells[j::width] = itertools.islice(column, k)
+            cells[j::width] = column(block)
         write((template * k) % tuple(cells))
 
 
@@ -414,10 +416,13 @@ def write_reviews_jsonl(table: ReviewTable, path: str | Path) -> None:
     app_ids, reviewer_ids = list(map(encode, table.app_ids)), list(map(encode, table.reviewer_ids))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_columns(fh.write, _REVIEW_LINE, len(table),
-                      map(app_ids.__getitem__, table.app.tolist()), map(encode, table.review_id),
-                      map(reviewer_ids.__getitem__, table.reviewer.tolist()), table.score.tolist(),
-                      ("" if text is None else ', "text": ' + encode(text) for text in table.text),
-                      table.timestamp.tolist())
+                      lambda s: map(app_ids.__getitem__, table.app[s].tolist()),
+                      lambda s: map(encode, table.review_id[s]),
+                      lambda s: map(reviewer_ids.__getitem__, table.reviewer[s].tolist()),
+                      lambda s: table.score[s].tolist(),
+                      lambda s: ["" if text is None else ', "text": ' + encode(text)
+                                 for text in table.text[s]],
+                      lambda s: table.timestamp[s].tolist())
 
 
 def write_app_catalog_csv(catalog: dict[str, AppRecord], path: str | Path) -> None:

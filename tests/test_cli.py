@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import shared_reviewer_weights, table_edges, to_tick
-from reviewstream import cli
+from reviewstream import cli, detector
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
 from reviewstream.ingest import ReviewEdge, ReviewTable, parse_reviews
@@ -52,6 +52,10 @@ def synth_files(tmp_path):
     ])
     assert code == EXIT_OK
     return reviews, truth, catalog
+
+
+PIPELINE_STAGES = ("parse_reviews", "parse_catalog", "partition", "detect_boost", "detect_sink",
+                   "summarize", "collect", "report", "ttest", "write")  # in the order they run
 
 
 def run_pipeline(reviews, catalog, out_dir, *extra):
@@ -127,6 +131,28 @@ class TestPipeline:
         assert run_pipeline(reviews, catalog, tmp_path / "clean") == EXIT_OK
         manifest = json.loads((tmp_path / "clean" / "manifest.json").read_text())
         assert manifest["parse_errors"] == {"reviews": {}, "catalog": {}}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_manifest_records_each_stages_peak_rss(self, synth_files, tmp_path):
+        reviews, _, catalog = synth_files
+        assert run_pipeline(reviews, catalog, tmp_path / "out") == EXIT_OK
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert sorted(stages) == sorted(PIPELINE_STAGES)
+        peaks = [stages[name]["peak_rss_mb"] for name in PIPELINE_STAGES]
+        assert peaks[0] > 0 and peaks == sorted(peaks)  # a high-water mark never falls
+
+    def test_manifest_leaves_out_peak_rss_without_proc(self, synth_files, tmp_path, monkeypatch):
+        def no_proc(path, *args, **kwargs):
+            if str(path) == "/proc/self/status":
+                raise FileNotFoundError(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        reviews, _, catalog = synth_files
+        assert run_pipeline(reviews, catalog, tmp_path / "out") == EXIT_OK
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert stages and all(sorted(stage) == ["in", "out", "seconds"]
+                              for stage in stages.values())
 
     def test_write_failure_removes_the_outputs_written_before_it(self, synth_files, tmp_path,
                                                                  caplog):
@@ -686,6 +712,13 @@ def spec_file(**changes) -> dict[str, str]:
 ONE_REVIEW = json.dumps({"review_id": "r1", "reviewer_id": "u1", "app_id": "a000",
                          "timestamp": 0, "score": 5}) + "\n"
 
+# Two reviews 10**12 one-second ticks apart: history decays about
+# 7.5e9 steps before it stops changing.
+GAP = {"gap.jsonl": "".join(json.dumps({"review_id": f"r{i}", "reviewer_id": "u1",
+                                        "app_id": "a000", "timestamp": t, "score": 5}) + "\n"
+                            for i, t in ((1, 0), (2, 10**12)))}
+SLOW_DECAY = ["--reviews", "gap.jsonl", "--origin", "0", "--period", "1", "--decay", "0.9999999"]
+
 # One case per README exit-code cause that no other test reaches: the
 # command (run in the directory of the synthetic stream; `clusters` after
 # `score` wrote scores.csv and events.jsonl there), the files to write
@@ -777,6 +810,12 @@ EXIT_CASES = {
                         EXIT_CONFIG, "sketch geometry must have at most 64 rows and 2**24"),
     "sketch-too-many-rows": (PIPELINE + ["--origin", "0", "--rows", "4000000000000000000"], {},
                              EXIT_CONFIG, "sketch geometry must have at most 64 rows and 2**24"),
+    "pipeline-tick-gap-past-the-decay-bound": (
+        PIPELINE + SLOW_DECAY, GAP, EXIT_DATA,
+        "decaying history from tick 1 to tick 1000000000000, before review 'r2', would pass"),
+    "score-tick-gap-past-the-decay-bound": (
+        ["score", "--catalog", "apps.csv", "--out-scores", "s.csv", "--out-events", "e.jsonl",
+         *SLOW_DECAY], GAP, EXIT_DATA, "before review 'r2', would pass"),
     "catalog-names-a-column-twice": (
         PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
         {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},
@@ -789,6 +828,8 @@ def test_failure_exits_with_its_code_naming_the_cause_and_writes_nothing(
         synth_files, tmp_path, monkeypatch, capsys, caplog, case):
     argv, files, code, message = EXIT_CASES[case]
     monkeypatch.chdir(tmp_path)
+    if "tick-gap" in case:  # the bound takes about 14 s to reach; a lower one fails alike
+        monkeypatch.setattr(detector, "_DECAY_WORK_LIMIT", 2**22)
     if argv[0] == "clusters":
         score_files("reviews.jsonl", "apps.csv", tmp_path)
     for name, text in files.items():

@@ -446,6 +446,34 @@ class TestPairMining:
         c = members_with_ids(texts, rng.permutation(len(texts)).tolist())
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
+    def test_one_lexical_vector_per_distinct_text(self, monkeypatch):
+        """Members with equal text share one vector; a sidecar is still
+        asked once per member, since its vectors are keyed by review id."""
+        made = []
+
+        def counted(text):
+            made.append(text)
+            return lexical_vector(text)
+
+        monkeypatch.setattr(clusters_module, "lexical_vector", counted)
+        texts = [f"template {i % 5} of one lockstep campaign" for i in range(1000)]
+        c = members_with_ids(texts, range(1000))
+        analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), 0.95)
+        assert sorted(made) == sorted(set(texts))
+        assert analysis.pair_count == 5 * (200 * 199 // 2)
+
+        asked = []
+
+        class CountingEmbedder(FileEmbedder):
+            def vector(self, review_id, text):
+                asked.append(review_id)
+                return super().vector(review_id, text)
+
+        vectors = {r: np.eye(5)[i % 5] for i, r in enumerate(c.review_ids)}
+        analysis = PairAnalysis(c.review_ids, c.texts, CountingEmbedder(vectors), 1.0)
+        assert asked == list(c.review_ids)
+        assert analysis.pair_count == 5 * (200 * 199 // 2)
+
     def test_report_lists_ten_of_many_pairs(self):
         c = members_with_ids(["same text"] * 8 + ["other words"] * 6, range(14))
         (entry,) = build_cluster_report([c], LexicalEmbedder(), 1.0)

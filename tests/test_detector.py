@@ -12,6 +12,7 @@ from reviewstream import detector as detector_module
 from reviewstream.detector import (
     Detector,
     DetectorConfig,
+    TickGapError,
     TimeRegressionError,
     read_events_jsonl,
     read_scores_csv,
@@ -150,6 +151,32 @@ class TestDecayAndGaps:
         for ts in (1, 1 + 10**5 * PERIOD):
             oracle.process("a", ts)
         assert far == history_after(10**5 * PERIOD) == oracle.historical_total("a")
+
+    def test_decay_work_bound_does_not_depend_on_the_batches(self, monkeypatch):
+        """The decay steps of every gap count against one bound per
+        detector, so a stream fails or passes whether it comes at once
+        or one row per batch, and the error names the review after the
+        gap that passes the bound."""
+        edges = [ReviewEdge(f"r{i}", f"u{i}", "a", 1 + tick * PERIOD, 5)
+                 for i, tick in enumerate([0, 3, 3000, 3001, 9000])]
+
+        def decay_work(batches: str) -> int:
+            det = Detector(cfg(decay=0.5), BOOST)
+            if batches == "whole":
+                det.process(rows(edges), final=True)
+            else:
+                feed(det, edges)
+                det.finish()
+            return det._decay_work
+
+        work = decay_work("whole")
+        assert work == decay_work("per row") > 2 * 1024 * 1000  # two gaps of ~1,000 steps
+        monkeypatch.setattr(detector_module, "_DECAY_WORK_LIMIT", work)
+        assert decay_work("per row") == work
+        monkeypatch.setattr(detector_module, "_DECAY_WORK_LIMIT", work - 1)
+        for batches in ("whole", "per row"):
+            with pytest.raises(TickGapError, match="to tick 9001, before review 'r4'"):
+                decay_work(batches)
 
 
 class TestBurstPredicate:

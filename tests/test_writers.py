@@ -4,10 +4,13 @@ Every output that ``ingest.write_columns`` formats in blocks is compared
 with the text its per-row oracle in ``tests/_reference.py`` writes: ids
 holding commas, quotes, line breaks, nothing at all or non-ASCII text;
 floats whose ``repr`` is easy to get wrong; empty outputs; and row counts
-on both sides of a block edge.
+on both sides of a block edge. Each writer's peak memory is also checked
+not to grow with the row count.
 """
 
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from reviewstream.ingest import (
     write_reviews_jsonl,
 )
 from reviewstream.partition import SubstreamLabel
-from reviewstream.stats import SharedReviewerGraph
+from reviewstream.stats import SharedReviewerGraph, ecdf
 
 IDS = st.one_of(
     st.sampled_from(["", "a", "a,b", ",", 'say "hi"', '"', "\r", "\n", "a\r\nb", " a ",
@@ -138,17 +141,64 @@ def test_reviews_jsonl_matches_review_to_line(data):
         == expected
 
 
+def writer_inputs(n: int, monkeypatch) -> dict:
+    """For each column writer, a call that writes ``n`` rows to nowhere,
+    its inputs built here; ids and floats cycle through fixed pools, so
+    every full block formats the same text."""
+    table = ReviewTable.from_edges(
+        ReviewEdge(f"r{i:06d}", f"u{i % 7}", f"a{i % 5}", i, 1 + i % 5, f"text {i % 3}")
+        for i in range(n))
+    cycle = np.arange(n) % 11
+    scored = ScoredStream(table, np.arange(n)[::-1].copy(), cycle.astype(np.uint64),
+                          cycle / 7, (cycle % 2).astype(np.int8))
+    events = [MicroclusterEvent(f"a{i % 5}", SubstreamLabel.BOOST, i % 9, 1, 3, i % 11 / 7)
+              for i in range(n)]
+    points = ecdf(cycle / 7 + np.arange(n))  # n distinct values
+    monkeypatch.setattr(cli, "ecdf", lambda values: points)  # built outside the write
+    graph = SharedReviewerGraph([f"a{i}" for i in range(5)], cycle % 5, (cycle + 1) % 5,
+                                cycle + 1)
+    config = DetectorConfig(origin=0)
+    return {
+        "scores": lambda: write_scores_csv(scored, config, os.devnull),
+        "events": lambda: write_events_jsonl(events, os.devnull),
+        "ecdf": lambda: cli._ecdf_csv(cycle, lambda text: None),
+        "network": lambda: cli._network_csv(graph, lambda text: None),
+        "reviews": lambda: write_reviews_jsonl(table, os.devnull),
+    }
+
+
+def traced_peak(call) -> int:
+    """The peak memory ``call`` allocates, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", ["scores", "events", "ecdf", "network", "reviews"])
+def test_writer_peak_does_not_grow_with_rows(writer, monkeypatch):
+    """A writer holds one block of cells, not whole columns: four times
+    the rows adds less than a byte per added row to its peak."""
+    small, large = 2 * _BLOCK_ROWS + 1, 8 * _BLOCK_ROWS + 1
+    peaks = {n: traced_peak(writer_inputs(n, monkeypatch)[writer]) for n in (small, large)}
+    assert peaks[large] - peaks[small] < large - small, peaks
+
+
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_write_columns_writes_one_block_per_call(rows):
     chunks = []
-    write_columns(chunks.append, "%d,%s\n", rows, range(rows), map(str, range(rows)))
+    numbers = range(rows)
+    write_columns(chunks.append, "%d,%s\n", rows, numbers.__getitem__,
+                  lambda block: map(str, numbers[block]))
     assert len(chunks) == -(-rows // _BLOCK_ROWS)
     assert "".join(chunks) == "".join(f"{i},{i}\n" for i in range(rows))
 
 
 def test_write_columns_rejects_a_short_column():
     with pytest.raises(ValueError):
-        write_columns([].append, "%d,%d\n", 3, [1, 2, 3], [1, 2])
+        write_columns([].append, "%d,%d\n", 3, [1, 2, 3].__getitem__, [1, 2].__getitem__)
 
 
 @pytest.mark.parametrize("context", ["{}", "a{}b", " {}"])
