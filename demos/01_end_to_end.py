@@ -70,8 +70,8 @@ print(f"  near-identical pairs: {len(analysis.pairs)}")
 print(f"  reviews in at least one pair: "
       f"{len(analysis.flagged_review_ids)}/{suspect.size}")
 for pair in analysis.pairs[:3]:
-    print(f"  e.g. {pair.review_id_a} ~ {pair.review_id_b} "
-          f"(similarity {pair.similarity:.2f})")
+    print(f"  e.g. {pair['a']} ~ {pair['b']} "
+          f"(similarity {pair['similarity']:.2f})")
 
 # Do boosting reviews behave more anomalously than sinking ones here?
 outcome = welch_t(boost_scored.score, sink_scored.score)

@@ -40,8 +40,8 @@ analysis = PairAnalysis(review_ids, texts, LexicalEmbedder(), tau=0.95)
 print(f"\nbatch of {len(texts)} reviews "
       f"({analysis.textless_count} without text):")
 for pair in analysis.pairs:
-    print(f"  duplicate: {pair.review_id_a} ~ {pair.review_id_b} "
-          f"(similarity {pair.similarity})")
+    print(f"  duplicate: {pair['a']} ~ {pair['b']} "
+          f"(similarity {pair['similarity']})")
 print(f"  flagged: {sorted(analysis.flagged_review_ids)}")
 
 # Swap in vectors from any sentence encoder via a JSONL sidecar. With an
@@ -62,5 +62,5 @@ with tempfile.TemporaryDirectory() as tmp:
     analysis = PairAnalysis(review_ids[:4], texts[:4], provider, tau=0.999)
     print("\nexternal vectors at tau=0.999:")
     for pair in analysis.pairs:
-        print(f"  {pair.review_id_a} ~ {pair.review_id_b} "
-              f"(similarity {pair.similarity:.4f})")
+        print(f"  {pair['a']} ~ {pair['b']} "
+              f"(similarity {pair['similarity']:.4f})")

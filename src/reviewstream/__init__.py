@@ -16,7 +16,6 @@ from .clusters import (
     LexicalEmbedder,
     MissingEmbeddingError,
     PairAnalysis,
-    SimilarityPair,
     SuspiciousCluster,
     build_cluster_report,
     collect_clusters,
@@ -91,7 +90,6 @@ __all__ = [
     "ReviewTable",
     "ScoredStream",
     "SharedReviewerGraph",
-    "SimilarityPair",
     "StreamSummary",
     "SubstreamLabel",
     "SuspiciousCluster",

@@ -125,7 +125,7 @@ def _load(parse, path: Path, effective: dict, what: str, errors_out: str | None 
             items, errors = parse(fh, **kwargs)
     except UnicodeDecodeError as exc:
         raise DataFailure(f"{what} file {path} is not UTF-8 text: {exc}")
-    except ValueError as exc:  # a CSV header that names a column twice
+    except ValueError as exc:  # a CSV header that names a column twice, a field too long
         raise DataFailure(f"{what} file {path}: {exc}")
     if errors_out:
         write_line_errors(errors, errors_out, source=str(path))
@@ -307,16 +307,15 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             _, reader = csv_after_comments(fh)
-            header = next(reader, None)
+            header = next(reader, [])
+            check_csv_header(header)
             rows = list(reader)
     except UnicodeDecodeError as exc:
         raise DataFailure(f"csv file {path} is not UTF-8 text: {exc}")
-    if header is None or column not in header:
-        raise DataFailure(f"{path}: no column {column!r}")
-    try:
-        check_csv_header(header)
-    except ValueError as exc:
+    except ValueError as exc:  # a column named twice, a field past csv.field_size_limit()
         raise DataFailure(f"{path}: {exc}")
+    if column not in header:
+        raise DataFailure(f"{path}: no column {column!r}")
     idx = header.index(column)
     values = []
     for row in rows:
@@ -410,8 +409,7 @@ def _cluster_report(events, scored, provider, tau: float, top: int, stages: _Sta
     """Collect, rank and report clusters; returns (clusters formed, report)."""
     clusters = collect_clusters(events, scored)
     stages.done("collect", len(events), len(clusters))
-    ranked = rank_clusters(clusters, top) if clusters else []
-    report = build_cluster_report(ranked, provider, tau)
+    report = build_cluster_report(rank_clusters(clusters, top), provider, tau)
     stages.done("report", len(clusters), len(report))
     return len(clusters), report
 
@@ -477,7 +475,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         "evaluated": analysis.evaluated_count,
         "textless": analysis.textless_count,
         "flagged": sorted(analysis.flagged_review_ids),
-        "pairs": [p.to_dict() for p in analysis.pairs],
+        "pairs": analysis.pairs,
     }
     _emit(lambda write: write(_json_text(result)), args.out)
     if args.out:
@@ -592,15 +590,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 for name, path in (("reviews", run.reviews_path), ("catalog", run.catalog_path),
                                    ("embeddings", effective["embeddings"])) if path
             },
-            "config": {
-                **config.to_dict(),
-                "provider": provider.name,
-                "tau": tau,
-                "top": top,
-                "embeddings": effective["embeddings"],
-                "max_error_rate": effective["max_error_rate"],
-                "format": effective["format"],
-            },
+            "config": {**config.to_dict(), **{key: effective[key] for key in _CONFIG
+                                               if key not in _DETECTOR_KEYS}, "tau": tau},
             "runtime_seconds": round(time.monotonic() - started, 3),
             "stages": stages,
             "detector": run.detector,

@@ -64,19 +64,6 @@ class SuspiciousCluster:
         return len(self.review_ids)
 
 
-@dataclass(frozen=True)
-class SimilarityPair:
-    """An unordered review pair; ids are stored sorted."""
-
-    review_id_a: str
-    review_id_b: str
-    similarity: float
-
-    def to_dict(self) -> dict:
-        """The JSON form every report uses: ``{"a", "b", "similarity"}``."""
-        return {"a": self.review_id_a, "b": self.review_id_b, "similarity": self.similarity}
-
-
 def normalize_text(text: str) -> list[str]:
     """Lowercase, drop punctuation, collapse whitespace; return tokens."""
     return _WORD_RE.findall(text.lower())
@@ -126,8 +113,10 @@ class LexicalEmbedder:
     name = "lexical"
     default_tau = 0.95
 
-    def vector(self, review_id: str, text: str):
-        return lexical_vector(text)
+    def vectors(self, review_ids: Sequence[str], texts: Sequence[str]) -> list[dict]:
+        """One vector per text; equal texts share one."""
+        by_text = {text: lexical_vector(text) for text in set(texts)}
+        return [by_text[text] for text in texts]
 
 
 class FileEmbedder:
@@ -179,13 +168,12 @@ class FileEmbedder:
                 vectors[review_id] = vec
         return cls(vectors)
 
-    def vector(self, review_id: str, text: str) -> np.ndarray:
+    def vectors(self, review_ids: Sequence[str], texts: Sequence[str]) -> list[np.ndarray]:
+        """Each id's vector; the first id the sidecar lacks raises MissingEmbeddingError."""
         try:
-            return self._vectors[review_id]
-        except KeyError:
-            raise MissingEmbeddingError(
-                f"no embedding for review_id {review_id!r}"
-            ) from None
+            return [self._vectors[review_id] for review_id in review_ids]
+        except KeyError as exc:
+            raise MissingEmbeddingError(f"no embedding for review_id {exc.args[0]!r}") from None
 
 
 def collect_clusters(
@@ -205,12 +193,10 @@ def collect_clusters(
                        for e in events], dtype=np.int64)
     lo, hi = np.searchsorted(keys[order], [wanted, wanted + 1])
     sizes = hi - lo
-    for event, size in zip(events, sizes.tolist()):
-        if not size:
-            raise InconsistentRunError(
-                f"event for app {event.app_id!r} at tick {event.burst_tick} "
-                f"({event.substream.value}) has no scored edges"
-            )
+    if not sizes.all():
+        event = events[int(sizes.argmin())]  # the first with no scored edges
+        raise InconsistentRunError(f"event for app {event.app_id!r} at tick {event.burst_tick} "
+                                   f"({event.substream.value}) has no scored edges")
     # The members of every cluster gathered at once, laid end to end, then
     # dealt out in order: cluster c's f-th member is order[lo[c] + f].
     start = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
@@ -255,12 +241,8 @@ class PairAnalysis:
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {tau}")
         with_text = [(r, t) for r, t in zip(review_ids, texts, strict=True) if t is not None]
-        if isinstance(provider, LexicalEmbedder):  # the text alone makes the vector
-            by_text = {t: lexical_vector(t) for t in {t for _, t in with_text}}
-            vectors = [by_text[t] for _, t in with_text]
-        else:
-            vectors = [provider.vector(r, t) for r, t in with_text]
         self._ids = [r for r, _ in with_text]
+        vectors = provider.vectors(self._ids, [t for _, t in with_text])
         self.evaluated_count = len(with_text)
         self.textless_count = len(texts) - len(with_text)
         self._groups = _equal_vector_groups(vectors)
@@ -297,11 +279,11 @@ class PairAnalysis:
         return frozenset(self._ids[i] for i in members)
 
     @cached_property
-    def pairs(self) -> tuple[SimilarityPair, ...]:
+    def pairs(self) -> tuple[dict, ...]:
         return tuple(self.ordered())
 
-    def ordered(self) -> Iterator[SimilarityPair]:
-        """Every pair, by similarity desc then ids asc, built lazily."""
+    def ordered(self) -> Iterator[dict]:
+        """Each pair as ``{"a", "b", "similarity"}``, a < b; by similarity desc, then ids."""
         ids = self._ids
         within = [  # combinations of sorted ids come out in id order
             ((-1.0, a, b) for a, b in combinations(sorted(ids[i] for i in m), 2))
@@ -309,7 +291,7 @@ class PairAnalysis:
         ]
         across = sorted((-sim, *sorted((ids[i], ids[j]))) for sim, i, j in self._scored)
         for neg_sim, a, b in heapq.merge(across, *within):
-            yield SimilarityPair(a, b, -neg_sim)
+            yield {"a": a, "b": b, "similarity": -neg_sim}
 
 
 def _equal_vector_groups(vectors: Sequence) -> list[list[int]]:
@@ -397,7 +379,7 @@ def build_cluster_report(
             "textless_count": found.textless_count,
             "flagged_count": len(found.flagged_review_ids),
             "pair_count": found.pair_count,
-            "top_pairs": [p.to_dict() for p in islice(found.ordered(), MAX_PAIRS_LISTED)],
+            "top_pairs": list(islice(found.ordered(), MAX_PAIRS_LISTED)),
             "provider": provider.name,
             "tau": tau,
         })

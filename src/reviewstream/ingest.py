@@ -195,32 +195,22 @@ _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, str, object]]:
-    """Yield (line_number, raw, value) for each non-blank line; a line that
-    the decoder rejects (also for nesting past the recursion limit, or an
-    integer of more than 4300 digits) yields None, which no record check
-    accepts.
-
-    A line that starts with ``{`` is scanned in place, and the value kept
-    if it ends the line: that is what ``json.loads`` returns for it, without
-    its whitespace scans. Any other line goes to ``json.loads``.
-    """
+    """Yield (line_number, raw, value) for each non-blank line: what
+    ``json.loads`` returns for it, from one scan of the line less the JSON
+    whitespace around it, or None where it fails (also for nesting past the
+    recursion limit, or an integer of more than 4300 digits), which no
+    record check accepts. A line that does not scan is blank if
+    ``str.strip`` empties it."""
     for lineno, line in enumerate(lines, 1):
         raw = line.rstrip("\n")
-        if raw[:1] == "{":
-            try:
-                value, end = _scan_once(raw, 0)
-            except (StopIteration, ValueError, RecursionError):  # json.loads fails too
-                value, end = None, len(raw)
-            if end == len(raw):
-                yield lineno, raw, value
-                continue
-        if not raw.strip():
-            continue
+        text = raw.strip(" \t\n\r")
         try:
-            value = json.loads(raw)
-        except (ValueError, RecursionError):
-            value = None
-        yield lineno, raw, value
+            value, end = _scan_once(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # json.loads fails too
+            if not raw.strip():
+                continue
+            value, end = None, len(text)
+        yield lineno, raw, value if end == len(text) else None
 
 
 def check_csv_header(header: list[str]) -> None:
@@ -230,22 +220,34 @@ def check_csv_header(header: list[str]) -> None:
         raise ValueError(f"header names column {twice!r} twice")
 
 
+def _csv_rows(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_number, row) for each row ``csv.reader`` reads, numbering
+    lines from ``first``. A ``csv.Error``, such as a field longer than
+    ``csv.field_size_limit()``, raises ``ValueError`` naming its line: the
+    reader would go on at the next physical line, perhaps inside a field."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield first - 1 + reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"line {first - 1 + reader.line_num}: {exc}") from None
+
+
 def _csv_records(
     lines: Iterable[str], names: tuple[str, ...], required: tuple[str, ...]
 ) -> Iterator[tuple[int, list[str], list[str | None]]]:
     """Yield (line_number, row, cells) for each data row of a CSV stream.
 
     The first non-blank row is the header; a header that names a column
-    twice raises ``ValueError``. ``cells`` holds the row's cell for each
-    of ``names``, at the position the header gave it, or None where the
-    header lacks the column, the row ends before it, or a required cell
-    is empty. Blank rows are skipped. RFC-4180 quoting (including
-    embedded newlines) is handled by the csv module; line numbers refer
-    to the physical line on which a record ends.
+    twice, or a row ``_csv_rows`` cannot read, raises ``ValueError``.
+    ``cells`` holds the row's cell for each of ``names``, at the position
+    the header gave it, or None where the header lacks the column, the row
+    ends before it, or a required cell is empty. Blank rows are skipped.
+    RFC-4180 quoting (including embedded newlines) is handled by the csv
+    module; line numbers refer to the physical line on which a record ends.
     """
-    reader = csv.reader(lines)
     positions: list[tuple[int, bool]] | None = None
-    for row in reader:
+    for lineno, row in _csv_rows(lines):
         if not row:
             continue
         if positions is None:
@@ -255,20 +257,21 @@ def _csv_records(
                          for name in names]
             continue
         width = len(row)
-        yield reader.line_num, row, [row[i] if i < width and (row[i] or not needed) else None
-                                     for i, needed in positions]
+        yield lineno, row, [row[i] if i < width and (row[i] or not needed) else None
+                            for i, needed in positions]
 
 
 def csv_after_comments(lines: Iterable[str]) -> tuple[list[str], Iterator[list[str]]]:
-    """The ``#`` lines before a CSV's header, and a ``csv.reader`` over the
-    header and every later line. Only the leading lines are comments: a
-    later line that starts with ``#`` is data, such as the rest of a
-    quoted cell that holds a newline."""
+    """The ``#`` lines before a CSV's header, and the rows of the header
+    and every later line, read as ``_csv_rows`` reads them. Only the
+    leading lines are comments: a later line that starts with ``#`` is
+    data, such as the rest of a quoted cell that holds a newline."""
     lines = iter(lines)
     comments: list[str] = []
     for line in lines:
         if not line.startswith("#"):
-            return comments, csv.reader(itertools.chain([line], lines))
+            rows = _csv_rows(itertools.chain([line], lines), len(comments) + 1)
+            return comments, (row for _, row in rows)
         comments.append(line)
     return comments, iter(())
 

@@ -3,8 +3,10 @@
 These re-derive the documented behavior with plain dicts and exact
 counts (no sketches), so detector outputs can be checked against an
 implementation that shares no code with the package under test. The
-pair oracle shares only ``cosine``, the definition of similarity, and
-replaces the pair search with a check of every pair. The ingest oracle
+pair oracle shares only ``cosine``, the definition of similarity, asks
+the provider for one member's vector per call, so that no vector is
+shared between members, and replaces the pair search with a check of
+every pair. The ingest oracle
 is the object parser that the columnar one replaced: one ``ReviewEdge``
 per accepted line, ``json.loads`` per JSONL line and a dict of every
 header column per CSV row; it shares only the record types, reason codes
@@ -156,7 +158,7 @@ def all_pairs_similarity(review_ids, texts, provider, tau: float):
     similarity) sorted by similarity desc then ids asc, flagged ids,
     reviews with text, reviews without)."""
     with_text = [(r, t) for r, t in zip(review_ids, texts) if t is not None]
-    vectors = [provider.vector(r, t) for r, t in with_text]
+    vectors = [provider.vectors([r], [t])[0] for r, t in with_text]
     pairs = []
     flagged = set()
     for i in range(len(with_text)):

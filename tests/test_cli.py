@@ -26,34 +26,6 @@ from reviewstream.stats import shared_reviewer_graph
 
 DEEP = "[" * 100_000  # JSON nested far past the recursion limit
 
-SPEC = {
-    "n_apps": 10,
-    "n_reviewers": 200,
-    "ticks": 15,
-    "background_rate": 1.5,
-    "seed": 21,
-    "injections": [
-        {"app_id": "a003", "tick": 12, "n_edges": 60,
-         "n_reviewers_used": 4, "score_mode": "boost"},
-    ],
-}
-
-
-@pytest.fixture
-def synth_files(tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
-    reviews = tmp_path / "reviews.jsonl"
-    truth = tmp_path / "truth.jsonl"
-    catalog = tmp_path / "apps.csv"
-    code = main([
-        "synth", "--spec", str(spec_path), "--out", str(reviews),
-        "--truth", str(truth), "--catalog", str(catalog),
-    ])
-    assert code == EXIT_OK
-    return reviews, truth, catalog
-
-
 PIPELINE_STAGES = ("parse_reviews", "parse_catalog", "partition", "detect_boost", "detect_sink",
                    "summarize", "collect", "report", "ttest", "write")  # in the order they run
 
@@ -702,6 +674,8 @@ VECTORS = {"vecs.jsonl": '{"review_id": "nobody", "vector": [1.0, 0.0]}\n'}
 NO_EDGES_EVENT = json.dumps({"app_id": "a000", "substream": "boost", "prior_tick": 500,
                              "prior_count": 1, "burst_count": 5, "ratio": 5.0}) + "\n"
 SMALL_SPEC = {"n_apps": 3, "n_reviewers": 5, "ticks": 2, "background_rate": 1.0}
+LONG_FIELD = "1" * 200_000  # past csv.field_size_limit(), 131,072 characters
+TOO_LONG = "field larger than field limit (131072)"
 
 
 def spec_file(**changes) -> dict[str, str]:
@@ -816,6 +790,23 @@ EXIT_CASES = {
     "score-tick-gap-past-the-decay-bound": (
         ["score", "--catalog", "apps.csv", "--out-scores", "s.csv", "--out-events", "e.jsonl",
          *SLOW_DECAY], GAP, EXIT_DATA, "before review 'r2', would pass"),
+    "catalog-field-too-long": (
+        PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
+        {"c.csv": f"app_id,overall_rating\na{LONG_FIELD},3.5\n"}, EXIT_DATA,
+        f"catalog file c.csv: line 2: {TOO_LONG}"),
+    "reviews-csv-field-too-long": (  # the quoted text ends on line 3
+        ["ingest", "--reviews", "r.csv", "--format", "csv", "--out", "o.jsonl"],
+        {"r.csv": "review_id,reviewer_id,app_id,timestamp,score,text\n"
+                  f'r1,u1,a000,1,5,"a\n{LONG_FIELD}"\n'},
+        EXIT_DATA, f"reviews file r.csv: line 3: {TOO_LONG}"),
+    "clusters-scores-field-too-long": (
+        CLUSTERS + ["--reviews", "reviews.jsonl"],
+        {"scores.csv": f"# config {{}}\n{','.join(SCORES_COLUMNS)}\n"
+                       f"{LONG_FIELD},a000,u1,3,boost,1.0\n"},
+        EXIT_DATA, f"scores file scores.csv is malformed: line 3: {TOO_LONG}"),
+    "stats-cdf-field-too-long": (
+        ["stats", "cdf", "--scores", "s.csv", "--out", "cdf.csv"],
+        {"s.csv": f"score\n1.0\n{LONG_FIELD}\n"}, EXIT_DATA, f"s.csv: line 3: {TOO_LONG}"),
     "catalog-names-a-column-twice": (
         PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
         {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},

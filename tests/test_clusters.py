@@ -227,7 +227,7 @@ class TestNearIdenticalPairs:
         c = cluster(["good app", "good app", "bad service"])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
         assert len(analysis.pairs) == 1
-        assert analysis.pairs[0].similarity == 1.0
+        assert analysis.pairs[0]["similarity"] == 1.0
         assert analysis.flagged_review_ids == {"m0", "m1"}
         assert analysis.evaluated_count == 3
 
@@ -253,9 +253,9 @@ class TestNearIdenticalPairs:
     def test_pairs_sorted_by_similarity_then_ids(self):
         c = cluster(["good app", "good app", "very good app"])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=0.5)
-        sims = [p.similarity for p in analysis.pairs]
+        sims = [p["similarity"] for p in analysis.pairs]
         assert sims == sorted(sims, reverse=True)
-        assert (analysis.pairs[0].review_id_a, analysis.pairs[0].review_id_b) == ("m0", "m1")
+        assert analysis.pairs[0] == {"a": "m0", "b": "m1", "similarity": 1.0}
 
     def test_tau_validated(self):
         with pytest.raises(ValueError):
@@ -279,7 +279,7 @@ class TestFileEmbedder:
         provider = FileEmbedder.load(path)
         c = cluster(["w1", "w2", "w3"])
         analysis = PairAnalysis(c.review_ids, c.texts, provider, tau=1.0)
-        assert [(p.review_id_a, p.review_id_b) for p in analysis.pairs] == [("m0", "m1")]
+        assert [(p["a"], p["b"]) for p in analysis.pairs] == [("m0", "m1")]
 
     def test_missing_review_id(self, tmp_path):
         path = self.write_sidecar(tmp_path, [{"review_id": "m0", "vector": [1.0]}])
@@ -299,7 +299,7 @@ class TestFileEmbedder:
     def test_self_similarity_is_one(self, tmp_path):
         path = self.write_sidecar(tmp_path, [{"review_id": "m0", "vector": [0.3, 0.4]}])
         provider = FileEmbedder.load(path)
-        vec = provider.vector("m0", None)
+        (vec,) = provider.vectors(["m0"], [None])
         assert cosine(vec, vec) == 1.0
 
 
@@ -323,7 +323,7 @@ def assert_matches_oracle(c, provider, tau):
     pairs, flagged, evaluated, textless = all_pairs_similarity(c.review_ids, c.texts, provider,
                                                                tau)
     analysis = PairAnalysis(c.review_ids, c.texts, provider, tau)
-    got = [(p.review_id_a, p.review_id_b, p.similarity) for p in analysis.pairs]
+    got = [(p["a"], p["b"], p["similarity"]) for p in analysis.pairs]
     assert got == pairs  # floats compared with ==: bit-identical similarities
     assert analysis.flagged_review_ids == flagged
     assert (analysis.evaluated_count, analysis.textless_count) == (evaluated, textless)
@@ -335,7 +335,8 @@ def assert_matches_oracle(c, provider, tau):
 
 
 def observed_similarities(c, provider):
-    vectors = [provider.vector(r, t) for r, t in zip(c.review_ids, c.texts) if t is not None]
+    with_text = [(r, t) for r, t in zip(c.review_ids, c.texts) if t is not None]
+    vectors = provider.vectors(*zip(*with_text)) if with_text else []
     sims = {cosine(vectors[i], vectors[j])
             for i in range(len(vectors)) for j in range(i + 1, len(vectors))}
     return sorted(x for x in sims if 0.0 < x <= 1.0)
@@ -447,8 +448,8 @@ class TestPairMining:
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
     def test_one_lexical_vector_per_distinct_text(self, monkeypatch):
-        """Members with equal text share one vector; a sidecar is still
-        asked once per member, since its vectors are keyed by review id."""
+        """Members with equal text share one vector; a sidecar, whose
+        vectors are keyed by review id, is asked once for the whole column."""
         made = []
 
         def counted(text):
@@ -465,13 +466,13 @@ class TestPairMining:
         asked = []
 
         class CountingEmbedder(FileEmbedder):
-            def vector(self, review_id, text):
-                asked.append(review_id)
-                return super().vector(review_id, text)
+            def vectors(self, review_ids, texts):
+                asked.append(list(review_ids))
+                return super().vectors(review_ids, texts)
 
         vectors = {r: np.eye(5)[i % 5] for i, r in enumerate(c.review_ids)}
         analysis = PairAnalysis(c.review_ids, c.texts, CountingEmbedder(vectors), 1.0)
-        assert asked == list(c.review_ids)
+        assert asked == [list(c.review_ids)]
         assert analysis.pair_count == 5 * (200 * 199 // 2)
 
     def test_report_lists_ten_of_many_pairs(self):

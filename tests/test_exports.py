@@ -3,6 +3,7 @@ imports, and names removed from the library stay gone."""
 
 import ast
 import re
+from collections.abc import Sized
 from pathlib import Path
 
 import reviewstream
@@ -15,7 +16,7 @@ REMOVED_NAMES = {
     ingest: ["AppCatalog", "read_reviews_jsonl", "read_app_catalog_csv", "review_to_dict",
              "review_to_line", "to_tick"],
     partition: ["classify"],
-    clusters: ["pairwise_similarity"],
+    clusters: ["pairwise_similarity", "SimilarityPair"],
     detector: ["evaluate_burst"],
     stats: ["SharedReviewerEdge"],
     synth: ["gen_background", "inject_lockstep"],
@@ -25,6 +26,7 @@ REMOVED_MEMBERS = [
     (sketch.CountMinSketch, "estimate_at"), (sketch.CountMinSketch, "clear"),
     (stats.SharedReviewerGraph, "__iter__"), (stats.EcdfPoints, "fraction_at"),
     (detector.ScoredStream, "edges"), (ingest.ReviewTable, "edges"),
+    (clusters.LexicalEmbedder, "vector"), (clusters.FileEmbedder, "vector"),
 ]
 # The columnar review types: exported, and documented in the README.
 TABLE_TYPES = ["ReviewTable", "ReviewRows"]
@@ -64,11 +66,44 @@ def test_table_types_are_exported_and_documented():
     assert "ReviewTable.from_edges" in readme and "table.rows(" in readme
 
 
-def test_every_benchmark_entry_point_is_bound_in_cli():
-    """The layer trace wraps these names where ``cli`` resolves them."""
-    for name in ("parse_reviews", "parse_apps", "summarize", "partition_stream",
-                 "run_detector", "collect_clusters", "rank_clusters", "build_cluster_report",
-                 "welch_t", "ecdf", "write_scores_csv", "write_events_jsonl",
-                 "shared_reviewer_graph"):
+# The layer entry points the benchmark's trace wraps where ``cli`` resolves them.
+ENTRY_POINTS = ("parse_reviews", "parse_apps", "summarize", "partition_stream", "run_detector",
+                "collect_clusters", "rank_clusters", "build_cluster_report", "welch_t", "ecdf",
+                "write_scores_csv", "write_events_jsonl", "shared_reviewer_graph")
+
+
+def test_every_benchmark_entry_point_is_bound_in_cli(synth_files, tmp_path, monkeypatch):
+    """``pipeline`` and ``stats network``, run in-process, call each entry
+    point through ``cli``'s globals, and each result has the shape that
+    the trace's counters read (``perfbench/layers.py``)."""
+    results: dict[str, list] = {name: [] for name in ENTRY_POINTS}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            results[name].append(fn(*args, **kwargs))
+            return results[name][-1]
+        return wrapper
+
+    for name in ENTRY_POINTS:
         assert callable(getattr(cli, name)), name
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    reviews, _, catalog = synth_files
+    assert cli.main(["pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+                     "--out-dir", str(tmp_path / "out"), "--origin", "0"]) == cli.EXIT_OK
+    assert cli.main(["stats", "network", "--reviews", str(reviews),
+                     "--out", str(tmp_path / "network.csv")]) == cli.EXIT_OK
+    assert [name for name, calls in results.items() if not calls] == []
+    for name in ("parse_reviews", "parse_apps", "run_detector"):
+        for result in results[name]:
+            assert len(result) == 2 and all(isinstance(part, Sized) for part in result), name
+    for formed in results["collect_clusters"]:
+        assert isinstance(formed, Sized) and len(formed) > 0
+        assert all(type(cluster.size) is int for cluster in formed)
+    for report in results["build_cluster_report"]:
+        assert len(report) > 0
+        assert all(type(entry[key]) is int for entry in report
+                   for key in ("size", "textless_count", "pair_count"))
+    for partitioned in results["partition_stream"]:
+        assert type(sum(partitioned.counts().values())) is int
+    assert all(isinstance(graph, Sized) for graph in results["shared_reviewer_graph"])
     assert detector.CountMinSketch is sketch.CountMinSketch

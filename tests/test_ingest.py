@@ -396,18 +396,18 @@ DEEP = 100_000  # far past the recursion limit
 
 @st.composite
 def odd_jsonl_line(draw):
-    """A line that ``json.loads`` and an in-place decode could read
-    differently: a BOM, whitespace around the object, two objects or
-    trailing data, NaN and Infinity literals, nesting past the recursion
-    limit, a valid object holding a nested value, or an integer too long
-    to convert."""
+    """A line that ``json.loads`` and a scan of the stripped line could
+    read differently: a BOM, JSON or other whitespace around the object, a
+    line of whitespace only, ``null``, two objects or trailing data, NaN
+    and Infinity literals, nesting past the recursion limit, a valid
+    object holding a nested value, or an integer too long to convert."""
     obj = draw(jsonl_line())
-    kind = draw(st.integers(0, 9))
+    kind = draw(st.integers(0, 10))
     if kind == 0:
         return "\ufeff" + obj
-    if kind == 1:
-        return draw(st.sampled_from(["", " ", "\t", "\r", "\n"])) + obj + draw(
-            st.sampled_from(["", " ", "\t", "\r", " \r", "\n"]))
+    if kind == 1:  # "\x1c" is whitespace to str.strip, not to JSON
+        return draw(st.sampled_from(["", " ", "\t", "\r", "\n", " \t\r", "\x1c", " \x1c"])) \
+            + obj + draw(st.sampled_from(["", " ", "\t", "\r", " \r", "\n", " \t\r", "\x1c"]))
     if kind == 2:
         return draw(st.sampled_from(["{}, {}", "{} {}", "{}{}", obj + ", {}", obj + obj]))
     if kind == 3:
@@ -426,6 +426,9 @@ def odd_jsonl_line(draw):
     if kind == 8:  # past the 4300 digits int() converts: a ValueError, not a JSONDecodeError
         digits = draw(st.sampled_from([4300, 4301, 10_000]))
         return json.dumps(VALID).replace('"timestamp": 0', '"timestamp": 1' + "0" * (digits - 1))
+    if kind == 9:
+        return draw(st.sampled_from([" \t\r", " ", "\x1c", " \x1c\t", "\u3000", "\ufeff",
+                                     "null", " null\r", "\x1cnull"]))
     return obj
 
 
