@@ -220,7 +220,7 @@ def check_csv_header(header: list[str]) -> None:
         raise ValueError(f"header names column {twice!r} twice")
 
 
-def _csv_rows(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, row) for each row ``csv.reader`` reads, numbering
     lines from ``first``. A ``csv.Error``, such as a field longer than
     ``csv.field_size_limit()``, raises ``ValueError`` naming its line: the
@@ -247,7 +247,7 @@ def _csv_records(
     module; line numbers refer to the physical line on which a record ends.
     """
     positions: list[tuple[int, bool]] | None = None
-    for lineno, row in _csv_rows(lines):
+    for lineno, row in _csv_rows(lines, 1):
         if not row:
             continue
         if positions is None:
