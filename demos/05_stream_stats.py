@@ -62,7 +62,10 @@ print(f"\nWelch's t-test, boost mean {outcome.mean_a:.2f} vs sink mean "
 # The same 4 reviewer ids appear on all three boosted apps, so those
 # apps become a visible clique in the shared-reviewer network.
 print("\nstrongest shared-reviewer app pairs:")
-graph = sorted(shared_reviewer_graph(table).rows(), key=lambda row: -row[2])
+network = shared_reviewer_graph(table)  # columns: codes into network.apps, weights
+rows = zip(network.app_a.tolist(), network.app_b.tolist(), network.weight.tolist())
+graph = sorted(((network.apps[a], network.apps[b], w) for a, b, w in rows),
+               key=lambda row: -row[2])
 for app_a, app_b, weight in graph[:6]:
     print(f"  {app_a} -- {app_b}: {weight} shared reviewers")
 

@@ -62,6 +62,7 @@ from .ingest import (
     _quoted,
     check_csv_header,
     csv_after_comments,
+    json_value,
     parse_apps,
     parse_reviews,
     write_app_catalog_csv,
@@ -152,6 +153,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
+def _write_json(obj, write) -> None:
+    """Write ``_json_text(obj)`` a chunk at a time, never the whole text at once."""
+    for chunk in json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj):
+        write(chunk)
+    write("\n")
+
+
 def _network_csv(graph: SharedReviewerGraph, write) -> None:
     """Write the ``app_a,app_b,weight`` CSV of a graph, each app id quoted once."""
     quoted = _quoted(graph.apps)
@@ -224,17 +232,15 @@ _PAIR_KEYS = ("tau", "provider", "embeddings")
 
 
 def _coerce(key: str, value):
-    """``value`` as the key's type; wrong types and non-finite floats fail."""
+    """``value`` checked by ``json_value`` as the key's type; an int for a float converts."""
     spec = _CONFIG[key]
-    if spec.type is float and type(value) is int:
-        value = float(value)
-    if type(value) is not spec.type:  # also keeps JSON true/false out of ints
-        raise ConfigFailure(f"{key} must be {spec.type.__name__}, got {value!r}")
-    if spec.type is float and not math.isfinite(value):
-        raise ConfigFailure(f"{key} must be finite, got {value}")
+    try:
+        value = json_value(key, spec.type, value)
+    except ValueError as exc:
+        raise ConfigFailure(str(exc))
     if spec.choices is not None and value not in spec.choices:
         raise ConfigFailure(f"{key} must be one of {list(spec.choices)}, got {value!r}")
-    return value
+    return float(value) if spec.type is float else value
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -254,10 +260,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigFailure(f"unknown config keys: {sorted(unknown)}")
         effective.update(loaded)
-    for key in _CONFIG:
+    for key, spec in _CONFIG.items():
         flag = getattr(args, key, None)
         value = effective[key] if flag is None else flag
-        if value is not None:
+        if value is not None or spec.default is not None:  # null stays only as a default
             effective[key] = _coerce(key, value)
     if effective["top"] < 1:
         raise ConfigFailure(f"top must be at least 1, got {effective['top']}")
@@ -477,7 +483,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         "flagged": sorted(analysis.flagged_review_ids),
         "pairs": analysis.pairs,
     }
-    _emit(lambda write: write(_json_text(result)), args.out)
+    _emit(lambda write: _write_json(result, write), args.out)
     if args.out:
         _print_json({"pairs": len(analysis.pairs), "flagged": len(analysis.flagged_review_ids)})
     return EXIT_OK
@@ -516,7 +522,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = _require_file(args.spec, "spec")
     try:
         spec = SynthSpec.from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigFailure(f"bad synth spec {spec_path}: {exc}")
     logger.info("synth rng=%s seed=%d", RNG_ALGORITHM, spec.seed)
     result = gen_stream(spec)

@@ -54,12 +54,12 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ingest import (BeforeOriginError, ReviewRows, ReviewTable, _csv_int, _quoted,
-                     csv_after_comments, write_columns)
+                     csv_after_comments, json_fields, write_columns)
 from .partition import SubstreamLabel
 from .sketch import DEFAULT_SEED, CountMinSketch, derive_row_seeds
 
@@ -389,7 +389,6 @@ def run_detector(
 # event dataclass's fields name its keys and give their types.
 
 SCORES_COLUMNS = ("review_id", "app_id", "reviewer_id", "tick", "substream", "score")
-_EVENT_TYPES = get_type_hints(MicroclusterEvent)
 
 
 def write_scores_csv(scored: ScoredStream, config: DetectorConfig, path: str | Path) -> None:
@@ -464,37 +463,17 @@ def write_events_jsonl(events: Iterable[MicroclusterEvent], path: str | Path) ->
                         ("burst_count", "prior_count", "prior_tick", "ratio", "substream.value")))
 
 
-def _event_from_json(obj: object) -> MicroclusterEvent:
-    """An event whose every field has its annotated type: ``int`` excludes
-    ``bool``, ``float`` also takes ``int`` but not NaN or infinity;
-    otherwise ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {obj!r}")
-    values = {}
-    for name, kind in _EVENT_TYPES.items():
-        if name not in obj:
-            raise ValueError(f"missing field {name!r}")
-        value = obj[name]
-        if kind is SubstreamLabel:
-            value = SubstreamLabel(value)
-        elif type(value) is not kind and not (kind is float and type(value) is int):
-            raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-        elif type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        values[name] = value
-    return MicroclusterEvent(**values)
-
-
 def read_events_jsonl(path: str | Path) -> list[MicroclusterEvent]:
-    """Events of a JSONL file; a malformed line, or one nested past the
-    recursion limit, raises ``ValueError`` naming its line number."""
+    """Events of a JSONL file, each line read by ``json_fields``; a bad line,
+    or one nested past the recursion limit, raises ``ValueError`` naming it."""
     events: list[MicroclusterEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                events.append(_event_from_json(json.loads(line)))
+                values = json_fields(MicroclusterEvent, json.loads(line))
             except (ValueError, RecursionError) as exc:  # also JSON nested too deeply
                 raise ValueError(f"line {lineno}: {exc}") from exc
+            events.append(MicroclusterEvent(**values))
     return events

@@ -9,14 +9,16 @@ its line number and a reason, so dataset accounting always closes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from enum import EnumMeta
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -153,6 +155,46 @@ def _csv_int(cell: str) -> int:
     if not (cell.isascii() and cell.lstrip("-").isdigit()):
         raise ValueError(f"not an integer: {cell!r}")
     return int(cell)
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_type_hints = functools.cache(get_type_hints)  # each class's field types, resolved once
+
+
+def json_value(name: str, kind: type, value: object) -> object:
+    """``value``, a decoded JSON value of the field ``name``, if it is of type
+    ``kind``: an int but not a bool for ``int``, a finite int or float for
+    ``float``, a str for ``str``, a value of an ``Enum`` (returned as its
+    member), a list for any other kind; otherwise ``ValueError``."""
+    enum = isinstance(kind, EnumMeta)
+    try:
+        if enum:
+            return kind(value)
+        if kind is float:
+            ok = type(value) in (int, float) and math.isfinite(value)
+        else:
+            ok = type(value) is (kind if kind in _KINDS else list)
+    except (ValueError, OverflowError):  # no enum value; an int too large for a float
+        ok = False
+    if not ok:
+        what = f"one of {[m.value for m in kind]}" if enum else _KINDS.get(kind, "a list")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def json_fields(cls, obj: object) -> dict:
+    """``obj``'s values, each checked by ``json_value``, if it is a JSON object
+    of the dataclass ``cls``'s fields that gives each field without a default;
+    otherwise ``ValueError``, naming an unknown key, a missing field or a bad value."""
+    if type(obj) is not dict:
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
+    kinds = _type_hints(cls)
+    if not obj.keys() <= kinds.keys():
+        raise ValueError(f"unknown {cls.__name__} key {next(k for k in obj if k not in kinds)!r}")
+    for f in fields(cls) if len(obj) < len(kinds) else ():  # a full object lacks none
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{cls.__name__} lacks the field {f.name!r}")
+    return {name: json_value(name, kinds[name], value) for name, value in obj.items()}
 
 
 def _review_from_record(

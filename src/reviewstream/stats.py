@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,10 +127,6 @@ class SharedReviewerGraph:
 
     def __len__(self) -> int:
         return len(self.weight)
-
-    def rows(self) -> Iterator[tuple[str, str, int]]:
-        return zip(map(self.apps.__getitem__, self.app_a.tolist()),
-                   map(self.apps.__getitem__, self.app_b.tolist()), self.weight.tolist())
 
 
 def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,

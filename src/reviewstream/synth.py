@@ -15,15 +15,14 @@ on any platform.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable
 
 import numpy as np
 
 from .detector import DetectorConfig
-from .ingest import AppRecord, ReviewEdge
+from .ingest import AppRecord, ReviewEdge, _type_hints, json_fields
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -77,6 +76,10 @@ class SynthSpec:
     base_rating: float = 3.5
 
     def validate(self) -> None:
+        for obj in (self, *self.injections):
+            for name, kind in _type_hints(type(obj)).items():
+                if kind is int and not -_INT64_MAX - 1 <= getattr(obj, name) <= _INT64_MAX:
+                    raise ValueError(f"{name} must fit int64, got {getattr(obj, name)}")
         if self.n_apps < 1 or self.n_reviewers < 1 or self.ticks < 1:
             raise ValueError("n_apps, n_reviewers and ticks must be positive")
         if not 0 <= self.background_rate <= _POISSON_LAM_MAX:
@@ -105,40 +108,12 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, obj: object) -> "SynthSpec":
         """Validated spec from a JSON object; absent keys take the field defaults."""
-        values = _json_fields(cls, obj)
-        values["injections"] = tuple(Injection(**_json_fields(Injection, i))
+        values = json_fields(cls, obj)
+        values["injections"] = tuple(Injection(**json_fields(Injection, i))
                                      for i in values.get("injections", ()))
         spec = cls(**values)
         spec.validate()
         return spec
-
-
-_KINDS = {int: "an integer that fits int64", float: "a finite number", str: "a string"}
-
-
-def _json_fields(cls, obj: object) -> dict:
-    """A copy of ``obj``, a JSON object of ``cls``'s fields, each value of
-    its field's type: an ``int`` is not a ``bool`` and fits int64, a
-    ``float`` may be an ``int`` but is finite, ``injections`` is a list;
-    an unknown key or another value raises ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
-    types = get_type_hints(cls)
-    for name, value in obj.items():
-        kind = types.get(name)
-        if kind is None:
-            raise ValueError(f"unknown {cls.__name__} key {name!r}")
-        if kind is int:
-            ok = type(value) is int and -_INT64_MAX - 1 <= value <= _INT64_MAX
-        elif kind is float:
-            ok = type(value) in (int, float) and math.isfinite(value)
-        elif kind is str:
-            ok = type(value) is str
-        else:  # injections
-            ok = type(value) is list
-        if not ok:
-            raise ValueError(f"{name} must be {_KINDS.get(kind, 'a list')}, got {value!r}")
-    return dict(obj)
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,26 @@ writers are the ones the column writer replaced: ``csv.writer`` for the
 scores and CDF CSVs, ``asdict`` and ``json.dumps`` per event,
 ``str.format`` over ids quoted one at a time for the network CSV, and
 ``json.dumps`` per review for the canonical review lines; ``csv.writer``
-per cell checks the ids the writers quote.
+per cell checks the ids the writers quote. The JSON field reader restates
+each kind's rule with ``isinstance`` and an explicit bound on the ints a
+double holds, and resolves a class's field types on every call.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import itertools
+import typing
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
+from enum import Enum
 from typing import Callable, Iterable, Iterator
+
+from hypothesis import strategies as st
 
 from reviewstream.clusters import cosine
 from reviewstream.detector import (
@@ -187,6 +194,12 @@ def table_edges(table: ReviewTable, rows: Iterable[int] | None = None) -> list[R
     timestamp, score = table.timestamp.tolist(), table.score.tolist()
     return [ReviewEdge(table.review_id[i], table.reviewer_ids[reviewer[i]], table.app_ids[app[i]],
                        timestamp[i], score[i], table.text[i]) for i in rows]
+
+
+def graph_rows(graph: SharedReviewerGraph) -> list[tuple[str, str, int]]:
+    """The graph's (app_a, app_b, weight) rows, zipped from its columns."""
+    return list(zip(map(graph.apps.__getitem__, graph.app_a.tolist()),
+                    map(graph.apps.__getitem__, graph.app_b.tolist()), graph.weight.tolist()))
 
 
 def shared_reviewer_weights(edges) -> list[tuple[str, str, int]]:
@@ -380,6 +393,70 @@ def parse_apps(lines: Iterable[str]) -> tuple[dict[str, AppRecord], list[LineErr
             continue
         catalog[app_id] = AppRecord(app_id, rating, install_count, cells.get("name") or None)
     return catalog, errors
+
+
+# ---------------------------------------------------------------------------
+# JSON fields: each kind's rule restated, the field types resolved per call.
+
+# The ints that round to a finite double: below the midpoint between the
+# largest double, 2**1024 - 2**971, and 2**1024, where rounding goes to even.
+_FLOAT_INT_BOUND = 2**1024 - 2**970
+
+
+def json_value(name: str, kind, value):
+    """``value`` if it is a JSON value of ``kind`` (an Enum's member for an
+    Enum's value), else ``ValueError``."""
+    if typing.get_origin(kind) is None and issubclass(kind, Enum):
+        for member in kind:
+            if type(value) is type(member.value) and value == member.value:
+                return member
+        raise ValueError(f"{name}: not a {kind.__name__} value: {value!r}")
+    if isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    elif kind is float:
+        ok = (isinstance(value, int) and abs(value) < _FLOAT_INT_BOUND
+              or isinstance(value, float) and value == value and abs(value) != math.inf)
+    elif kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, list)
+    if not ok:
+        raise ValueError(f"{name}: not of {kind}: {value!r}")
+    return value
+
+
+# Decoded JSON values for the readers' properties: bools, ints past int64
+# and float64, NaN and infinities, None, strings, sub-stream labels, and
+# lists and objects of these.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2**63, -2**63 - 1, 2**64 - 2, _FLOAT_INT_BOUND - 1, _FLOAT_INT_BOUND,
+                     -_FLOAT_INT_BOUND, 2**1024, 10**400]),
+    st.integers(2**1023, 2**1100).map(lambda n: n if n % 2 else -n),
+    st.floats(), st.text(max_size=4),
+    st.sampled_from([label.value for label in SubstreamLabel] + ["Boost", "BOOST", ""]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_fields(cls, obj):
+    """``obj``'s values by ``json_value`` if it is a dict of ``cls``'s fields
+    holding every field without a default, else ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an object: {obj!r}")
+    hints = typing.get_type_hints(cls)
+    declared = {f.name: f for f in dataclasses.fields(cls)}
+    if not set(obj) <= set(declared):
+        raise ValueError(f"unknown keys: {set(obj) - set(declared)}")
+    for name, f in declared.items():
+        has_default = (f.default is not dataclasses.MISSING
+                       or f.default_factory is not dataclasses.MISSING)
+        if name not in obj and not has_default:
+            raise ValueError(f"missing {name}")
+    return {name: json_value(name, hints[name], value) for name, value in obj.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import shared_reviewer_weights, table_edges, to_tick
+from _reference import JSON_VALUES, graph_rows, shared_reviewer_weights, table_edges, to_tick
 from reviewstream import cli, detector
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
@@ -365,6 +366,27 @@ class TestStages:
         assert printed == {"pairs": len(result["pairs"]), "flagged": len(result["flagged"])}
         assert printed["pairs"] > 0
 
+    def test_pairs_document_is_json_text_of_its_result(self, synth_files, tmp_path, capsys,
+                                                       monkeypatch):
+        """Written a chunk at a time, to ``--out`` or to stdout, the document
+        is ``_json_text`` of the result it was written from."""
+        reviews, _, _ = synth_files
+        results, write_json = [], cli._write_json
+
+        def recording(obj, write):
+            results.append(obj)
+            write_json(obj, write)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        out = tmp_path / "pairs.json"
+        argv = ["pairs", "--reviews", str(reviews), "--tau", "0.5"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert len(results) == 2 and len(results[0]["pairs"]) > 0
+        assert out.read_bytes() == cli._json_text(results[0]).encode("utf-8")
+        assert capsys.readouterr().out == cli._json_text(results[1])
+
     def test_stats_ttest_and_flags(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -671,8 +693,10 @@ CLUSTERS = ["clusters", "--scores", "scores.csv", "--events", "events.jsonl", "-
 PAIRS = ["pairs", "--reviews", "reviews.jsonl", "--out", "pairs.json"]
 SYNTH = ["synth", "--spec", "spec.json", "--out", "o.jsonl", "--truth", "t.jsonl"]
 VECTORS = {"vecs.jsonl": '{"review_id": "nobody", "vector": [1.0, 0.0]}\n'}
-NO_EDGES_EVENT = json.dumps({"app_id": "a000", "substream": "boost", "prior_tick": 500,
-                             "prior_count": 1, "burst_count": 5, "ratio": 5.0}) + "\n"
+NO_EDGES = {"app_id": "a000", "substream": "boost", "prior_tick": 500, "prior_count": 1,
+            "burst_count": 5, "ratio": 5.0}
+NO_EDGES_EVENT = json.dumps(NO_EDGES) + "\n"
+DIGITS_401 = 10**400  # past float64, under the decoder's 4300-digit limit
 SMALL_SPEC = {"n_apps": 3, "n_reviewers": 5, "ticks": 2, "background_rate": 1.0}
 LONG_FIELD = "1" * 200_000  # past csv.field_size_limit(), 131,072 characters
 TOO_LONG = "field larger than field limit (131072)"
@@ -681,6 +705,16 @@ TOO_LONG = "field larger than field limit (131072)"
 def spec_file(**changes) -> dict[str, str]:
     """A spec.json of ``SMALL_SPEC`` with ``changes``."""
     return {"spec.json": json.dumps({**SMALL_SPEC, **changes})}
+
+
+def config_file(**values) -> dict[str, str]:
+    """A run.json of ``{"origin": 0}`` with ``values``."""
+    return {"run.json": json.dumps({"origin": 0, **values})}
+
+
+def events_file(**changes) -> dict[str, str]:
+    """An events.jsonl of one event with ``changes``."""
+    return {"events.jsonl": json.dumps({**NO_EDGES, **changes}) + "\n"}
 
 
 ONE_REVIEW = json.dumps({"review_id": "r1", "reviewer_id": "u1", "app_id": "a000",
@@ -765,7 +799,7 @@ EXIT_CASES = {
     "synth-spec-not-an-object": (SYNTH, {"spec.json": "[1, 2]"}, EXIT_CONFIG,
                                  "SynthSpec must be a JSON object, got [1, 2]"),
     "synth-ticks-not-an-integer": (SYNTH, spec_file(ticks=2.5), EXIT_CONFIG,
-                                   "ticks must be an integer that fits int64, got 2.5"),
+                                   "ticks must be an integer, got 2.5"),
     "synth-background-rate-nan": (SYNTH, spec_file(background_rate=math.nan), EXIT_CONFIG,
                                   "background_rate must be a finite number, got nan"),
     "synth-background-rate-past-poisson-limit": (
@@ -774,7 +808,7 @@ EXIT_CASES = {
     "synth-negative-seed": (SYNTH, spec_file(seed=-1), EXIT_CONFIG,
                             "seed must be non-negative, got -1"),
     "synth-bool-count": (SYNTH, spec_file(n_apps=True), EXIT_CONFIG,
-                         "n_apps must be an integer that fits int64, got True"),
+                         "n_apps must be an integer, got True"),
     "synth-unknown-key": (SYNTH, spec_file(sed=5), EXIT_CONFIG, "unknown SynthSpec key 'sed'"),
     "synth-negative-origin": (SYNTH, spec_file(origin=-1_000_000), EXIT_CONFIG,
                               "origin + ticks * period must lie in [0, 2**63 - 1]"),
@@ -807,6 +841,27 @@ EXIT_CASES = {
     "stats-cdf-field-too-long": (
         ["stats", "cdf", "--scores", "s.csv", "--out", "cdf.csv"],
         {"s.csv": f"score\n1.0\n{LONG_FIELD}\n"}, EXIT_DATA, f"s.csv: line 3: {TOO_LONG}"),
+    "config-null-top": (PIPELINE + ["--config", "run.json"], config_file(top=None), EXIT_CONFIG,
+                        "top must be an integer, got None"),
+    "config-null-format": (PIPELINE + ["--config", "run.json"], config_file(format=None),
+                           EXIT_CONFIG, "format must be a string, got None"),
+    "config-null-provider": (PIPELINE + ["--config", "run.json"], config_file(provider=None),
+                             EXIT_CONFIG, "provider must be a string, got None"),
+    "config-decay-401-digits": (PIPELINE + ["--config", "run.json"],
+                                config_file(decay=DIGITS_401), EXIT_CONFIG,
+                                f"decay must be a finite number, got {DIGITS_401}"),
+    "synth-background-rate-401-digits": (
+        SYNTH, spec_file(background_rate=DIGITS_401), EXIT_CONFIG,
+        f"background_rate must be a finite number, got {DIGITS_401}"),
+    "synth-injection-without-tick": (
+        SYNTH, spec_file(injections=[{"app_id": "a000", "n_edges": 1, "n_reviewers_used": 1,
+                                      "score_mode": "boost"}]),
+        EXIT_CONFIG, "Injection lacks the field 'tick'"),
+    "events-unknown-key": (CLUSTERS + ["--reviews", "reviews.jsonl"], events_file(sed=5),
+                           EXIT_DATA, "line 1: unknown MicroclusterEvent key 'sed'"),
+    "events-ratio-401-digits": (CLUSTERS + ["--reviews", "reviews.jsonl"],
+                                events_file(ratio=DIGITS_401), EXIT_DATA,
+                                f"line 1: ratio must be a finite number, got {DIGITS_401}"),
     "catalog-names-a-column-twice": (
         PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
         {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},
@@ -836,6 +891,22 @@ def test_failure_exits_with_its_code_naming_the_cause_and_writes_nothing(
         assert caplog.records[-1].getMessage().startswith(message)
     assert sorted(tmp_path.rglob("*")) == before  # no output is left behind
     assert capsys.readouterr().out == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(cli._CONFIG)), value=JSON_VALUES)
+def test_any_json_value_for_a_config_key_gives_a_config_or_a_config_failure(
+        tmp_path_factory, key, value):
+    """A config file of ``origin`` 0 and any JSON value for one key reads
+    to a detector config or fails as a configuration error, never another
+    exception."""
+    path = tmp_path_factory.getbasetemp() / "config-property.json"
+    path.write_text(json.dumps({"origin": 0, key: value}), encoding="utf-8")
+    try:
+        config = cli._detector_config(cli._effective_config(argparse.Namespace(config=str(path))))
+    except cli.ConfigFailure:
+        return
+    assert isinstance(config, DetectorConfig)
 
 
 def in_process_argv(command: str, reviews, catalog, tmp_path) -> list[str]:
@@ -979,7 +1050,7 @@ def test_network_csv_matches_csv_writer(reviews):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["app_a", "app_b", "weight"])
-    writer.writerows(graph.rows())
+    writer.writerows(graph_rows(graph))
     chunks = []
     cli._network_csv(graph, chunks.append)
     assert "".join(chunks) == expected.getvalue()

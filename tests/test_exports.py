@@ -27,6 +27,7 @@ REMOVED_MEMBERS = [
     (stats.SharedReviewerGraph, "__iter__"), (stats.EcdfPoints, "fraction_at"),
     (detector.ScoredStream, "edges"), (ingest.ReviewTable, "edges"),
     (clusters.LexicalEmbedder, "vector"), (clusters.FileEmbedder, "vector"),
+    (stats.SharedReviewerGraph, "rows"),
 ]
 # The columnar review types: exported, and documented in the README.
 TABLE_TYPES = ["ReviewTable", "ReviewRows"]

@@ -2,19 +2,24 @@ import csv
 import io
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewstream.detector import DetectorConfig, MicroclusterEvent
 from reviewstream.ingest import (
     BeforeOriginError,
     ReviewEdge,
     ReviewTable,
+    json_fields,
+    json_value,
     parse_apps,
     parse_reviews,
 )
+from reviewstream.synth import Injection, SynthSpec
 
 import _reference
 from _reference import to_tick
@@ -460,3 +465,67 @@ def test_table_from_edges_round_trips():
     assert table.rows([2, 1]).row.tolist() == [2, 1]
     empty = ReviewTable.from_edges([])
     assert len(empty) == 0 and _reference.table_edges(empty) == []
+
+
+# The dataclasses read from JSON, each with one object it accepts.
+JSON_CLASSES = {
+    MicroclusterEvent: {"app_id": "a", "substream": "boost", "prior_tick": 1, "prior_count": 0,
+                        "burst_count": 3, "ratio": 3.0},
+    SynthSpec: {"n_apps": 1, "n_reviewers": 1, "ticks": 1, "background_rate": 0},
+    Injection: {"app_id": "a000", "tick": 1, "n_edges": 0, "n_reviewers_used": 1,
+                "score_mode": "boost"},
+    DetectorConfig: {"origin": 0},
+}
+FIELD_KINDS = list(dict.fromkeys(kind for cls in JSON_CLASSES
+                                 for kind in typing.get_type_hints(cls).values()))
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or None where it raises ``ValueError``;
+    any other exception propagates and fails the property."""
+    try:
+        return (read(*args),)
+    except ValueError:
+        return None
+
+
+class TestJsonFields:
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(FIELD_KINDS), value=_reference.JSON_VALUES)
+    def test_json_value_matches_reference(self, kind, value):
+        got = outcome(json_value, "f", kind, value)
+        want = outcome(_reference.json_value, "f", kind, value)
+        assert (got is None) == (want is None)
+        if got is not None:  # the value itself, or the enum member
+            assert got[0] is want[0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(cls=st.sampled_from(list(JSON_CLASSES)), data=st.data())
+    def test_json_fields_matches_reference(self, cls, data):
+        """Objects near an accepted one: fields dropped, replaced by any
+        JSON value or added under unknown names, or no object at all."""
+        valid = JSON_CLASSES[cls]
+        names = list(typing.get_type_hints(cls))
+        dropped = data.draw(st.sets(st.sampled_from(names), max_size=2))
+        changed = data.draw(st.dictionaries(st.sampled_from(names + ["sed", ""]),
+                                            _reference.JSON_VALUES, max_size=3))
+        obj = data.draw(st.one_of(
+            st.just({**{k: v for k, v in valid.items() if k not in dropped}, **changed}),
+            _reference.JSON_VALUES))
+        got = outcome(json_fields, cls, obj)
+        want = outcome(_reference.json_fields, cls, obj)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert list(got[0]) == list(want[0]) == list(obj)
+            assert all(got[0][name] is want[0][name] for name in obj)
+
+    def test_event_ticks_and_config_ints_stay_unbounded(self):
+        assert json_value("prior_tick", int, 2**64 - 2) == 2**64 - 2
+        assert json_fields(DetectorConfig, {"origin": 0, "period": 2**70})["period"] == 2**70
+        with pytest.raises(ValueError, match="n_apps must fit int64, got 9223372036854775808"):
+            SynthSpec.from_dict({**JSON_CLASSES[SynthSpec], "n_apps": 2**63})
+
+    def test_synth_ints_stay_ints(self):
+        spec = SynthSpec.from_dict({**JSON_CLASSES[SynthSpec], "background_rate": 2,
+                                    "base_rating": 4})
+        assert type(spec.background_rate) is int and type(spec.base_rating) is int

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as t_dist  # the p-value oracle; welch_t does not import it
 
-from _reference import shared_reviewer_weights
+from _reference import graph_rows, shared_reviewer_weights
 from reviewstream import stats as stats_module
 from reviewstream.ingest import AppRecord, ReviewEdge, ReviewTable
 from reviewstream.partition import partition_stream
@@ -179,16 +179,16 @@ def test_ecdf_last_fraction_is_one(values):
 class TestSharedReviewerGraph:
     def test_one_shared_reviewer(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "B")]
-        assert list(graph_of(edges).rows()) == [("A", "B", 1)]
+        assert graph_rows(graph_of(edges)) == [("A", "B", 1)]
 
     def test_repeat_reviews_count_once(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u1", "A"), edge("r3", "u1", "B")]
-        graph = list(graph_of(edges).rows())
+        graph = graph_rows(graph_of(edges))
         assert graph[0][2] == 1
 
     def test_no_self_loops_or_zero_weights(self):
         edges = [edge("r1", "u1", "A"), edge("r2", "u2", "B")]
-        assert list(graph_of(edges).rows()) == []
+        assert graph_rows(graph_of(edges)) == []
 
     def test_empty_and_unshared_give_no_pairs(self):
         assert len(graph_of([])) == 0
@@ -200,8 +200,8 @@ class TestSharedReviewerGraph:
                  edge("r4", "u2", "B"), edge("r5", "u2", "C")]
         graph = graph_of(edges)
         assert len(graph) == len(graph.app_a) == len(graph.app_b) == len(graph.weight) == 3
-        assert list(graph.rows()) == [("A", "B", 2), ("A", "C", 1), ("B", "C", 1)]
-        assert [type(w) for _, _, w in graph.rows()] == [int, int, int]
+        assert graph_rows(graph) == [("A", "B", 2), ("A", "C", 1), ("B", "C", 1)]
+        assert [type(w) for _, _, w in graph_rows(graph)] == [int, int, int]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
     def test_blocks_split_reviewers(self, monkeypatch, block):
@@ -212,7 +212,7 @@ class TestSharedReviewerGraph:
         apps = ["f", "a", "e", "b", "d", "c"]
         edges = [edge(f"r{u}{i}", f"u{u}", app) for u in (1, 2) for i, app in enumerate(apps)]
         edges += [edge("r31", "u3", "a"), edge("r32", "u3", "z"), edge("r4", "u4", "q")]
-        got = list(graph_of(edges).rows())
+        got = graph_rows(graph_of(edges))
         assert got == shared_reviewer_weights(edges)
         assert sum(w for _, _, w in got) == 31
 
@@ -232,7 +232,7 @@ class TestSharedReviewerGraph:
         edges = [edge(f"r{i}", f"u{u}", app) for i, (u, app) in enumerate(reviews)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stats_module, "_PAIR_BLOCK_ENTRIES", block)
-            graph = list(graph_of(edges).rows())
+            graph = graph_rows(graph_of(edges))
         assert graph == shared_reviewer_weights(edges)
         assert all(type(w) is int for _, _, w in graph)
 
@@ -244,7 +244,7 @@ class TestSharedReviewerGraph:
         edges = [
             edge(f"r{i}", f"u{u}", f"a{a}") for i, (u, a) in enumerate(pairs)
         ]
-        got = {(a, b): w for a, b, w in graph_of(edges).rows()}
+        got = {(a, b): w for a, b, w in graph_rows(graph_of(edges))}
         # oracle: direct pairwise intersection of reviewer sets
         reviewers: dict[str, set[str]] = {}
         for e in edges:

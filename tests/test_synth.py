@@ -7,7 +7,7 @@ from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.stats import shared_reviewer_graph
 from reviewstream.synth import Injection, SynthSpec, gen_stream
 
-from _reference import review_to_line, to_tick
+from _reference import graph_rows, review_to_line, to_tick
 
 PERIOD = 86_400
 
@@ -128,5 +128,5 @@ def test_coordinated_reviewers_boosting_two_apps_fire_both():
     fired = {e.app_id for e in events if e.burst_tick == 6}
     assert {"a001", "a002"} <= fired
     # the same three workers appear on both apps
-    weights = {(a, b): w for a, b, w in shared_reviewer_graph(table).rows()}
+    weights = {(a, b): w for a, b, w in graph_rows(shared_reviewer_graph(table))}
     assert weights.get(("a001", "a002"), 0) >= 3
