@@ -33,6 +33,7 @@ import numpy as np
 
 from .detector import MicroclusterEvent, ScoredStream
 from .partition import SubstreamLabel
+from .stats import count_distinct, pair_blocks, range_blocks
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 MAX_PAIRS_LISTED = 10  # pairs listed per cluster in the report
@@ -122,8 +123,9 @@ class LexicalEmbedder:
 class FileEmbedder:
     """Precomputed vectors loaded from a JSONL sidecar.
 
-    Each line is {"review_id": ..., "vector": [...]}; the dimension must
-    be constant across the file. Vectors are L2-normalized at load.
+    Each line is {"review_id": ..., "vector": [...]} and no other key; the
+    dimension must be constant across the file. Vectors are L2-normalized
+    at load.
     """
 
     name = "file"
@@ -150,6 +152,9 @@ class FileEmbedder:
                     raise EmbeddingFileError(
                         f"{where}: not a {{review_id, vector}} object: {exc!r}"
                     ) from None
+                unknown = sorted(obj.keys() - {"review_id", "vector"})
+                if unknown:
+                    raise EmbeddingFileError(f"{where}: unknown key {unknown[0]!r}")
                 if not isinstance(review_id, str):
                     raise EmbeddingFileError(f"{where}: review_id must be a string")
                 if vec.ndim != 1:
@@ -312,53 +317,132 @@ def _equal_vector_groups(vectors: Sequence) -> list[list[int]]:
 
 
 _GRAM_BLOCK_ENTRIES = 1 << 22  # 32 MB of float64 Gram entries per block
+# Prefix pairs or join entries handled at a time, with about 80 bytes of
+# working arrays each.
+_PREFIX_BLOCK_ENTRIES = 1 << 16
 
 
 def _candidate_groups(reps: Sequence, tau: float) -> Iterator[tuple[int, int]]:
-    """Group pairs (g, h), g < h, whose representatives' dot product
-    comes within a rounding margin of tau; a superset of the pairs whose
-    cosine reaches tau.
+    """Group pairs (g, h), g < h, in that order, whose representatives'
+    dot product comes within a rounding margin of tau; a superset of the
+    pairs whose cosine reaches tau.
 
-    A float sum of d products is within gamma_d * sum|x_k y_k| <=
-    gamma_d * |x| |y| of the exact dot product (gamma_d = d u / (1 - d u),
-    u = 2**-53; Cauchy-Schwarz for the second step). cosine and the Gram
-    product below each sum at most d products, so they differ by at most
-    2 gamma_d max|x|^2, which 4 d u max|x|^2 covers. A NaN margin or Gram
-    entry makes the pair a candidate, so non-finite vectors fall back to
-    the exact check.
+    A float sum of d products, in any order, is within gamma_d *
+    sum|x_k y_k| <= gamma_d * |x| |y| of the exact dot product (gamma_d =
+    d u / (1 - d u), u = 2**-53; Cauchy-Schwarz for the second step).
+    cosine and the products below each sum at most d products, so they
+    differ by at most 2 gamma_d max|x|^2, which 4 d u max|x|^2 covers. A
+    NaN margin or Gram entry makes the pair a candidate, so non-finite
+    vectors fall back to the exact check. Lexical vectors go through
+    ``_prefix_candidates``; dense ones through a blocked Gram product.
     """
     if len(reps) < 2:
         return
     if isinstance(reps[0], dict):
-        from scipy.sparse import csr_matrix
-
-        vocab: dict = {}
-        indices: list[int] = []
-        data: list[float] = []
-        indptr = [0]
-        for v in reps:
-            for term, w in v.items():
-                indices.append(vocab.setdefault(term, len(vocab)))
-                data.append(w)
-            indptr.append(len(indices))
-        matrix = csr_matrix((data, indices, indptr), shape=(len(reps), len(vocab)))
-        d = max(len(v) for v in reps)
-        norm2 = matrix.multiply(matrix).sum(axis=1)
-    else:
-        matrix = np.stack(reps)
-        d = matrix.shape[1]
-        norm2 = np.einsum("ij,ij->i", matrix, matrix)
+        yield from _prefix_candidates(reps, tau)
+        return
+    matrix = np.stack(reps)
+    d = matrix.shape[1]
+    norm2 = np.einsum("ij,ij->i", matrix, matrix)
     threshold = tau - 4 * d * 2.0**-53 * float(np.max(norm2))
-    transposed = matrix.T
     block = max(1, _GRAM_BLOCK_ENTRIES // len(reps))
     for start in range(0, len(reps), block):
-        gram = matrix[start:start + block] @ transposed
-        if not isinstance(gram, np.ndarray):
-            gram = gram.toarray()
+        gram = matrix[start:start + block] @ matrix.T
         rows, cols = np.nonzero(~(gram < threshold))
         rows += start
         keep = cols > rows
         yield from zip(rows[keep].tolist(), cols[keep].tolist())
+
+
+def _prefix_candidates(reps: Sequence[dict], tau: float) -> Iterator[tuple[int, int]]:
+    """``_candidate_groups`` for lexical vectors by l2 prefix filtering
+    (Bayardo, Ma & Srikant, WWW 2007; Anastasiu & Karypis, "L2AP", ICDE 2014).
+
+    Terms are ranked rarest first (by the number of vectors holding them,
+    ties by term code), and each vector's entries read in rank order. S is
+    the float sum of the squared weights of an entry and those after it,
+    added one at a time from the vector's end, and M the largest S. A
+    vector's prefix is the shortest run of its entries whose remaining
+    suffix has sqrt(S M) below limit = tau (1 - 4 (d + 1) u).
+
+    No pair whose cosine reaches tau is lost. The weights are positive, so
+    a float sum of common-term products, cosine's included, is at most
+    (1 + gamma_d) times the exact dot product, and the exact squared norm
+    of a suffix at most S / (1 - gamma_d). (1) Take x and y with no common
+    prefix term, x's prefix ending no later in rank order than y's: a
+    common term in y's prefix or after it is in x's suffix s, so x.y <=
+    |s| |y|. (2) If they share a prefix term, their first common term t is
+    in both prefixes, and x.y <= x_t y_t + |x after t| |y after t|. Each
+    bound is evaluated in floats, from S, M and the weights, and drops a
+    pair only when below limit; (1 + gamma_d) / (1 - gamma_d) and the
+    roundings of the bound and of limit stay within its 4 (d + 1) u, so a
+    dropped pair's cosine is below tau. Lexical weights are at least
+    2**-53, so a tau below the normal float range drops nothing.
+
+    The vector pairs that share a prefix term are expanded in blocks by
+    ``pair_blocks`` and checked with (2); a join of the survivors' terms
+    gives their dot products, and those at or above the margin of
+    ``_candidate_groups`` are kept. The cost follows the pairs that share
+    a prefix term, which approach C(n, 2) as tau falls; memory is one
+    block plus the kept pairs.
+    """
+    n = len(reps)
+    vocab: dict = {}
+    term = np.fromiter((vocab.setdefault(t, len(vocab)) for v in reps for t in v), np.int64)
+    weight = np.fromiter((w for v in reps for w in v.values()), np.float64, len(term))
+    length = np.fromiter(map(len, reps), np.int64, n)
+    n_terms, d = len(vocab), int(length.max())
+    rank = np.empty(n_terms, dtype=np.int64)
+    rank[np.argsort(np.bincount(term, minlength=n_terms), kind="stable")] = np.arange(n_terms)
+    # Entries by (vector, term rank); vector r holds begins[r] .. ends[r] - 1.
+    key = np.repeat(np.arange(n) * n_terms, length) + rank[term]
+    order = np.argsort(key)
+    key, weight = key[order], weight[order]
+    row, term_rank = np.divmod(key, n_terms)
+    ends = np.cumsum(length)
+    begins = ends - length
+
+    # S of every entry: step j adds the j-th entry from the end of each
+    # vector longer than j. rest is the S of the entry after, 0 at the end.
+    suffix = np.empty(len(key))
+    longest = np.argsort(-length, kind="stable")
+    alive = np.searchsorted(-length[longest], -np.arange(d), side="left")
+    last, total = ends[longest] - 1, np.zeros(n)
+    for j, k in enumerate(alive.tolist()):
+        at = last[:k] - j
+        total[:k] += weight[at] * weight[at]
+        suffix[at] = total[:k]
+    rest = np.append(suffix[1:], 0.0)
+    rest[ends - 1] = 0.0
+    norm2_max = float(suffix.max())
+    threshold = tau - 4 * d * 2.0**-53 * norm2_max
+    limit = tau * (1 - 4 * (d + 1) * 2.0**-53)
+
+    # Prefix entries grouped by term rank, vectors ascending inside.
+    prefix = np.flatnonzero(~(np.sqrt(suffix * norm2_max) < limit))
+    prefix = prefix[np.argsort(term_rank[prefix] * n + row[prefix])]
+
+    def verified(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The distinct pairs g * n + h, g < h, of the entries ``a``, ``b``
+        of one common prefix term each that pass (2) and whose dot product,
+        a join of h's terms into g's, reaches ``threshold``."""
+        keep = ~(weight[a] * weight[b] + np.sqrt(rest[a] * rest[b]) < limit)
+        pairs = np.sort(row[a[keep]] * n + row[b[keep]])
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        g, h = np.divmod(pairs, n)
+        g *= n_terms
+        dots = np.zeros(len(pairs))
+        for items, at in range_blocks(begins[h], length[h], _PREFIX_BLOCK_ENTRIES):
+            wanted = g[items] + term_rank[at]
+            found = np.searchsorted(key, wanted)  # g < h: in range, and close for close g
+            products = np.where(key[found] == wanted, weight[at] * weight[found], 0.0)
+            dots[items[0]:items[-1] + 1] += np.bincount(items - items[0], weights=products)
+        return pairs[dots >= threshold]
+
+    pairs, _ = count_distinct(verified(prefix[left], prefix[right]) for left, right
+                              in pair_blocks(term_rank[prefix], _PREFIX_BLOCK_ENTRIES))
+    g, h = np.divmod(pairs, n)
+    yield from zip(g.tolist(), h.tolist())
 
 
 def build_cluster_report(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,6 +129,39 @@ class SharedReviewerGraph:
         return len(self.weight)
 
 
+def range_blocks(starts: np.ndarray, counts: np.ndarray, block: int
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ranges ``starts[i] .. starts[i] + counts[i] - 1`` laid end to end
+    and cut into blocks of at most ``block`` entries. Each block is
+    ``(items, positions)``: entry k is position ``positions[k]`` of the
+    range of item ``items[k]``, in order. A block may cut a range."""
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    shift = starts - begins
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        # Items whose entries fall in [lo, hi), the first and last cut to the block.
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right"))
+        taken = counts[first:last + 1].copy()
+        taken[0] -= lo - begins[first]
+        taken[-1] -= ends[last] - hi
+        items = np.repeat(np.arange(first, last + 1), taken)
+        yield items, shift[items] + np.arange(lo, hi)
+
+
+def pair_blocks(groups: np.ndarray, block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The positions ``i < j`` with ``groups[i] == groups[j]`` in a sorted
+    ``groups``, as blocks of ``(left, right)`` from ``range_blocks``: by
+    left, then right. Position i pairs with i+1 .. the end of its group."""
+    n = len(groups)
+    group_starts = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
+    group_ends = np.append(group_starts[1:], n)
+    partners = np.repeat(group_ends, group_ends - group_starts) - np.arange(n) - 1
+    return range_blocks(np.arange(1, n + 1), partners, block)
+
+
 def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,
                 new_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge sorted distinct ``new_keys`` and their counts into sorted
@@ -142,15 +175,33 @@ def _add_counts(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray,
             np.insert(counts, pos[fresh], new_counts[fresh]))
 
 
+def count_distinct(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int64 values over all ``blocks``, sorted, and how many
+    times each occurs. Each block is counted on its own, and the counted
+    runs merge in size-doubling levels: a run merges into the one below it
+    while it holds at least half as many keys, so a key of a block takes
+    part in O(log blocks) merges, not one per later block."""
+    runs: list[tuple[np.ndarray, np.ndarray]] = []
+    for block in blocks:
+        keys, counts = np.unique(block, return_counts=True)
+        while runs and 2 * len(keys) >= len(runs[-1][0]):
+            keys, counts = _add_counts(*runs.pop(), keys, counts)
+        runs.append((keys, counts))
+    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for run in reversed(runs):  # smallest first
+        keys, counts = _add_counts(*run, keys, counts)
+    return keys, counts
+
+
 def shared_reviewer_graph(table: ReviewTable) -> SharedReviewerGraph:
     """Weight(a, b) = number of distinct reviewers with at least one
     review on each of a and b, over the rows of ``table``. Zero-weight
     pairs are omitted; repeat reviews by the same reviewer on the same app
     count once.
 
-    Time grows with the sum over reviewers of C(app degree, 2); memory
-    with one block of ``_PAIR_BLOCK_ENTRIES`` pair increments plus the
-    distinct pairs.
+    Time grows with the sum over reviewers of C(app degree, 2), times the
+    log of the number of blocks; memory with one block of
+    ``_PAIR_BLOCK_ENTRIES`` pair increments plus the distinct pairs.
     """
     # Re-code apps by their rank in sorted order, so that sorting pairs of
     # codes sorts the pairs of ids.
@@ -163,30 +214,8 @@ def shared_reviewer_graph(table: ReviewTable) -> SharedReviewerGraph:
     # Distinct (reviewer, app), grouped by reviewer, apps ascending inside.
     memberships = np.unique(table.reviewer * n_apps + rank[table.app])
     reviewer, app = np.divmod(memberships, n_apps)
-    # Membership i pairs with i+1 .. group_end-1, the rest of its group.
-    group_starts = np.flatnonzero(np.concatenate(([True], reviewer[1:] != reviewer[:-1])))
-    group_ends = np.append(group_starts[1:], len(memberships))
-    partners = (np.repeat(group_ends, group_ends - group_starts)
-                - np.arange(len(memberships)) - 1)
-    increments_end = np.cumsum(partners)
-    increments_start = increments_end - partners
-    total = int(partners.sum())
-
-    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    for lo in range(0, total, _PAIR_BLOCK_ENTRIES):
-        hi = min(lo + _PAIR_BLOCK_ENTRIES, total)
-        # Memberships whose increments fall in [lo, hi), the first and last
-        # cut to the block.
-        first = int(np.searchsorted(increments_end, lo, side="right"))
-        last = int(np.searchsorted(increments_end, hi - 1, side="right"))
-        taken = partners[first:last + 1].copy()
-        taken[0] -= lo - increments_start[first]
-        taken[-1] -= increments_end[last] - hi
-        left = np.repeat(np.arange(first, last + 1), taken)
-        right = left + 1 + np.arange(lo, hi) - increments_start[left]
-        block_keys, block_counts = np.unique(app[left] * n_apps + app[right],
-                                             return_counts=True)
-        keys, counts = _add_counts(keys, counts, block_keys, block_counts)
+    keys, counts = count_distinct(app[left] * n_apps + app[right]
+                                  for left, right in pair_blocks(reviewer, _PAIR_BLOCK_ENTRIES))
     code_a, code_b = np.divmod(keys, n_apps)
     return SharedReviewerGraph(apps, code_a, code_b, counts)
 

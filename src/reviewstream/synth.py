@@ -52,6 +52,7 @@ _BACKGROUND_WORDS = (
 SCORE_MODES = ("boost", "sink")
 _INT64_MAX = 2**63 - 1
 _POISSON_LAM_MAX = 9.223372006484771e18  # the largest mean numpy's Poisson sampler takes
+MAX_APP_TICKS = 10**7  # n_apps * ticks: one Poisson draw in Python per app and tick
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,9 @@ class SynthSpec:
                     raise ValueError(f"{name} must fit int64, got {getattr(obj, name)}")
         if self.n_apps < 1 or self.n_reviewers < 1 or self.ticks < 1:
             raise ValueError("n_apps, n_reviewers and ticks must be positive")
+        if self.n_apps * self.ticks > MAX_APP_TICKS:
+            raise ValueError(f"n_apps * ticks must be at most {MAX_APP_TICKS}, got "
+                             f"{self.n_apps} * {self.ticks}")
         if not 0 <= self.background_rate <= _POISSON_LAM_MAX:
             raise ValueError(f"background_rate must be in [0, {_POISSON_LAM_MAX!r}], "
                              f"got {self.background_rate}")
@@ -94,11 +98,13 @@ class SynthSpec:
                              f"{self.origin} + {self.ticks} * {self.period}")
         if not 1 <= self.base_rating <= 5:
             raise ValueError(f"base_rating must be in [1, 5], got {self.base_rating}")
-        apps = set(app_ids(self))
         for inj in self.injections:
             if not 1 <= inj.tick <= self.ticks:
                 raise ValueError(f"injection tick {inj.tick} outside 1..{self.ticks}")
-            if inj.app_id not in apps:
+            digits = inj.app_id[1:]  # app i is f"a{i:03d}"
+            valid = digits.isascii() and digits.isdigit() and len(digits) < 19
+            index = int(digits) if valid else -1
+            if not (0 <= index < self.n_apps and inj.app_id == f"a{index:03d}"):
                 raise ValueError(f"injection app {inj.app_id!r} not in the app set")
             if inj.n_edges < 0 or inj.n_reviewers_used < 1:
                 raise ValueError("injection needs n_edges >= 0 and n_reviewers_used >= 1")

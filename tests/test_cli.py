@@ -789,6 +789,10 @@ EXIT_CASES = {
     "sidecar-nested-too-deeply": (PAIRS + ["--provider", "file", "--embeddings", "vecs.jsonl"],
                                   {"vecs.jsonl": DEEP + "\n"}, EXIT_DATA,
                                   "vecs.jsonl:1: not a {review_id, vector} object"),
+    "sidecar-unknown-key": (PAIRS + ["--provider", "file", "--embeddings", "vecs.jsonl"],
+                            {"vecs.jsonl": '{"review_id": "b0000001", "vector": [1, 0], '
+                                           '"extra": 1}\n'},
+                            EXIT_DATA, "vecs.jsonl:1: unknown key 'extra'"),
     "config-nested-too-deeply": (PIPELINE + ["--config", "run.json"], {"run.json": DEEP},
                                  EXIT_CONFIG, "config file run.json is not valid JSON"),
     "config-integer-too-long": (PIPELINE + ["--config", "run.json"],
@@ -814,6 +818,8 @@ EXIT_CASES = {
                               "origin + ticks * period must lie in [0, 2**63 - 1]"),
     "synth-base-rating-out-of-range": (SYNTH, spec_file(base_rating=9), EXIT_CONFIG,
                                        "base_rating must be in [1, 5], got 9"),
+    "synth-app-ticks-past-the-limit": (SYNTH, spec_file(n_apps=10_000_000_000), EXIT_CONFIG,
+                                       "n_apps * ticks must be at most 10000000, got"),
     "sketch-too-wide": (PIPELINE + ["--origin", "0", "--cols", "1000000000000000"], {},
                         EXIT_CONFIG, "sketch geometry must have at most 64 rows and 2**24"),
     "sketch-too-many-rows": (PIPELINE + ["--origin", "0", "--rows", "4000000000000000000"], {},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reviewstream import clusters as clusters_module
 from reviewstream.clusters import (
+    EmbeddingFileError,
     FileEmbedder,
     InconsistentRunError,
     LexicalEmbedder,
@@ -296,6 +297,14 @@ class TestFileEmbedder:
         with pytest.raises(ValueError):
             FileEmbedder.load(path)
 
+    def test_unknown_key_rejected(self, tmp_path):
+        path = self.write_sidecar(tmp_path, [
+            {"review_id": "m0", "vector": [1.0, 0.0]},
+            {"review_id": "m1", "vector": [1.0, 0.0], "extra": 1},
+        ])
+        with pytest.raises(EmbeddingFileError, match=f"^{path}:2: unknown key 'extra'$"):
+            FileEmbedder.load(path)
+
     def test_self_similarity_is_one(self, tmp_path):
         path = self.write_sidecar(tmp_path, [{"review_id": "m0", "vector": [0.3, 0.4]}])
         provider = FileEmbedder.load(path)
@@ -369,6 +378,29 @@ def test_lexical_pairs_match_all_pairs_oracle(texts, tau, data):
     assert_matches_oracle(c, provider, draw_tau(data, tau, c, provider))
 
 
+# Word i is drawn about 1 / (i + 1) as often as the first, so a few terms
+# are in most texts and the rarest-first order puts them at the end.
+ZIPF_WORDS = [word for i, word in enumerate("app good pay very fast cash earn ok bad free".split())
+              for _ in range(30 // (i + 1))]
+zipf_member = st.one_of(
+    st.lists(st.sampled_from(ZIPF_WORDS), min_size=1, max_size=9).map(" ".join),
+    st.sampled_from(["", None]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(zipf_member, max_size=16), tau=st.sampled_from([1.0, 0.95, 0.8, 0.5, 0.3,
+                                                                       "observed"]),
+       block=st.integers(1, 7), data=st.data())
+def test_zipf_skewed_lexical_pairs_match_all_pairs_oracle(texts, tau, block, data):
+    c = draw_cluster(data, texts)
+    provider = LexicalEmbedder()
+    tau = draw_tau(data, tau, c, provider)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clusters_module, "_PREFIX_BLOCK_ENTRIES", block)
+        assert_matches_oracle(c, provider, tau)
+
+
 BASE_VECTORS = (
     np.array([0.6, 0.8, 0.0]),
     np.array([1 / 3, 2 / 3, 2 / 3]),
@@ -440,11 +472,35 @@ class TestPairMining:
 
     @pytest.mark.parametrize("tau", [1.0, 0.95, 0.6, 0.3])
     def test_gram_blocks_match_oracle(self, monkeypatch, tau):
-        monkeypatch.setattr(clusters_module, "_GRAM_BLOCK_ENTRIES", 50)
+        monkeypatch.setattr(clusters_module, "_PREFIX_BLOCK_ENTRIES", 50)
         words = ["good", "app", "very", "nice", "bad", "earn"]
         rng = np.random.default_rng(7)
         texts = [" ".join(rng.choice(words, size=rng.integers(1, 5))) for _ in range(40)]
         c = members_with_ids(texts, rng.permutation(len(texts)).tolist())
+        assert_matches_oracle(c, LexicalEmbedder(), tau)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.9, 0.5])
+    def test_dense_gram_blocks_match_oracle(self, monkeypatch, tau):
+        monkeypatch.setattr(clusters_module, "_GRAM_BLOCK_ENTRIES", 50)
+        rng = np.random.default_rng(7)
+        vectors = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
+        vectors /= np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1.0)
+        c = members_with_ids(["t"] * len(vectors), rng.permutation(len(vectors)).tolist())
+        assert_matches_oracle(c, FileEmbedder(dict(zip(c.review_ids, vectors))), tau)
+
+    @pytest.mark.parametrize("texts", [
+        ("u u w t p b d", "b d"), ("u w p s r d c a", "d c a"), ("s w r p v a a", "a a"),
+        ("r u v c a b b", "c a b b"), ("w a c", "a c"), ("p c b a c", "c b a c"),
+    ])
+    def test_a_suffix_as_long_as_cauchy_schwarz_allows_is_indexed(self, texts):
+        # The first text is other words followed by the second, so the
+        # second's terms are the only ones the two share, the last in rank
+        # order, and their weights are proportional: the dot product equals
+        # the norm of that suffix. With tau at the cosine, only the prefix
+        # bound's rounding margin keeps a shared term in both prefixes.
+        tau = cosine(*(lexical_vector(t) for t in texts))
+        c = members_with_ids(list(texts), [0, 1])
+        assert len(PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau).pairs) == 1
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
     def test_one_lexical_vector_per_distinct_text(self, monkeypatch):

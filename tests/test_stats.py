@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from reviewstream.stats import (
     DegenerateSamplesError,
     EmptySampleError,
     TooSmallError,
+    count_distinct,
     ecdf,
+    pair_blocks,
     shared_reviewer_graph,
     summarize,
     welch_t,
@@ -115,6 +118,17 @@ def test_welch_p_values_match_scipy_stats_bit_for_bit(a, b):
     assert result.p_two_sided == float(2.0 * t_dist.sf(abs(result.t), result.df))
 
 
+def run_python(code: str) -> dict:
+    """The JSON that ``code`` prints last, run in a fresh interpreter on ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def test_imports_load_no_scipy_stats():
     """A bare package import loads no scipy module; a t-test loads scipy
     but not the slow-to-import ``scipy.stats``."""
@@ -125,14 +139,24 @@ def test_imports_load_no_scipy_stats():
         "reviewstream.welch_t([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])\n"
         "print(json.dumps({'bare': bare, 'stats': 'scipy.stats' in sys.modules}))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr[-2000:]
-    loaded = json.loads(result.stdout)
-    assert loaded == {"bare": [], "stats": False}
+    assert run_python(code) == {"bare": [], "stats": False}
+
+
+def test_pipeline_loads_no_scipy_sparse(synth_files, tmp_path):
+    """A whole ``pipeline``, pair analysis of the injected campaign
+    included, runs without ``scipy.sparse``."""
+    reviews, _, catalog = synth_files
+    argv = ["pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+            "--out-dir", str(tmp_path / "out"), "--origin", "0"]
+    code = (
+        "import json, sys\n"
+        "from reviewstream.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'sparse': 'scipy.sparse' in sys.modules}))\n"
+    )
+    assert run_python(code) == {"code": 0, "sparse": False}
+    report = json.loads((tmp_path / "out" / "clusters.json").read_text(encoding="utf-8"))
+    assert any(entry["pair_count"] for entry in report)
 
 
 class TestEcdf:
@@ -236,6 +260,18 @@ class TestSharedReviewerGraph:
         assert graph == shared_reviewer_weights(edges)
         assert all(type(w) is int for _, _, w in graph)
 
+    @settings(max_examples=150)
+    @given(reviews=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=80),
+           block=st.integers(1, 7))
+    def test_many_blocks_merge_to_the_reference(self, reviews, block):
+        # Few reviewers of many apps: up to hundreds of blocks, merged in
+        # levels whose sizes need not be powers of two.
+        edges = [edge(f"r{i}", f"u{u}", f"a{a}") for i, (u, a) in enumerate(reviews)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats_module, "_PAIR_BLOCK_ENTRIES", block)
+            graph = graph_rows(graph_of(edges))
+        assert graph == shared_reviewer_weights(edges)
+
     @settings(max_examples=60)
     @given(st.lists(
         st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=40,
@@ -257,6 +293,40 @@ class TestSharedReviewerGraph:
                 if weight:
                     expected[(apps[i], apps[j])] = weight
         assert got == expected
+
+
+def expanded(groups, block) -> list[list[tuple[int, int]]]:
+    """``pair_blocks`` of ``groups`` as one list of (left, right) per block."""
+    return [list(zip(left.tolist(), right.tolist()))
+            for left, right in pair_blocks(np.asarray(groups, dtype=np.int64), block)]
+
+
+@settings(max_examples=200)
+@given(sizes=st.lists(st.integers(0, 6), max_size=8), block=st.integers(1, 7))
+def test_pair_blocks_match_brute_force(sizes, block):
+    groups = [g for g, size in enumerate(sizes) for _ in range(size)]
+    blocks = expanded(groups, block)
+    assert [pair for b in blocks for pair in b] == [
+        (i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
+        if groups[i] == groups[j]]
+    assert all(len(b) == block for b in blocks[:-1]) and all(0 < len(b) <= block for b in blocks)
+
+
+def test_pair_blocks_cut_a_group():
+    # Group 0 (positions 0-3) expands 6 pairs, so the first block of 4 ends
+    # inside it, after position 1's first partner.
+    assert expanded([0, 0, 0, 0, 1, 1], 4) == [[(0, 1), (0, 2), (0, 3), (1, 2)],
+                                            [(1, 3), (2, 3), (4, 5)]]
+
+
+@settings(max_examples=200)
+@given(blocks=st.lists(st.lists(st.integers(-3, 20), max_size=12), max_size=12))
+def test_count_distinct_matches_a_counter(blocks):
+    keys, counts = count_distinct(np.array(b, dtype=np.int64) for b in blocks)
+    want = Counter(v for b in blocks for v in b)
+    assert keys.tolist() == sorted(want)
+    assert counts.tolist() == [want[k] for k in sorted(want)]
+    assert keys.dtype == counts.dtype == np.int64
 
 
 class TestSummarize:

@@ -5,7 +5,7 @@ from reviewstream.detector import DetectorConfig, run_detector
 from reviewstream.ingest import ReviewTable
 from reviewstream.partition import SubstreamLabel, partition_stream
 from reviewstream.stats import shared_reviewer_graph
-from reviewstream.synth import Injection, SynthSpec, gen_stream
+from reviewstream.synth import MAX_APP_TICKS, Injection, SynthSpec, gen_stream
 
 from _reference import graph_rows, review_to_line, to_tick
 
@@ -130,3 +130,25 @@ def test_coordinated_reviewers_boosting_two_apps_fire_both():
     # the same three workers appear on both apps
     weights = {(a, b): w for a, b, w in graph_rows(shared_reviewer_graph(table))}
     assert weights.get(("a001", "a002"), 0) >= 3
+
+
+@pytest.mark.parametrize("app_id, n_apps, ok", [
+    ("a009", 10, True), ("a1000", 1001, True), ("a010", 10, False), ("a1", 10, False),
+    ("a0009", 10, False), ("A001", 10, False), ("a-01", 10, False), ("a\u0663", 10, False),
+    ("a" + "1" * 5000, 10, False), ("", 10, False),
+])
+def test_injection_app_is_parsed_as_an_app_index(app_id, n_apps, ok):
+    s = spec(n_apps=n_apps, injections=(Injection(app_id, 2, 5, 2, "boost"),))
+    if ok:
+        s.validate()
+    else:
+        with pytest.raises(ValueError, match="not in the app set"):
+            s.validate()
+
+
+@pytest.mark.parametrize("n_apps, ticks", [(10**10, 1), (MAX_APP_TICKS, 2), (2, 2**62)])
+def test_app_ticks_past_the_limit_are_refused_before_any_id_is_built(n_apps, ticks):
+    with pytest.raises(ValueError, match=f"n_apps \\* ticks must be at most {MAX_APP_TICKS}"):
+        spec(n_apps=n_apps, ticks=ticks, injections=(Injection("a001", 1, 5, 2, "boost"),)
+             ).validate()
+    spec(n_apps=MAX_APP_TICKS, ticks=1).validate()
