@@ -6,6 +6,7 @@ Run:  python3 demos/01_end_to_end.py
 """
 
 from dataclasses import asdict
+from itertools import islice
 
 from reviewstream import (
     DetectorConfig,
@@ -66,10 +67,10 @@ for c in top:
 suspect = top[0]
 analysis = PairAnalysis(suspect.review_ids, suspect.texts, LexicalEmbedder(), tau=0.95)
 print(f"\nmost suspicious cluster: {suspect.app_id} at tick {suspect.tick}")
-print(f"  near-identical pairs: {len(analysis.pairs)}")
+print(f"  near-identical pairs: {analysis.pair_count}")
 print(f"  reviews in at least one pair: "
       f"{len(analysis.flagged_review_ids)}/{suspect.size}")
-for pair in analysis.pairs[:3]:
+for pair in islice(analysis.ordered(), 3):
     print(f"  e.g. {pair['a']} ~ {pair['b']} "
           f"(similarity {pair['similarity']:.2f})")
 

@@ -39,7 +39,7 @@ review_ids = [f"r{i}" for i in range(len(texts))]
 analysis = PairAnalysis(review_ids, texts, LexicalEmbedder(), tau=0.95)
 print(f"\nbatch of {len(texts)} reviews "
       f"({analysis.textless_count} without text):")
-for pair in analysis.pairs:
+for pair in analysis.ordered():
     print(f"  duplicate: {pair['a']} ~ {pair['b']} "
           f"(similarity {pair['similarity']})")
 print(f"  flagged: {sorted(analysis.flagged_review_ids)}")
@@ -61,6 +61,6 @@ with tempfile.TemporaryDirectory() as tmp:
     provider = FileEmbedder.load(sidecar)
     analysis = PairAnalysis(review_ids[:4], texts[:4], provider, tau=0.999)
     print("\nexternal vectors at tau=0.999:")
-    for pair in analysis.pairs:
+    for pair in analysis.ordered():
         print(f"  {pair['a']} ~ {pair['b']} "
               f"(similarity {pair['similarity']:.4f})")

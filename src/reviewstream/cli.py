@@ -26,8 +26,9 @@ import sys
 import time
 import typing
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,11 +154,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _write_json(obj, write) -> None:
-    """Write ``_json_text(obj)`` a chunk at a time, never the whole text at once."""
-    for chunk in json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj):
-        write(chunk)
-    write("\n")
+_PAIR = '%s\n  {\n   "a": %s,\n   "b": %s,\n   "similarity": %r\n  }'  # at depth 2
+
+
+def _pairs_json(head: dict, pairs: Iterable[dict], write) -> None:
+    """Write ``_json_text({**head, "pairs": list(pairs)})`` a pair at a time."""
+    before, _, after = _json_text({**head, "pairs": []}).rpartition('"pairs": []')
+    write(before + '"pairs": [')
+    separator = ""
+    for pair in pairs:
+        write(_PAIR % (separator, encode_basestring_ascii(pair["a"]),
+                       encode_basestring_ascii(pair["b"]), pair["similarity"]))
+        separator = ","
+    write(("\n ]" if separator else "]") + after)
 
 
 def _network_csv(graph: SharedReviewerGraph, write) -> None:
@@ -313,9 +322,9 @@ def _read_csv_column(path: Path, column: str) -> list[float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             _, reader = csv_after_comments(fh)
-            header = next(reader, [])
+            _, header = next(reader, (0, []))
             check_csv_header(header)
-            rows = list(reader)
+            rows = [row for _, row in reader]
     except UnicodeDecodeError as exc:
         raise DataFailure(f"csv file {path} is not UTF-8 text: {exc}")
     except ValueError as exc:  # a column named twice, a field past csv.field_size_limit()
@@ -475,17 +484,11 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     provider, tau = _provider(effective)
     table, _ = _load_reviews(_require_file(args.reviews, "reviews"), effective)
     analysis = PairAnalysis(table.review_id, table.text, provider, tau)
-    result = {
-        "provider": provider.name,
-        "tau": tau,
-        "evaluated": analysis.evaluated_count,
-        "textless": analysis.textless_count,
-        "flagged": sorted(analysis.flagged_review_ids),
-        "pairs": analysis.pairs,
-    }
-    _emit(lambda write: _write_json(result, write), args.out)
+    head = {"provider": provider.name, "tau": tau, "evaluated": analysis.evaluated_count,
+            "textless": analysis.textless_count, "flagged": sorted(analysis.flagged_review_ids)}
+    _emit(lambda write: _pairs_json(head, analysis.ordered(), write), args.out)
     if args.out:
-        _print_json({"pairs": len(analysis.pairs), "flagged": len(analysis.flagged_review_ids)})
+        _print_json({"pairs": analysis.pair_count, "flagged": len(analysis.flagged_review_ids)})
     return EXIT_OK
 
 

@@ -157,6 +157,8 @@ class FileEmbedder:
                     raise EmbeddingFileError(f"{where}: unknown key {unknown[0]!r}")
                 if not isinstance(review_id, str):
                     raise EmbeddingFileError(f"{where}: review_id must be a string")
+                if review_id in vectors:
+                    raise EmbeddingFileError(f"{where}: review_id {review_id!r} given twice")
                 if vec.ndim != 1:
                     raise EmbeddingFileError(f"{where}: vector must be 1-D")
                 if not all(type(v) in (int, float) for v in values):  # bool, str: not numbers
@@ -202,6 +204,12 @@ def collect_clusters(
         event = events[int(sizes.argmin())]  # the first with no scored edges
         raise InconsistentRunError(f"event for app {event.app_id!r} at tick {event.burst_tick} "
                                    f"({event.substream.value}) has no scored edges")
+    by_key = np.argsort(wanted, kind="stable")
+    repeats = by_key[1:][np.diff(wanted[by_key]) == 0]
+    if len(repeats):
+        event = events[int(repeats.min())]  # the first to repeat an earlier one
+        raise InconsistentRunError(f"event for app {event.app_id!r} at tick {event.burst_tick} "
+                                   f"({event.substream.value}) is listed twice")
     # The members of every cluster gathered at once, laid end to end, then
     # dealt out in order: cluster c's f-th member is order[lo[c] + f].
     start = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
@@ -282,10 +290,6 @@ class PairAnalysis:
         members = {i for m in self._groups if len(m) > 1 for i in m}
         members.update(i for _, a, b in self._scored for i in (a, b))
         return frozenset(self._ids[i] for i in members)
-
-    @cached_property
-    def pairs(self) -> tuple[dict, ...]:
-        return tuple(self.ordered())
 
     def ordered(self) -> Iterator[dict]:
         """Each pair as ``{"a", "b", "similarity"}``, a < b; by similarity desc, then ids."""

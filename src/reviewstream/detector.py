@@ -412,14 +412,14 @@ def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream,
     its review_id, and the config of its header. A bad header, a row of
     the wrong width, a cell that does not convert, a tick that is not
     ASCII digits or lies outside [0, 2**64), a non-finite score, an
-    unknown label or a review id missing from ``table`` raises
-    ``ValueError``, and a config line nested past the recursion limit
-    ``RecursionError``. Only the ``#`` lines before the header are
+    unknown label, a review id missing from ``table`` or one scored twice
+    raises ``ValueError``, and a config line nested past the recursion
+    limit ``RecursionError``. Only the ``#`` lines before the header are
     comments."""
     with open(path, "r", encoding="utf-8") as fh:
         comments, reader = csv_after_comments(fh)
-        header = next(reader, None)
-        rows = [row for row in reader if row]
+        _, header = next(reader, (0, None))
+        numbered = [(lineno, row) for lineno, row in reader if row]
     config: dict = {}
     for line in comments:
         if line.startswith("# config "):
@@ -427,7 +427,8 @@ def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream,
     if header is None or tuple(header) != SCORES_COLUMNS:
         raise ValueError(f"unexpected scores header in {path}")
     index = {review_id: i for i, review_id in enumerate(table.review_id)}
-    for row in rows:
+    scored_ids: set[str] = set()
+    for lineno, row in numbered:
         if len(row) != len(SCORES_COLUMNS):
             raise ValueError(f"scores row {row} has {len(row)} cells, not {len(SCORES_COLUMNS)}")
         review_id, _, _, _, substream, _ = row
@@ -435,6 +436,10 @@ def read_scores_csv(path: str | Path, table: ReviewTable) -> tuple[ScoredStream,
             raise ValueError(f"scores row {row} has no matching review")
         if substream not in _LABEL_CODE:
             raise ValueError(f"scores row {row} has an unknown sub-stream")
+        if review_id in scored_ids:
+            raise ValueError(f"line {lineno}: review_id {review_id!r} is scored twice")
+        scored_ids.add(review_id)
+    rows = [row for _, row in numbered]
     ids, _, _, ticks, labels, scores = zip(*rows) if rows else ((),) * len(header)
     try:
         tick = np.array(list(map(_csv_int, ticks)), np.uint64)

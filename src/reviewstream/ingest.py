@@ -303,17 +303,16 @@ def _csv_records(
                             for i, needed in positions]
 
 
-def csv_after_comments(lines: Iterable[str]) -> tuple[list[str], Iterator[list[str]]]:
-    """The ``#`` lines before a CSV's header, and the rows of the header
-    and every later line, read as ``_csv_rows`` reads them. Only the
+def csv_after_comments(lines: Iterable[str]) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The ``#`` lines before a CSV's header, and (line_number, row) for
+    the header and every later row, read by ``_csv_rows``. Only the
     leading lines are comments: a later line that starts with ``#`` is
     data, such as the rest of a quoted cell that holds a newline."""
     lines = iter(lines)
     comments: list[str] = []
     for line in lines:
         if not line.startswith("#"):
-            rows = _csv_rows(itertools.chain([line], lines), len(comments) + 1)
-            return comments, (row for _, row in rows)
+            return comments, _csv_rows(itertools.chain([line], lines), len(comments) + 1)
         comments.append(line)
     return comments, iter(())
 

@@ -211,8 +211,10 @@ def shared_reviewer_graph(table: ReviewTable) -> SharedReviewerGraph:
     rank = np.empty(n_apps, dtype=np.int64)
     rank[by_id] = np.arange(n_apps)
 
-    # Distinct (reviewer, app), grouped by reviewer, apps ascending inside.
-    memberships = np.unique(table.reviewer * n_apps + rank[table.app])
+    # Distinct (reviewer, app), grouped by reviewer, apps ascending inside;
+    # a sort and a mask, as numpy 2.4's np.unique takes a slower hash path.
+    memberships = np.sort(table.reviewer * n_apps + rank[table.app])
+    memberships = memberships[np.diff(memberships, prepend=-1) != 0]
     reviewer, app = np.divmod(memberships, n_apps)
     keys, counts = count_distinct(app[left] * n_apps + app[right]
                                   for left, right in pair_blocks(reviewer, _PAIR_BLOCK_ENTRIES))

@@ -14,6 +14,7 @@ import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from _reference import JSON_VALUES, graph_rows, shared_reviewer_weights, table_edges, to_tick
 from reviewstream import cli, detector
 from reviewstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from reviewstream.clusters import LexicalEmbedder, PairAnalysis, cosine, lexical_vector
 from reviewstream.detector import SCORES_COLUMNS, DetectorConfig
 from reviewstream.ingest import ReviewEdge, ReviewTable, parse_reviews
 from reviewstream.stats import shared_reviewer_graph
@@ -366,26 +368,27 @@ class TestStages:
         assert printed == {"pairs": len(result["pairs"]), "flagged": len(result["flagged"])}
         assert printed["pairs"] > 0
 
-    def test_pairs_document_is_json_text_of_its_result(self, synth_files, tmp_path, capsys,
-                                                       monkeypatch):
-        """Written a chunk at a time, to ``--out`` or to stdout, the document
-        is ``_json_text`` of the result it was written from."""
+    def test_pairs_document_is_json_text_of_its_result(self, synth_files, tmp_path, capsys):
+        """Written a pair at a time, to ``--out`` or to stdout, the document
+        is ``_json_text`` of the result built from a fresh analysis."""
         reviews, _, _ = synth_files
-        results, write_json = [], cli._write_json
-
-        def recording(obj, write):
-            results.append(obj)
-            write_json(obj, write)
-
-        monkeypatch.setattr(cli, "_write_json", recording)
+        with open(reviews, encoding="utf-8") as fh:
+            table, _ = parse_reviews(fh)
+        analysis = PairAnalysis(table.review_id, table.text, LexicalEmbedder(), 0.5)
+        pairs = list(analysis.ordered())
+        expected = cli._json_text({
+            "provider": "lexical", "tau": 0.5, "evaluated": analysis.evaluated_count,
+            "textless": analysis.textless_count, "flagged": sorted(analysis.flagged_review_ids),
+            "pairs": pairs,
+        })
         out = tmp_path / "pairs.json"
         argv = ["pairs", "--reviews", str(reviews), "--tau", "0.5"]
         assert main([*argv, "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out) == {
+            "pairs": len(pairs), "flagged": len(analysis.flagged_review_ids)}
+        assert out.read_bytes() == expected.encode("utf-8")
         assert main(argv) == EXIT_OK
-        assert len(results) == 2 and len(results[0]["pairs"]) > 0
-        assert out.read_bytes() == cli._json_text(results[0]).encode("utf-8")
-        assert capsys.readouterr().out == cli._json_text(results[1])
+        assert len(pairs) > 0 and capsys.readouterr().out == expected
 
     def test_stats_ttest_and_flags(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -424,6 +427,19 @@ class TestStages:
         assert lines[1] == "1.0,0.25"
         assert lines[-1] == "4.0,1.0"
 
+    @pytest.mark.parametrize("command", ["cdf", "ttest"])
+    def test_stats_csv_blank_lines_are_skipped(self, tmp_path, capsys, command):
+        paths = [tmp_path / "plain.csv", tmp_path / "blank.csv"]
+        paths[0].write_text("score\n1.0\n2.0\n4.0\n")
+        paths[1].write_text("score\n\n1.0\n\n2.0\n4.0\n\n")
+        printed = []
+        for path in paths:
+            flags = ["--scores", str(path)] if command == "cdf" else ["--a", str(path),
+                                                                       "--b", str(paths[0])]
+            assert main(["stats", command, *flags]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0]
+
     def test_stats_network(self, synth_files, tmp_path, capsys):
         reviews, _, _ = synth_files
         out = tmp_path / "net.csv"
@@ -459,6 +475,32 @@ class TestStages:
             "synth", "--spec", str(bad), "--out", str(tmp_path / "r.jsonl"),
             "--truth", str(tmp_path / "t.jsonl"),
         ]) == EXIT_CONFIG
+
+
+# Arbitrary Unicode, lone surrogates included, with the characters JSON
+# escapes drawn often.
+PAIR_IDS = st.text(st.characters(exclude_categories=())
+                   | st.sampled_from('"\\\t\n\x00\x7f\u2028\ud800'))
+WORDS = st.text("abc ", max_size=8)
+UNIT = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(
+    lambda v: np.array(v) / max(np.linalg.norm(v), 1e-300))
+# Similarities as each provider's cosine gives them, and any in [-1, 1].
+SIMILARITIES = (st.builds(lambda a, b: cosine(lexical_vector(a), lexical_vector(b)), WORDS, WORDS)
+                | st.builds(cosine, UNIT, UNIT) | st.floats(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(provider=st.sampled_from(["lexical", "file"]), tau=st.floats(0, 1, exclude_min=True),
+       counts=st.tuples(st.integers(0, 2**63), st.integers(0, 2**63)),
+       flagged=st.lists(PAIR_IDS, max_size=4),
+       pairs=st.lists(st.builds(lambda a, b, s: {"a": a, "b": b, "similarity": s},
+                                PAIR_IDS, PAIR_IDS, SIMILARITIES), max_size=6))
+def test_pairs_writer_writes_the_json_text_of_its_document(provider, tau, counts, flagged, pairs):
+    head = {"provider": provider, "tau": tau, "evaluated": counts[0], "textless": counts[1],
+            "flagged": sorted(flagged)}
+    written: list[str] = []
+    cli._pairs_json(head, iter(pairs), written.append)
+    assert "".join(written) == cli._json_text({**head, "pairs": pairs})
 
 
 def score_files(reviews, catalog, tmp_path, *extra):
@@ -717,6 +759,17 @@ def events_file(**changes) -> dict[str, str]:
     return {"events.jsonl": json.dumps({**NO_EDGES, **changes}) + "\n"}
 
 
+def injection_spec(**changes) -> dict[str, str]:
+    """A spec.json of ``SMALL_SPEC`` with one injection, with ``changes``."""
+    return spec_file(injections=[{"app_id": "a000", "tick": 1, "n_edges": 1,
+                                  "n_reviewers_used": 1, "score_mode": "boost", **changes}])
+
+
+NOT_POSITIVE = "n_apps, n_reviewers and ticks must be positive"
+BAD_INJECTION = "injection needs n_edges >= 0 and n_reviewers_used >= 1"
+# The event of the campaign that the synthetic stream injects.
+CAMPAIGN_EVENT = json.dumps({**NO_EDGES, "app_id": "a003", "prior_tick": 11}) + "\n"
+
 ONE_REVIEW = json.dumps({"review_id": "r1", "reviewer_id": "u1", "app_id": "a000",
                          "timestamp": 0, "score": 5}) + "\n"
 
@@ -872,6 +925,29 @@ EXIT_CASES = {
         PIPELINE + ["--origin", "0", "--catalog", "c.csv"],
         {"c.csv": "app_id,overall_rating,app_id\na000,3.5,a001\n"},
         EXIT_DATA, "catalog file c.csv: header names column 'app_id' twice"),
+    "stats-csv-only-comments": (["stats", "cdf", "--scores", "s.csv", "--out", "cdf.csv"],
+                                {"s.csv": "# score\n# 1.0\n"}, EXIT_DATA,
+                                "s.csv: no column 'score'"),
+    "synth-no-apps": (SYNTH, spec_file(n_apps=0), EXIT_CONFIG, NOT_POSITIVE),
+    "synth-no-reviewers": (SYNTH, spec_file(n_reviewers=0), EXIT_CONFIG, NOT_POSITIVE),
+    "synth-no-ticks": (SYNTH, spec_file(ticks=0), EXIT_CONFIG, NOT_POSITIVE),
+    "synth-period-zero": (SYNTH, spec_file(period=0), EXIT_CONFIG,
+                          "period must be positive, got 0"),
+    "synth-injection-negative-edges": (SYNTH, injection_spec(n_edges=-1), EXIT_CONFIG,
+                                       BAD_INJECTION),
+    "synth-injection-without-reviewers": (SYNTH, injection_spec(n_reviewers_used=0),
+                                          EXIT_CONFIG, BAD_INJECTION),
+    "scores-review-scored-twice": (
+        CLUSTERS + ["--reviews", "reviews.jsonl"],
+        {"scores.csv": f"{','.join(SCORES_COLUMNS)}\n" + "b0000195,a008,u1,1,boost,0.0\n" * 2},
+        EXIT_DATA, "scores.csv is malformed: line 3: review_id 'b0000195' is scored twice"),
+    "event-listed-twice": (CLUSTERS + ["--reviews", "reviews.jsonl"],
+                           {"events.jsonl": CAMPAIGN_EVENT * 2}, EXIT_DATA,
+                           "event for app 'a003' at tick 12 (boost) is listed twice"),
+    "sidecar-review-id-twice": (PAIRS + ["--provider", "file", "--embeddings", "vecs.jsonl"],
+                                {"vecs.jsonl": '{"review_id": "b0000001", "vector": [1, 0]}\n'
+                                               '{"review_id": "b0000001", "vector": [0, 1]}\n'},
+                                EXIT_DATA, "vecs.jsonl:2: review_id 'b0000001' given twice"),
 }
 
 

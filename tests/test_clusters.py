@@ -97,6 +97,13 @@ class TestCollect:
         with pytest.raises(InconsistentRunError):
             collect_clusters([event(app="ghost")], stream(record("r0")))
 
+    def test_event_listed_twice_is_inconsistent(self):
+        records = [record("r1", app="a1"), record("r2", app="a2")]
+        events = [event(app="a2"), event(app="a1"), event(app="a1"), event(app="a2")]
+        with pytest.raises(InconsistentRunError,
+                           match=r"^event for app 'a1' at tick 5 \(boost\) is listed twice$"):
+            collect_clusters(events, stream(*records))
+
 
 APPS = ("a0", "a1", "a2")
 TICKS = st.one_of(st.integers(1, 4), st.integers(1, 2**64 - 1), st.just(2**64 - 1))
@@ -124,7 +131,7 @@ def scored_rows(draw):
 @given(rows=scored_rows(), data=st.data())
 def test_collect_matches_a_brute_force_recount(rows, data):
     keys = [(edge.app_id, substream, tick) for edge, substream, tick, _ in rows]
-    picked = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8))
+    picked = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8, unique=True))
     events = [MicroclusterEvent(app, substream, tick - 1, 1, 3, 3.0)
               for app, substream, tick in picked]
     scored = stream(*rows)
@@ -137,6 +144,11 @@ def test_collect_matches_a_brute_force_recount(rows, data):
         assert list(c.texts) == [edge.text for edge, *_ in matching]
         mean = sum(score for *_, score in matching) / len(matching)  # left to right
         assert c.mean_score.hex() == mean.hex()
+
+    again = data.draw(st.sampled_from(events))
+    at = data.draw(st.integers(0, len(events)))
+    with pytest.raises(InconsistentRunError, match="is listed twice"):
+        collect_clusters([*events[:at], again, *events[at:]], scored)
 
     ghost = data.draw(st.tuples(st.sampled_from([*APPS, "ghost"]), st.sampled_from(LABELS),
                                 TICKS).filter(lambda k: k not in keys))
@@ -227,36 +239,37 @@ class TestNearIdenticalPairs:
     def test_exact_duplicates_flagged(self):
         c = cluster(["good app", "good app", "bad service"])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
-        assert len(analysis.pairs) == 1
-        assert analysis.pairs[0]["similarity"] == 1.0
+        assert analysis.pair_count == 1
+        assert next(analysis.ordered())["similarity"] == 1.0
         assert analysis.flagged_review_ids == {"m0", "m1"}
         assert analysis.evaluated_count == 3
 
     def test_single_member_has_no_pairs(self):
         c = cluster(["solo"])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=0.95)
-        assert analysis.pairs == ()
+        assert list(analysis.ordered()) == []
 
     def test_textless_members_excluded_but_counted(self):
         c = cluster(["good app", None, "good app"])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
         assert analysis.textless_count == 1
         assert analysis.evaluated_count == 2
-        assert len(analysis.pairs) == 1
+        assert analysis.pair_count == 1
         assert c.size == 3
 
     def test_pair_count_bounded_by_combinations(self):
         c = cluster(["a b"] * 6)
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=1.0)
-        assert len(analysis.pairs) == 15  # C(6, 2)
+        assert analysis.pair_count == 15  # C(6, 2)
         assert analysis.flagged_review_ids <= set(c.review_ids)
 
     def test_pairs_sorted_by_similarity_then_ids(self):
         c = cluster(["good app", "good app", "very good app"])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau=0.5)
-        sims = [p["similarity"] for p in analysis.pairs]
+        pairs = list(analysis.ordered())
+        sims = [p["similarity"] for p in pairs]
         assert sims == sorted(sims, reverse=True)
-        assert analysis.pairs[0] == {"a": "m0", "b": "m1", "similarity": 1.0}
+        assert pairs[0] == {"a": "m0", "b": "m1", "similarity": 1.0}
 
     def test_tau_validated(self):
         with pytest.raises(ValueError):
@@ -280,7 +293,7 @@ class TestFileEmbedder:
         provider = FileEmbedder.load(path)
         c = cluster(["w1", "w2", "w3"])
         analysis = PairAnalysis(c.review_ids, c.texts, provider, tau=1.0)
-        assert [(p["a"], p["b"]) for p in analysis.pairs] == [("m0", "m1")]
+        assert [(p["a"], p["b"]) for p in analysis.ordered()] == [("m0", "m1")]
 
     def test_missing_review_id(self, tmp_path):
         path = self.write_sidecar(tmp_path, [{"review_id": "m0", "vector": [1.0]}])
@@ -303,6 +316,21 @@ class TestFileEmbedder:
             {"review_id": "m1", "vector": [1.0, 0.0], "extra": 1},
         ])
         with pytest.raises(EmbeddingFileError, match=f"^{path}:2: unknown key 'extra'$"):
+            FileEmbedder.load(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('\n{"review_id": "m0", "vector": [3.0, 4.0]}\n \n', encoding="utf-8")
+        (vec,) = FileEmbedder.load(path).vectors(["m0"], [None])
+        assert vec.tolist() == [0.6, 0.8]
+
+    def test_review_id_given_twice_rejected(self, tmp_path):
+        path = self.write_sidecar(tmp_path, [
+            {"review_id": "m0", "vector": [1.0, 0.0]},
+            {"review_id": "m1", "vector": [1.0, 0.0]},
+            {"review_id": "m0", "vector": [0.0, 1.0]},
+        ])
+        with pytest.raises(EmbeddingFileError, match=f"^{path}:3: review_id 'm0' given twice$"):
             FileEmbedder.load(path)
 
     def test_self_similarity_is_one(self, tmp_path):
@@ -332,8 +360,9 @@ def assert_matches_oracle(c, provider, tau):
     pairs, flagged, evaluated, textless = all_pairs_similarity(c.review_ids, c.texts, provider,
                                                                tau)
     analysis = PairAnalysis(c.review_ids, c.texts, provider, tau)
-    got = [(p["a"], p["b"], p["similarity"]) for p in analysis.pairs]
+    got = [(p["a"], p["b"], p["similarity"]) for p in analysis.ordered()]
     assert got == pairs  # floats compared with ==: bit-identical similarities
+    assert analysis.pair_count == len(pairs)
     assert analysis.flagged_review_ids == flagged
     assert (analysis.evaluated_count, analysis.textless_count) == (evaluated, textless)
     (entry,) = build_cluster_report([c], provider, tau)
@@ -457,7 +486,7 @@ class TestPairMining:
         assert len(cross) == 2 and cross[0] != cross[1]
         c = members_with_ids(texts, [0, 1, 2])
         analysis = PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), max(cross))
-        assert len(analysis.pairs) == 2
+        assert analysis.pair_count == 2
         assert_matches_oracle(c, LexicalEmbedder(), max(cross))
 
     def test_pair_whose_gram_entry_rounds_below_tau_is_found(self):
@@ -467,7 +496,7 @@ class TestPairMining:
         texts = ["d e g d f e d g", "d f b a e"]
         tau = cosine(*(lexical_vector(t) for t in texts))
         c = members_with_ids(texts, [0, 1])
-        assert len(PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau).pairs) == 1
+        assert PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau).pair_count == 1
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
     @pytest.mark.parametrize("tau", [1.0, 0.95, 0.6, 0.3])
@@ -500,7 +529,7 @@ class TestPairMining:
         # bound's rounding margin keeps a shared term in both prefixes.
         tau = cosine(*(lexical_vector(t) for t in texts))
         c = members_with_ids(list(texts), [0, 1])
-        assert len(PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau).pairs) == 1
+        assert PairAnalysis(c.review_ids, c.texts, LexicalEmbedder(), tau).pair_count == 1
         assert_matches_oracle(c, LexicalEmbedder(), tau)
 
     def test_one_lexical_vector_per_distinct_text(self, monkeypatch):

@@ -235,6 +235,12 @@ class TestRunDetector:
         assert det._history.memory_bytes == base
         assert len(det._slots) == 20 and len(det._held) == 40  # the last two ticks' edges
 
+    def test_process_after_finish_is_rejected(self):
+        det = Detector(cfg(), BOOST)
+        det.process(rows(mk_edges([("a", 1, 2)])), final=True)
+        with pytest.raises(RuntimeError, match="detector already finished"):
+            det.process(rows(mk_edges([("a", 2, 1)])))
+
     def test_batches_of_another_table_are_rejected(self):
         det = Detector(cfg(), BOOST)
         det.process(rows(mk_edges([("a", 1, 2)])))
@@ -355,6 +361,26 @@ class TestSerialization:
         path = tmp_path / "events.jsonl"
         write_events_jsonl(events, path)
         assert read_events_jsonl(path) == events
+
+    def test_events_jsonl_blank_lines_are_skipped(self, tmp_path):
+        edges = mk_edges([("a", 1, 3), ("b", 1, 3), ("a", 2, 30), ("b", 2, 30)])
+        _, events = run_detector(rows(edges), cfg(), BOOST)
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(events, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("\n" + " \n".join(lines) + "\t\n", encoding="utf-8")
+        assert len(events) == 2 and read_events_jsonl(path) == events
+
+    def test_scores_csv_row_scored_twice_is_rejected(self, tmp_path):
+        scored, _ = run_detector(rows(mk_edges([("a", 1, 2), ("b", 2, 3)])), cfg(), BOOST)
+        path = tmp_path / "scores.csv"
+        write_scores_csv(scored, cfg(), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[3:4]), encoding="utf-8")
+        review_id = lines[3].split(",")[0]
+        with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: review_id "
+                                             f"'{review_id}' is scored twice$"):
+            read_scores_csv(path, scored.table)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ REMOVED_NAMES = {
     detector: ["evaluate_burst"],
     stats: ["SharedReviewerEdge"],
     synth: ["gen_background", "inject_lockstep"],
+    cli: ["_write_json"],
 }
 REMOVED_MEMBERS = [
     (detector.Detector, "tick"), (sketch.CountMinSketch, "insert_at"),
@@ -27,7 +28,7 @@ REMOVED_MEMBERS = [
     (stats.SharedReviewerGraph, "__iter__"), (stats.EcdfPoints, "fraction_at"),
     (detector.ScoredStream, "edges"), (ingest.ReviewTable, "edges"),
     (clusters.LexicalEmbedder, "vector"), (clusters.FileEmbedder, "vector"),
-    (stats.SharedReviewerGraph, "rows"),
+    (stats.SharedReviewerGraph, "rows"), (clusters.PairAnalysis, "pairs"),
 ]
 # The columnar review types: exported, and documented in the README.
 TABLE_TYPES = ["ReviewTable", "ReviewRows"]

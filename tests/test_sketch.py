@@ -35,6 +35,12 @@ def test_zero_weight_is_identity():
     assert s.estimate("y") == 0.0
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 4), (2, 0)])
+def test_empty_geometry_rejected(rows, cols):
+    with pytest.raises(ValueError, match=f"rows and cols must be positive, got {rows}x{cols}"):
+        CountMinSketch(rows, cols)
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         CountMinSketch(2, 64).insert("x", -1.0)
