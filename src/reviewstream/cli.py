@@ -75,6 +75,7 @@ from .partition import PartitionResult, SubstreamLabel, partition_stream
 from .stats import (
     DegenerateSamplesError,
     SharedReviewerGraph,
+    TailHelper,
     TooSmallError,
     ecdf,
     shared_reviewer_graph,
@@ -547,19 +548,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = _detector_config(effective)
     provider, tau = _provider(effective)
     top = effective["top"]
-    run = _load_and_score(args, effective, config, provider=provider.name, tau=tau, top=top)
-    stages = run.stages
-    summary_counts = summarize(run.partitioned)
-    stages.done("summarize", summary_counts.reviews, 1)
-    _, report = _cluster_report(run.events, run.scored, provider, tau, top, stages)
+    # The t-test's scipy import runs in a helper process; every way out reaps it.
+    with TailHelper() as tails:
+        run = _load_and_score(args, effective, config, provider=provider.name, tau=tau, top=top)
+        stages = run.stages
+        summary_counts = summarize(run.partitioned)
+        stages.done("summarize", summary_counts.reviews, 1)
+        _, report = _cluster_report(run.events, run.scored, provider, tau, top, stages)
 
-    boost_scores = run.scored.scores(SubstreamLabel.BOOST)
-    sink_scores = run.scored.scores(SubstreamLabel.SINK)
-    try:
-        welch = dataclasses.asdict(welch_t(boost_scores, sink_scores))
-    except (TooSmallError, DegenerateSamplesError):
-        welch = None
+        boost_scores = run.scored.scores(SubstreamLabel.BOOST)
+        sink_scores = run.scored.scores(SubstreamLabel.SINK)
+        try:
+            welch = dataclasses.asdict(welch_t(boost_scores, sink_scores, tails=tails))
+        except (TooSmallError, DegenerateSamplesError):
+            welch = None
     stages.done("ttest", len(boost_scores) + len(sink_scores), int(welch is not None))
+    stages["ttest"]["helper_peak_rss_mb"] = tails.peak_rss_mb  # None: tails taken in process
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,11 +3,19 @@
 Welch's t-test (one-sided by default, directional hypotheses), empirical
 CDFs of anomaly scores, the shared-reviewer app network, and headline
 stream counts. All operations are pure functions of their inputs.
+
+``welch_t`` takes its tails from a ``TailHelper``, a forked process that
+imports scipy while the caller works, or else imports scipy itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import struct
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -45,11 +53,83 @@ class WelchResult:
     n_b: int
 
 
-def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult:
+def student_t_tails(df: float, t: float) -> tuple[float, float]:
+    """P(T > t) and P(|T| > |t|) for Student's t with ``df`` degrees of freedom."""
+    # Imported here, not at module level: only the t-test needs scipy. The
+    # Student t survival function is ``stdtr(df, -t)``, what ``scipy.stats.t.sf``
+    # itself computes, without the second it takes to import ``scipy.stats``.
+    from scipy.special import stdtr
+
+    return float(stdtr(df, -t)), float(2.0 * stdtr(df, -abs(t)))
+
+
+class TailHelper:
+    """A forked process that imports ``scipy.special`` while the caller
+    works, answers one ``student_t_tails(df, t)`` on a pipe, writes nothing
+    else (to fd 1 and 2 neither) and leaves by ``os._exit``. ``tails(df, t)``
+    reaps it, with its peak RSS in ``peak_rss_mb``, and returns None where
+    there is no helper (no ``os.fork``, a failed fork, other threads
+    running) or it died first; ``close`` kills and reaps it."""
+
+    def __enter__(self) -> TailHelper:
+        self.pid, self.peak_rss_mb, self._fds = None, None, []
+        if threading.active_count() > 1:  # a lock another thread holds stays held in a child
+            return self
+        try:
+            for _ in range(2):
+                self._fds += os.pipe()
+            self.pid = os.fork()
+        except (AttributeError, OSError):  # no os.fork, or no descriptor or process to spare
+            return self
+        request_in, self._request, self._answer, answer_out = self._fds
+        if self.pid == 0:
+            try:
+                sys.stdout = sys.stderr = None
+                os.close(self._request)  # a parent gone without asking reads as EOF
+                import scipy.special  # noqa: F401 - the slow part, while the parent works
+                df, t = struct.unpack("dd", os.read(request_in, 16))
+                os.write(answer_out, struct.pack("dd", *student_t_tails(df, t)))
+            finally:
+                os._exit(0)
+        os.close(request_in)
+        os.close(answer_out)
+        self._fds = [self._request, self._answer]
+        return self
+
+    def __call__(self, df: float, t: float) -> tuple[float, float] | None:
+        if self.pid is None:
+            return None
+        try:
+            os.write(self._request, struct.pack("dd", df, t))
+            answer = os.read(self._answer, 16)  # 16 bytes are one atomic pipe write
+        except OSError:  # a broken pipe: the helper is gone
+            answer = b""
+        self.close()
+        if len(answer) != 16:
+            return None
+        self.peak_rss_mb = round(self._usage.ru_maxrss / 1024, 1)  # KiB, as Linux gives it
+        return struct.unpack("dd", answer)
+
+    def close(self, *exc) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._usage = os.wait4(self.pid, 0)[2]
+            self.pid = None
+        for fd in self._fds:
+            os.close(fd)
+        self._fds = []
+
+    __exit__ = close
+
+
+def welch_t(sample_a: Sequence[float], sample_b: Sequence[float],
+            tails: TailHelper | None = None) -> WelchResult:
     """Welch's unequal-variance t-test.
 
     The one-sided p-value is the upper tail, i.e. evidence for
-    mean_a > mean_b; swap the samples for the opposite direction.
+    mean_a > mean_b; swap the samples for the opposite direction. The
+    tails are ``tails(df, t)`` if it answers, else ``student_t_tails``
+    in this process: the same bits either way.
 
     The degrees of freedom lose precision when ``var / n`` squared is
     subnormal (``var / n`` between about 2.2e-162 and 1.5e-154):
@@ -57,11 +137,6 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     exact value is 1.2195121951. Scaling before squaring would fix that
     but would change df bits that ``summary.json`` records.
     """
-    # Imported here, not at module level: only the t-test needs scipy. The
-    # Student t survival function is ``stdtr(df, -t)``, what ``scipy.stats.t.sf``
-    # itself computes, without the second it takes to import ``scipy.stats``.
-    from scipy.special import stdtr
-
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     n_a, n_b = a.shape[0], b.shape[0]
@@ -85,8 +160,7 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     if not (math.isfinite(t) and math.isfinite(df)):
         raise DegenerateSamplesError(
             "variances out of float64 range: t or its degrees of freedom is not finite")
-    p_one = float(stdtr(df, -t))
-    p_two = float(2.0 * stdtr(df, -abs(t)))
+    p_one, p_two = (tails and tails(df, t)) or student_t_tails(df, t)
     return WelchResult(t, df, p_one, p_two, mean_a, mean_b, var_a, var_b, n_a, n_b)
 
 

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import json
+import os
 
 import pytest
 
@@ -33,3 +34,11 @@ def synth_files(tmp_path):
     ])
     assert code == EXIT_OK
     return reviews, truth, catalog
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """No test leaves a child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

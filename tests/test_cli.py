@@ -127,7 +127,8 @@ class TestPipeline:
         assert run_pipeline(reviews, catalog, tmp_path / "out") == EXIT_OK
         stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
         assert stages and all(sorted(stage) == ["in", "out", "seconds"]
-                              for stage in stages.values())
+                              for name, stage in stages.items() if name != "ttest")
+        assert sorted(stages["ttest"]) == ["helper_peak_rss_mb", "in", "out", "seconds"]
 
     def test_write_failure_removes_the_outputs_written_before_it(self, synth_files, tmp_path,
                                                                  caplog):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr  # the tails' oracle
 from scipy.stats import t as t_dist  # the p-value oracle; welch_t does not import it
 
 from _reference import graph_rows, shared_reviewer_weights
@@ -19,6 +21,7 @@ from reviewstream.partition import partition_stream
 from reviewstream.stats import (
     DegenerateSamplesError,
     EmptySampleError,
+    TailHelper,
     TooSmallError,
     count_distinct,
     ecdf,
@@ -157,6 +160,126 @@ def test_pipeline_loads_no_scipy_sparse(synth_files, tmp_path):
     assert run_python(code) == {"code": 0, "sparse": False}
     report = json.loads((tmp_path / "out" / "clusters.json").read_text(encoding="utf-8"))
     assert any(entry["pair_count"] for entry in report)
+
+
+def hex_fields(welch: dict) -> dict:
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in welch.items()}
+
+
+def test_pipeline_process_loads_no_scipy(synth_files, tmp_path):
+    """``pipeline`` leaves the scipy import to its helper process, and
+    records the t-test that ``welch_t`` computes in process."""
+    reviews, _, catalog = synth_files
+    out = tmp_path / "out"
+    argv = ["pipeline", "--reviews", str(reviews), "--catalog", str(catalog),
+            "--out-dir", str(out), "--origin", "0"]
+    code = (
+        "import json, sys\n"
+        "from reviewstream.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'scipy': [m for m in sys.modules\n"
+        "                                          if m.startswith('scipy')]}))\n"
+    )
+    assert run_python(code) == {"code": 0, "scipy": []}
+    with open(out / "scores.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    boost, sink = ([float(row["score"]) for row in rows if row["substream"] == label]
+                   for label in ("boost", "sink"))
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert hex_fields(summary["welch_boost_vs_sink"]) == hex_fields(asdict(welch_t(boost, sink)))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages"]["ttest"]["helper_peak_rss_mb"] > 0
+
+
+def test_no_process_outlives_main_and_every_fallback_writes_the_same_bytes(synth_files,
+                                                                           tmp_path):
+    """After each run no child is left, running or unreaped: a success, an
+    exit 2 after the fork, an exit 3 before it, an interrupt, a helper
+    killed before it answers, a fork that fails, no ``os.fork`` at all and
+    another thread running. The last four take the tails in process and
+    write the same outputs."""
+    reviews, _, catalog = synth_files
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_text(reviews.read_text(encoding="utf-8") + "not json\n" * 50, encoding="utf-8")
+    base = ["pipeline", "--catalog", str(catalog), "--origin", "0"]
+    runs = {name: base + ["--reviews", str(dirty if name == "data" else reviews),
+                          "--out-dir", str(tmp_path / name)]
+            for name in ("ok", "data", "interrupted", "killed", "fork_fails", "no_fork",
+                         "threaded")}
+    runs["config"] = runs["ok"] + ["--top", "0"]
+    code = f"""
+import errno, json, os, signal, sys, threading
+from reviewstream import cli
+
+forks = []
+fork = os.fork
+def counted_fork():
+    forks.append(1)
+    return fork()
+def failed_fork():
+    forks.append(1)
+    raise OSError(errno.EAGAIN, "no process to spare")
+welch_t, cluster_report = cli.welch_t, cli._cluster_report
+def kill_first(a, b, tails=None):
+    os.kill(tails.pid, signal.SIGKILL)
+    return welch_t(a, b, tails=tails)
+def interrupt(*args):
+    raise KeyboardInterrupt
+
+results = {{}}
+for name, argv in {runs!r}.items():
+    os.fork = {{"fork_fails": failed_fork, "no_fork": None}}.get(name, counted_fork)
+    if os.fork is None:
+        del os.fork
+    cli.welch_t = kill_first if name == "killed" else welch_t
+    cli._cluster_report = interrupt if name == "interrupted" else cluster_report
+    before = len(forks)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if name == "threaded":
+        waiter.start()
+    try:
+        code = cli.main(argv)
+    except KeyboardInterrupt:
+        code = "interrupted"
+    release.set()
+    if name == "threaded":
+        waiter.join()
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        left = None
+    results[name] = [code, len(forks) - before, left]
+print(json.dumps(results))
+"""
+    assert run_python(code) == {
+        "ok": [0, 1, None], "data": [2, 1, None], "config": [3, 0, None],
+        "interrupted": ["interrupted", 1, None], "killed": [0, 1, None],
+        "fork_fails": [0, 1, None], "no_fork": [0, 0, None], "threaded": [0, 0, None]}
+    for name in ("ok", "killed", "fork_fails", "no_fork", "threaded"):
+        summary = (tmp_path / name / "summary.json").read_bytes()
+        assert summary == (tmp_path / "ok" / "summary.json").read_bytes()
+        stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
+        assert (stages["ttest"]["helper_peak_rss_mb"] is None) == (name != "ok")
+
+
+TAIL_GRID = [(df, t) for df in (1.0, 1.0 + 2.0 ** -40, 2.0 - 2.0 ** -40, 2.0, 1e6 + 0.5)
+             for t in (-0.0, 0.0, -1.5, 1.5, -40.0, 40.0, 1e154, 1e308)]
+
+
+def test_tail_helper_answers_in_process_stdtr_bit_for_bit():
+    answers = []
+    for df, t in TAIL_GRID:
+        with TailHelper() as tails:
+            answers.append(tails(df, t))
+            assert tails(df, t) is None  # it answers once
+        assert tails.peak_rss_mb > 0
+    expected = [(float(stdtr(df, -t)), float(2.0 * stdtr(df, -abs(t)))) for df, t in TAIL_GRID]
+    assert [[p.hex() for p in pair] for pair in answers] == \
+        [[p.hex() for p in pair] for pair in expected]
+    upper = [p for p, _ in expected]
+    assert 0.0 in upper and any(0.0 < p < sys.float_info.min for p in upper)
 
 
 class TestEcdf:
