@@ -166,7 +166,7 @@ class ScoredStream:
     """Scored reviews as columns: row ``row[i]`` of ``table`` fell in tick
     ``tick[i]`` of sub-stream ``_LABELS[substream[i]]`` and scored
     ``score[i]``; ``counters`` are the run counts of the detector that
-    scored it."""
+    scored it, and after its final batch its sketch use."""
 
     table: ReviewTable
     row: np.ndarray  # int64 row numbers of table
@@ -335,7 +335,20 @@ class Detector:
     def _scored(self, table, row, ticks, score) -> ScoredStream:
         labels = np.full(len(row), _LABEL_CODE[self.substream], np.int8)
         counters = {**self.counters, "events": len(self.events)}
+        if self._finished:
+            counters.update(self._sketch_use())
         return ScoredStream(table, row, ticks, score, labels, counters)
+
+    def _sketch_use(self) -> dict:
+        """The share of nonzero history counters, and of the run's apps
+        whose counter is another app's too in every row."""
+        cfg, history = self.config, self._history.counters
+        slots = np.array(list(self._slots.values()), np.int64).reshape(-1, cfg.rows)
+        shared = np.ones(len(slots), bool)
+        for col in slots.T:
+            shared &= np.bincount(col, minlength=cfg.cols)[col] > 1
+        return {"sketch_occupancy": np.count_nonzero(history) / history.size,
+                "apps_colliding_all_rows": float(shared.mean()) if len(slots) else 0.0}
 
     def _merge(self, history: np.ndarray, cells: np.ndarray, counts: np.ndarray,
                filtered: np.ndarray, tick: int) -> None:

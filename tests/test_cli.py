@@ -179,6 +179,8 @@ class TestPipeline:
             assert stage["in"] == stage["out"] == partition[label] == counts[label]
             assert 0 <= detector[label]["filtered_merges"] <= detector[label]["groups"]
             assert detector[label]["groups"] <= partition[label]
+            assert 0.0 < detector[label]["sketch_occupancy"] <= 1.0
+            assert 0.0 <= detector[label]["apps_colliding_all_rows"] <= 1.0
         assert detector["boost"]["events"] + detector["sink"]["events"] == summary["events"]
         assert stages["collect"]["in"] == stages["collect"]["out"] == summary["events"]
         assert stages["report"]["out"] == summary["clusters_reported"]

@@ -22,6 +22,7 @@ from reviewstream.detector import (
 )
 from reviewstream.ingest import BeforeOriginError, ReviewEdge, ReviewTable
 from reviewstream.partition import SubstreamLabel
+from reviewstream.sketch import CountMinSketch
 
 import _reference
 from _reference import ExactScorer, brute_force_events, evaluate_burst, table_edges, to_tick
@@ -198,6 +199,8 @@ class TestRunDetector:
     def test_empty_stream(self):
         scored, events = run_detector(rows([]), cfg(), BOOST)
         assert len(scored) == 0 and table_edges(scored.table, scored.row) == [] and events == []
+        counters = scored.counters
+        assert counters["sketch_occupancy"] == counters["apps_colliding_all_rows"] == 0.0
 
     def test_burst_after_steady_traffic(self):
         edges = mk_edges([("a", t, 2) for t in range(1, 11)] + [("a", 11, 50)])
@@ -464,6 +467,38 @@ def test_batches_match_the_per_edge_detector(run):
         assert detector_events == events
     for detector in (split, single):
         assert [detector.historical_total(a) for a in apps] == history
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_runs())
+def test_sketch_use_matches_a_brute_force_count(run):
+    """The final batch's counters give the share of nonzero history
+    counters, read from the per-edge detector, and of the apps that share
+    their column with another app in every row, recounted over
+    ``CountMinSketch.locate``; earlier batches give neither."""
+    config, edges, cuts = run
+    reference = _reference.Detector(config, BOOST)
+    for edge in edges:
+        reference.process_edge(edge)
+    reference.finish()
+    sketch = CountMinSketch(config.rows, config.cols, config.row_seeds())
+    slots = {app: sketch.locate(app) for app in {e.app_id for e in edges}}
+    colliding = sum(all(any(other != app and other_slots[r] == own[r]
+                            for other, other_slots in slots.items())
+                        for r in range(config.rows))
+                    for app, own in slots.items())
+    expected = {
+        "sketch_occupancy": np.count_nonzero(reference._history.counters)
+        / (config.rows * config.cols),
+        "apps_colliding_all_rows": colliding / len(slots),
+    }
+    table = ReviewTable.from_edges(edges)
+    detector = Detector(config, BOOST)
+    parts = [detector.process(table.rows(range(lo, hi)))
+             for lo, hi in zip([0, *cuts], [*cuts, len(edges)])]
+    last = detector.process(table.rows(()), final=True)
+    assert not any(set(expected) & set(part.counters) for part in parts)
+    assert {key: last.counters[key] for key in expected} == expected
 
 
 def _python_score(cur: float, hist: float, tick: int) -> float:

@@ -196,21 +196,28 @@ def test_no_process_outlives_main_and_every_fallback_writes_the_same_bytes(synth
                                                                            tmp_path):
     """After each run no child is left, running or unreaped: a success, an
     exit 2 after the fork, an exit 3 before it, an interrupt, a helper
-    killed before it answers, a fork that fails, no ``os.fork`` at all and
-    another thread running. The last four take the tails in process and
-    write the same outputs."""
+    killed before it answers, a helper that cannot load ``stdtr``, a fork
+    that fails, no ``os.fork`` at all and another thread running. The last
+    five take the tails in process and write the same outputs."""
     reviews, _, catalog = synth_files
     dirty = tmp_path / "dirty.jsonl"
     dirty.write_text(reviews.read_text(encoding="utf-8") + "not json\n" * 50, encoding="utf-8")
     base = ["pipeline", "--catalog", str(catalog), "--origin", "0"]
     runs = {name: base + ["--reviews", str(dirty if name == "data" else reviews),
                           "--out-dir", str(tmp_path / name)]
-            for name in ("ok", "data", "interrupted", "killed", "fork_fails", "no_fork",
-                         "threaded")}
+            for name in ("ok", "load_fails", "data", "interrupted", "killed", "fork_fails",
+                         "no_fork", "threaded")}
     runs["config"] = runs["ok"] + ["--top", "0"]
     code = f"""
 import errno, json, os, signal, sys, threading
 from reviewstream import cli
+
+class RefuseUfuncsInChildren:  # the helper's bare load fails; this process's import works
+    parent = os.getpid()
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and os.getpid() != self.parent and refuse:
+            raise ImportError("refused in a child")
+sys.meta_path.insert(0, RefuseUfuncsInChildren())
 
 forks = []
 fork = os.fork
@@ -234,6 +241,7 @@ for name, argv in {runs!r}.items():
         del os.fork
     cli.welch_t = kill_first if name == "killed" else welch_t
     cli._cluster_report = interrupt if name == "interrupted" else cluster_report
+    refuse = name == "load_fails"
     before = len(forks)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
@@ -254,10 +262,11 @@ for name, argv in {runs!r}.items():
 print(json.dumps(results))
 """
     assert run_python(code) == {
-        "ok": [0, 1, None], "data": [2, 1, None], "config": [3, 0, None],
+        "ok": [0, 1, None], "load_fails": [0, 1, None], "data": [2, 1, None],
+        "config": [3, 0, None],
         "interrupted": ["interrupted", 1, None], "killed": [0, 1, None],
         "fork_fails": [0, 1, None], "no_fork": [0, 0, None], "threaded": [0, 0, None]}
-    for name in ("ok", "killed", "fork_fails", "no_fork", "threaded"):
+    for name in ("ok", "load_fails", "killed", "fork_fails", "no_fork", "threaded"):
         summary = (tmp_path / name / "summary.json").read_bytes()
         assert summary == (tmp_path / "ok" / "summary.json").read_bytes()
         stages = json.loads((tmp_path / name / "manifest.json").read_text())["stages"]
@@ -280,6 +289,26 @@ def test_tail_helper_answers_in_process_stdtr_bit_for_bit():
         [[p.hex() for p in pair] for pair in expected]
     upper = [p for p, _ in expected]
     assert 0.0 in upper and any(0.0 < p < sys.float_info.min for p in upper)
+
+
+def test_tail_helper_loads_only_the_compiled_stdtr():
+    """The helper's loader, run in a fresh interpreter, leaves scipy's array
+    API layer, ``numpy.f2py``, ``numpy.testing`` and ``scipy.stats``
+    unloaded, and its ``stdtr`` gives this process's ``scipy.special.stdtr``
+    bits."""
+    slow = ["scipy.special._support_alternative_backends", "scipy._lib._array_api",
+            "numpy.f2py", "numpy.testing", "scipy.stats"]
+    code = (
+        "import json, sys\n"
+        "from reviewstream import stats\n"
+        "stats._bare_scipy_special()\n"
+        f"tails = [[p.hex() for p in stats.student_t_tails(df, t)] for df, t in {TAIL_GRID!r}]\n"
+        f"print(json.dumps({{'loaded': [m for m in {slow!r} if m in sys.modules],\n"
+        "                  'tails': tails}))\n"
+    )
+    expected = [[float(stdtr(df, -t)).hex(), float(2.0 * stdtr(df, -abs(t))).hex()]
+                for df, t in TAIL_GRID]
+    assert run_python(code) == {"loaded": [], "tails": expected}
 
 
 class TestEcdf:
