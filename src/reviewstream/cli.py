@@ -496,9 +496,10 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 def cmd_stats_ttest(args: argparse.Namespace) -> int:
     path_a, col_a = _parse_column_ref(args.a)
     path_b, col_b = _parse_column_ref(args.b)
-    sample_a = _read_csv_column(path_a, col_a)
-    sample_b = _read_csv_column(path_b, col_b)
-    result = welch_t(sample_a, sample_b)
+    with TailHelper() as tails:  # scipy loads in a helper process while the columns are read
+        sample_a = _read_csv_column(path_a, col_a)
+        sample_b = _read_csv_column(path_b, col_b)
+        result = welch_t(sample_a, sample_b, tails=tails)
     out = dataclasses.asdict(result)
     out["p"] = result.p_two_sided if args.two_sided else result.p_one_sided
     _print_json(out)

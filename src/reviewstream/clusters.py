@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .detector import MicroclusterEvent, ScoredStream
+from .detector import _LABEL_CODE, _LABELS, MicroclusterEvent, ScoredStream
 from .partition import SubstreamLabel
 from .stats import count_distinct, pair_blocks, range_blocks
 
@@ -188,14 +188,13 @@ def collect_clusters(
 ) -> list[SuspiciousCluster]:
     """One cluster per event: all same-sub-stream scored edges of the
     event's app in its burst tick, in stream order."""
-    labels = list(SubstreamLabel)
     table = scored.table
     app_code = {app_id: code for code, app_id in enumerate(table.app_ids)}
     ticks, tick_rank = np.unique(scored.tick, return_inverse=True)
     rank_of = dict(zip(ticks.tolist(), range(len(ticks))))
-    keys = (table.app[scored.row] * len(labels) + scored.substream) * (len(ticks) + 1) + tick_rank
+    keys = (table.app[scored.row] * len(_LABELS) + scored.substream) * (len(ticks) + 1) + tick_rank
     order = np.argsort(keys, kind="stable")
-    wanted = np.array([(app_code.get(e.app_id, -1) * len(labels) + labels.index(e.substream))
+    wanted = np.array([(app_code.get(e.app_id, -1) * len(_LABELS) + _LABEL_CODE[e.substream])
                        * (len(ticks) + 1) + rank_of.get(e.burst_tick, len(ticks))
                        for e in events], dtype=np.int64)
     lo, hi = np.searchsorted(keys[order], [wanted, wanted + 1])

@@ -211,32 +211,24 @@ class Detector:
     any size, all rows of one table; one instance per sub-stream. The rows
     of the open tick and of the last closed one are kept and grouped again
     with the next batch, so one row at a time and the whole stream at once
-    give the same scores, events and history.
+    give the same scores, events and history. A run ends with a ``final``
+    batch, which may be empty: ``process(table.rows(()), final=True)``.
     """
 
     def __init__(self, config: DetectorConfig, substream: SubstreamLabel):
         config.validate()
         self.config = config
         self.substream = substream
-        self.events: list[MicroclusterEvent] = []
-        self.counters = {"groups": 0, "filtered_merges": 0}  # closed (app, tick) groups
+        self.counters = {"groups": 0, "filtered_merges": 0, "events": 0}  # of closed groups
         self._history = CountMinSketch(config.rows, config.cols, config.row_seeds())
         self._slots: dict[str, tuple[int, ...]] = {}  # each app hashed once
         self._held: ReviewRows | None = None  # rows of the last closed and the open tick
-        self._closed_held = 0  # 1 if the held rows start with a closed tick
         self._finished = False
         self._decay_work = 0  # counters decayed so far, across batches
 
     def historical_total(self, app_id: str) -> float:
         """Decayed, filtered historical estimate for an app (closed ticks)."""
         return self._history.estimate(app_id)
-
-    def finish(self) -> list[MicroclusterEvent]:
-        """Close the final open tick and return all events of the run."""
-        if not self._finished:
-            table = ReviewTable.from_edges(()) if self._held is None else self._held.table
-            self.process(table.rows(()), final=True)
-        return self.events
 
     def _ticks(self, table: ReviewTable, row: np.ndarray) -> np.ndarray:
         """Each row's tick, exact for any int64 timestamp and origin. The
@@ -258,22 +250,25 @@ class Detector:
         raise TimeRegressionError(f"edge {table.review_id[row[i]]!r} at tick {ticks[i]} "
                                   f"after tick {ticks[i - 1]}")
 
-    def process(self, rows: ReviewRows, final: bool = False) -> ScoredStream:
+    def process(self, rows: ReviewRows, final: bool = False
+                ) -> tuple[ScoredStream, list[MicroclusterEvent]]:
         """Score a batch of rows in stream order; with ``final``, also
-        close the last tick and finish the run. The rows of every batch
+        close the last tick and finish the run. Returns the batch's scores
+        and the events of the ticks it closed. The rows of every batch
         come from one table."""
         if self._finished:
             raise RuntimeError("detector already finished")
-        cfg, held, done, table = self.config, 0, self._closed_held, rows.table
+        cfg, held, table = self.config, 0, rows.table
         row = rows.row
         if self._held is not None:
             if self._held.table is not table:
                 raise ValueError("every batch of a detector run must come from one table")
             held, row = len(self._held), np.concatenate((self._held.row, row))
         ticks, n = self._ticks(table, row), len(row)
-        self._finished, self._held, self._closed_held = final, None, 0
+        done = int(held > 0 and ticks[0] != ticks[held - 1])  # held rows of a closed tick first
+        self._finished, self._held = final, None
         if not n:
-            return self._scored(table, row, ticks, np.zeros(0))
+            return self._scored(table, row, ticks, np.zeros(0)), []
         tick_start = np.append(0, np.flatnonzero(ticks[1:] != ticks[:-1]) + 1)
         tick_values = ticks[tick_start].tolist()
         edge_tick = np.searchsorted(tick_start, np.arange(n), side="right") - 1
@@ -324,17 +319,18 @@ class Detector:
                     if not self._history.decay(cfg.decay):
                         break
             score = _chi2(cur[held:], g_hist[group[held:]], *factors[:, edge_tick[held:]])
-            self._burst_events(tick_values, apps, keys, counts, close[bounds[done]:bounds[closes]])
+            events = self._burst_events(tick_values, apps, keys, counts,
+                                        close[bounds[done]:bounds[closes]])
 
         self.counters["groups"] += bounds[closes] - bounds[done]
+        self.counters["events"] += len(events)
         if not final:
             self._held = ReviewRows(table, row[tick_start[closes - 1] if closes else 0:])
-            self._closed_held = int(closes > 0)
-        return self._scored(table, row[held:], ticks[held:], score)
+        return self._scored(table, row[held:], ticks[held:], score), events
 
     def _scored(self, table, row, ticks, score) -> ScoredStream:
         labels = np.full(len(row), _LABEL_CODE[self.substream], np.int8)
-        counters = {**self.counters, "events": len(self.events)}
+        counters = dict(self.counters)
         if self._finished:
             counters.update(self._sketch_use())
         return ScoredStream(table, row, ticks, score, labels, counters)
@@ -370,7 +366,8 @@ class Detector:
                     history[c] += expected
             done = j + 1
 
-    def _burst_events(self, tick_values, apps, keys, counts, closed: np.ndarray) -> None:
+    def _burst_events(self, tick_values, apps, keys, counts,
+                      closed: np.ndarray) -> list[MicroclusterEvent]:
         """Events of the ``closed`` groups (indices into ``keys``, in close
         order), from exact raw counts."""
         g_tick, g_app = np.divmod(keys[closed], len(apps))
@@ -383,18 +380,16 @@ class Detector:
         ratio = burst / denom
         ticks = np.array(tick_values, dtype=object)[g_tick]
         fire = (ticks >= 2) & (denom > 0) & (ratio > self.config.burst_factor)
-        self.events.extend(MicroclusterEvent(
-            apps[g_app[i]], self.substream, ticks[i] - 1, int(prior[i]), int(burst[i]),
-            float(ratio[i])) for i in np.flatnonzero(fire).tolist())
+        return [MicroclusterEvent(apps[g_app[i]], self.substream, ticks[i] - 1, int(prior[i]),
+                                  int(burst[i]), float(ratio[i]))
+                for i in np.flatnonzero(fire).tolist()]
 
 
 def run_detector(
     rows: ReviewRows, config: DetectorConfig, substream: SubstreamLabel
 ) -> tuple[ScoredStream, list[MicroclusterEvent]]:
     """Score a timestamp-ordered sub-stream in one pass."""
-    detector = Detector(config, substream)
-    scored = detector.process(rows, final=True)
-    return scored, detector.events
+    return Detector(config, substream).process(rows, final=True)
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,13 @@ def rows(edges):
     return ReviewTable.from_edges(edges).rows()
 
 
-def feed(det: Detector, edges) -> None:
-    """Process the edges one batch of one row at a time, all from one table."""
+def feed(det: Detector, edges) -> ReviewTable:
+    """Process the edges one batch of one row at a time, all from one
+    table, and return the table."""
     table = ReviewTable.from_edges(edges)
     for i in range(len(edges)):
         det.process(table.rows([i]))
+    return table
 
 
 def mk_edges(spec: list[tuple[str, int, int]]) -> list[ReviewEdge]:
@@ -166,8 +168,7 @@ class TestDecayAndGaps:
             if batches == "whole":
                 det.process(rows(edges), final=True)
             else:
-                feed(det, edges)
-                det.finish()
+                det.process(feed(det, edges).rows(()), final=True)
             return det._decay_work
 
         work = decay_work("whole")
@@ -460,12 +461,14 @@ def test_batches_match_the_per_edge_detector(run):
         split_parts.append(split.process(table.rows(range(lo, hi))))
     single = Detector(config, BOOST)
     single_parts = [single.process(table.rows([i])) for i in range(len(edges))]
-    for scored, detector_events in ((whole, whole_events),
-                                    (reduce(add, split_parts), split.finish()),
-                                    (reduce(add, single_parts), single.finish())):
-        assert _bits(scored) == expected
-        assert detector_events == events
-    for detector in (split, single):
+    assert _bits(whole) == expected
+    assert whole_events == events
+    for detector, parts in ((split, split_parts), (single, single_parts)):
+        last = detector.process(table.rows(()), final=True)
+        scored_parts, event_parts = zip(*parts, last)
+        assert _bits(reduce(add, scored_parts)) == expected
+        assert [event for batch in event_parts for event in batch] == whole_events == events
+        assert last[0].counters == whole.counters  # the run's counters, sketch use included
         assert [detector.historical_total(a) for a in apps] == history
 
 
@@ -494,9 +497,9 @@ def test_sketch_use_matches_a_brute_force_count(run):
     }
     table = ReviewTable.from_edges(edges)
     detector = Detector(config, BOOST)
-    parts = [detector.process(table.rows(range(lo, hi)))
+    parts = [detector.process(table.rows(range(lo, hi)))[0]
              for lo, hi in zip([0, *cuts], [*cuts, len(edges)])]
-    last = detector.process(table.rows(()), final=True)
+    last, _ = detector.process(table.rows(()), final=True)
     assert not any(set(expected) & set(part.counters) for part in parts)
     assert {key: last.counters[key] for key in expected} == expected
 

@@ -29,6 +29,7 @@ REMOVED_MEMBERS = [
     (detector.ScoredStream, "edges"), (ingest.ReviewTable, "edges"),
     (clusters.LexicalEmbedder, "vector"), (clusters.FileEmbedder, "vector"),
     (stats.SharedReviewerGraph, "rows"), (clusters.PairAnalysis, "pairs"),
+    (detector.Detector, "finish"),
 ]
 # The columnar review types: exported, and documented in the README.
 TABLE_TYPES = ["ReviewTable", "ReviewRows"]

@@ -192,13 +192,40 @@ def test_pipeline_process_loads_no_scipy(synth_files, tmp_path):
     assert manifest["stages"]["ttest"]["helper_peak_rss_mb"] > 0
 
 
+def test_stats_ttest_process_loads_no_scipy(tmp_path):
+    """``stats ttest`` also leaves the scipy import to its helper process,
+    and prints the t-test that ``welch_t`` computes in process."""
+    a, b = [0.5, 1.25, 3.0, 2.0, 7.5, 1e-3], [0.25, 0.5, 1.0, 0.75, 0.125]
+    for name, values in (("a.csv", a), ("b.csv", b)):
+        (tmp_path / name).write_text("value\n" + "".join(f"{v!r}\n" for v in values),
+                                     encoding="utf-8")
+    argv = ["stats", "ttest", "--a", f"{tmp_path / 'a.csv'}:value",
+            "--b", f"{tmp_path / 'b.csv'}:value"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from reviewstream.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'scipy': [m for m in sys.modules\n"
+        "                                          if m.startswith('scipy')],\n"
+        "                  'printed': json.loads(out.getvalue())}))\n"
+    )
+    result = run_python(code)
+    assert {key: result[key] for key in ("code", "scipy")} == {"code": 0, "scipy": []}
+    welch = welch_t(a, b)
+    assert [result["printed"][key].hex() for key in ("t", "df", "p")] == \
+        [welch.t.hex(), welch.df.hex(), welch.p_one_sided.hex()]
+
+
 def test_no_process_outlives_main_and_every_fallback_writes_the_same_bytes(synth_files,
                                                                            tmp_path):
     """After each run no child is left, running or unreaped: a success, an
     exit 2 after the fork, an exit 3 before it, an interrupt, a helper
     killed before it answers, a helper that cannot load ``stdtr``, a fork
     that fails, no ``os.fork`` at all and another thread running. The last
-    five take the tails in process and write the same outputs."""
+    five take the tails in process and write the same outputs. ``stats
+    ttest`` with no ``os.fork`` and with its helper killed prints the same
+    bytes as with a helper that answers."""
     reviews, _, catalog = synth_files
     dirty = tmp_path / "dirty.jsonl"
     dirty.write_text(reviews.read_text(encoding="utf-8") + "not json\n" * 50, encoding="utf-8")
@@ -208,8 +235,11 @@ def test_no_process_outlives_main_and_every_fallback_writes_the_same_bytes(synth
             for name in ("ok", "load_fails", "data", "interrupted", "killed", "fork_fails",
                          "no_fork", "threaded")}
     runs["config"] = runs["ok"] + ["--top", "0"]
+    ttest = ["stats", "ttest", "--a", f"{tmp_path / 'ok' / 'cdf_boost.csv'}:value",
+             "--b", f"{tmp_path / 'ok' / 'cdf_sink.csv'}:value"]
+    runs.update({f"ttest_{name}": ttest for name in ("ok", "no_fork", "killed")})
     code = f"""
-import errno, json, os, signal, sys, threading
+import contextlib, errno, io, json, os, signal, sys, threading
 from reviewstream import cli
 
 class RefuseUfuncsInChildren:  # the helper's bare load fails; this process's import works
@@ -234,12 +264,13 @@ def kill_first(a, b, tails=None):
 def interrupt(*args):
     raise KeyboardInterrupt
 
-results = {{}}
+results, printed = {{}}, {{}}
 for name, argv in {runs!r}.items():
-    os.fork = {{"fork_fails": failed_fork, "no_fork": None}}.get(name, counted_fork)
+    kind = name.removeprefix("ttest_")
+    os.fork = {{"fork_fails": failed_fork, "no_fork": None}}.get(kind, counted_fork)
     if os.fork is None:
         del os.fork
-    cli.welch_t = kill_first if name == "killed" else welch_t
+    cli.welch_t = kill_first if kind == "killed" else welch_t
     cli._cluster_report = interrupt if name == "interrupted" else cluster_report
     refuse = name == "load_fails"
     before = len(forks)
@@ -248,7 +279,8 @@ for name, argv in {runs!r}.items():
     if name == "threaded":
         waiter.start()
     try:
-        code = cli.main(argv)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
     except KeyboardInterrupt:
         code = "interrupted"
     release.set()
@@ -259,13 +291,18 @@ for name, argv in {runs!r}.items():
     except ChildProcessError:
         left = None
     results[name] = [code, len(forks) - before, left]
-print(json.dumps(results))
+    printed[name] = out.getvalue()
+print(json.dumps([results, printed]))
 """
-    assert run_python(code) == {
+    results, printed = run_python(code)
+    assert results == {
         "ok": [0, 1, None], "load_fails": [0, 1, None], "data": [2, 1, None],
         "config": [3, 0, None],
         "interrupted": ["interrupted", 1, None], "killed": [0, 1, None],
-        "fork_fails": [0, 1, None], "no_fork": [0, 0, None], "threaded": [0, 0, None]}
+        "fork_fails": [0, 1, None], "no_fork": [0, 0, None], "threaded": [0, 0, None],
+        "ttest_ok": [0, 1, None], "ttest_no_fork": [0, 0, None], "ttest_killed": [0, 1, None]}
+    assert printed["ttest_ok"].startswith('{"df": ')
+    assert printed["ttest_no_fork"] == printed["ttest_killed"] == printed["ttest_ok"]
     for name in ("ok", "load_fails", "killed", "fork_fails", "no_fork", "threaded"):
         summary = (tmp_path / name / "summary.json").read_bytes()
         assert summary == (tmp_path / "ok" / "summary.json").read_bytes()
