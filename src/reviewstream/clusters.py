@@ -4,9 +4,9 @@ A cluster is the set of scored edges for one (app, sub-stream, burst
 tick) triple, materialized from a microcluster event. Clusters are
 ranked by mean anomaly score; within a cluster every pair of review
 texts whose cosine similarity reaches tau is found, to quantify
-copy-paste behavior. Members with equal vectors are grouped, a Gram
-product over one vector per group proposes candidate pairs, and each
-candidate is checked with ``cosine`` itself, so the pairs and their
+copy-paste behavior. Members are grouped by the stored form of their
+vectors, a filter over one vector per group proposes candidate pairs,
+and each candidate is checked with ``cosine`` itself, so the pairs and their
 similarities are exactly those of scoring every pair.
 
 Embeddings are pluggable. The default is a deterministic lexical model:
@@ -259,25 +259,17 @@ class PairAnalysis:
         self.textless_count = len(texts) - len(with_text)
         self._groups = _equal_vector_groups(vectors)
         self._scored: list[tuple[float, int, int]] = []  # (similarity, i, j), i < j
-        # Each pair is scored by cosine itself, with its arguments in member
-        # order: equal dicts may iterate in different orders, and the float
-        # sum, with it the threshold decision, follows the order. Between two
-        # groups the result depends only on which member comes first and on
-        # the key order of each dict (equal arrays give equal dot products),
-        # so one call serves every pair that agrees on those.
-        key_orders: dict = {}
-        order = [key_orders.setdefault(tuple(v), len(key_orders)) if isinstance(v, dict) else 0
-                 for v in vectors]
+        # cosine takes each pair in member order: equal dicts may iterate in
+        # different orders, and its float sum follows the order. Group members
+        # are stored alike, so one call serves each group pair and order.
         for g, h in _candidate_groups([vectors[m[0]] for m in self._groups], tau):
             sims: dict = {}
             for x in self._groups[g]:
                 for y in self._groups[h]:
-                    i, j = (x, y) if x < y else (y, x)
-                    key = (x < y, order[x], order[y])
-                    if key not in sims:
-                        sims[key] = cosine(vectors[i], vectors[j])
-                    if sims[key] >= tau:
-                        self._scored.append((sims[key], i, j))
+                    if (x < y) not in sims:
+                        sims[x < y] = cosine(vectors[min(x, y)], vectors[max(x, y)])
+                    if sims[x < y] >= tau:
+                        self._scored.append((sims[x < y], min(x, y), max(x, y)))
 
     @property
     def pair_count(self) -> int:
@@ -303,19 +295,18 @@ class PairAnalysis:
 
 
 def _equal_vector_groups(vectors: Sequence) -> list[list[int]]:
-    """Indices of the non-empty, non-zero vectors grouped by equality, in
-    order of first appearance. The keys agree with cosine's ``u == v``
-    test: dict equality for lexical vectors, ``np.array_equal`` for
-    arrays (the floats of ``tolist`` compare -0.0 equal to 0.0 and NaN
-    unequal to itself, as array_equal does). Empty and zero vectors are
-    left out: cosine scores them 0, below any tau."""
+    """Indices of the non-empty, non-zero vectors grouped by stored form, in
+    order of first appearance: dicts by keys and values in order, arrays by
+    the bytes of ``v + 0.0`` (-0.0 made 0.0). Members of a group are equal
+    and iterate alike. Empty and zero vectors, and arrays holding a NaN, are
+    left out: cosine scores them 0 or -1, below any tau."""
     groups: dict = {}
     for i, v in enumerate(vectors):
         if isinstance(v, dict):
             if v:
-                groups.setdefault(frozenset(v.items()), []).append(i)
-        elif np.any(v):
-            groups.setdefault(tuple(v.tolist()), []).append(i)
+                groups.setdefault((tuple(v), tuple(v.values())), []).append(i)
+        elif np.any(v) and not np.isnan(v).any():
+            groups.setdefault((v + 0.0).tobytes(), []).append(i)
     return list(groups.values())
 
 
@@ -334,10 +325,13 @@ def _candidate_groups(reps: Sequence, tau: float) -> Iterator[tuple[int, int]]:
     sum|x_k y_k| <= gamma_d * |x| |y| of the exact dot product (gamma_d =
     d u / (1 - d u), u = 2**-53; Cauchy-Schwarz for the second step).
     cosine and the products below each sum at most d products, so they
-    differ by at most 2 gamma_d max|x|^2, which 4 d u max|x|^2 covers. A
-    NaN margin or Gram entry makes the pair a candidate, so non-finite
-    vectors fall back to the exact check. Lexical vectors go through
-    ``_prefix_candidates``; dense ones through a blocked Gram product.
+    differ by at most 2 gamma_d max|x|^2, which 4 d u max|x|^2 covers.
+    Equal dicts in two groups (d >= 2, as key orders differ) score 1.0 by
+    ``u == v``; |x|^2 is within 4 u of 1 (N and each c / N rounded once), so
+    their float dot is within (d + 4) u of 1, inside the margin. A NaN margin
+    or Gram entry makes the pair a candidate, so non-finite vectors fall back
+    to the exact check. Lexical vectors go through ``_prefix_candidates``;
+    dense ones through a blocked Gram product.
     """
     if len(reps) < 2:
         return
@@ -380,7 +374,9 @@ def _prefix_candidates(reps: Sequence[dict], tau: float) -> Iterator[tuple[int, 
     pair only when below limit; (1 + gamma_d) / (1 - gamma_d) and the
     roundings of the bound and of limit stay within its 4 (d + 1) u, so a
     dropped pair's cosine is below tau. Lexical weights are at least
-    2**-53, so a tau below the normal float range drops nothing.
+    2**-53, so a tau below the normal float range drops nothing. Equal
+    dicts share their entries; at the first, sqrt(S M) >= 1 - (d + 6) u
+    reaches limit, and (2) gives S, as sqrt(fl(r r)) = r.
 
     The vector pairs that share a prefix term are expanded in blocks by
     ``pair_blocks`` and checked with (2); a join of the survivors' terms

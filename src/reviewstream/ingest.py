@@ -225,6 +225,9 @@ def _review_from_record(
         return None, REASON_SYNTAX
     if text is not None and not isinstance(text, str):
         return None, REASON_SYNTAX
+    joined = review_id + reviewer_id + app_id + (text or "")
+    if not joined.isascii() and joined != joined.encode("utf-8", "replace").decode():
+        return None, REASON_SYNTAX  # a lone surrogate: a JSON escape can give one, UTF-8 cannot
     if not review_id or not reviewer_id or not app_id:
         return None, REASON_MISSING
     if not 0 <= timestamp <= _INT64_MAX or not 1 <= score <= 5:

@@ -262,6 +262,11 @@ def _review_from_record(
     text = record.get("text")
     if text is not None and not isinstance(text, str):
         return None, REASON_SYNTAX
+    try:  # a lone surrogate, which a JSON escape can give, has no UTF-8 form
+        for field in (review_id, reviewer_id, app_id, text or ""):
+            field.encode("utf-8")
+    except UnicodeEncodeError:
+        return None, REASON_SYNTAX
     if not review_id or not reviewer_id or not app_id:
         return None, REASON_MISSING
     if not 0 <= timestamp <= _INT64_MAX or not 1 <= score <= 5:

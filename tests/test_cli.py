@@ -637,6 +637,38 @@ class TestRejections:
         (error,) = map(json.loads, errors.read_text(encoding="utf-8").splitlines())
         assert (error["line"], error["reason"]) == (2, "syntax")
 
+    def test_lone_surrogates_are_syntax_rejections(self, synth_files, tmp_path):
+        """A JSON escape can give a string a lone surrogate, which has no UTF-8
+        form to write: each such line is a syntax error, and every command
+        writes what it writes for the stream without those lines."""
+        reviews, _, catalog = synth_files
+        clean = reviews.read_text(encoding="utf-8")
+        first = json.loads(clean.splitlines()[0])
+        odd = [{**first, "review_id": "r\ud800"},
+               {**first, "review_id": "s", "reviewer_id": "\udc00"},
+               {**first, "review_id": "t", "text": "good \udfff app"}]
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_text(clean + "".join(json.dumps(r) + "\n" for r in odd), encoding="utf-8")
+        odd_lines = [len(clean.splitlines()) + k for k in (1, 2, 3)]
+        for name, path in (("clean", reviews), ("dirty", dirty)):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["ingest", "--reviews", str(path), "--out", str(out / "canonical.jsonl"),
+                         "--errors", str(out / "errors.jsonl"),
+                         "--max-error-rate", "1"]) == EXIT_OK
+            score_files(path, catalog, out, "--max-error-rate", "1")
+            assert run_pipeline(path, catalog, out / "run", "--max-error-rate", "1") == EXIT_OK
+        for errors in (tmp_path / "dirty" / "errors.jsonl",
+                       tmp_path / "dirty" / "run" / "parse_errors.jsonl"):
+            rejected = [json.loads(line) for line in errors.read_text().splitlines()]
+            assert [(e["line"], e["reason"]) for e in rejected] == [(n, "syntax")
+                                                                      for n in odd_lines]
+        for name in ("canonical.jsonl", "scores.csv", "events.jsonl", "run/scores.csv",
+                     "run/events.jsonl", "run/clusters.json"):
+            dirty_bytes, clean_bytes = ((tmp_path / side / name).read_bytes()
+                                        for side in ("dirty", "clean"))
+            assert dirty_bytes == clean_bytes
+
     @pytest.mark.parametrize("command", [
         ["stats", "network"], ["pairs"],
     ])

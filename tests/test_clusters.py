@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,9 +561,57 @@ class TestPairMining:
         assert asked == [list(c.review_ids)]
         assert analysis.pair_count == 5 * (200 * 199 // 2)
 
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_keys_in_one_order_with_other_weights_are_other_groups(self, tau):
+        """Each pair of texts gives dicts with the same keys in the same
+        order but other weights: they pair only as their cosine says."""
+        c = members_with_ids(["a b a b", "a b a", "app app", "app app app"], range(4))
+        assert_matches_oracle(c, LexicalEmbedder(), tau)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_arrays_equal_but_for_a_zeros_sign_pair_whatever_their_norm(self, tau):
+        """FileEmbedder.load leaves a vector whose squared norm underflows
+        as it is, so no rounding margin reaches its dot product with an
+        equal one; the -0.0 variant must share its group. A NaN vector
+        pairs with nothing, not even with itself."""
+        nan = np.array([np.nan, 1.0])
+        vectors = [np.array([1e-200, 0.0]), np.array([0.6, 0.8]), np.array([1e-200, -0.0]),
+                   nan, nan]
+        c = members_with_ids(["t"] * len(vectors), range(len(vectors)))
+        provider = FileEmbedder(dict(zip(c.review_ids, vectors)))
+        assert PairAnalysis(c.review_ids, c.texts, provider, tau).pair_count == 1
+        assert_matches_oracle(c, provider, tau)
+
     def test_report_lists_ten_of_many_pairs(self):
         c = members_with_ids(["same text"] * 8 + ["other words"] * 6, range(14))
         (entry,) = build_cluster_report([c], LexicalEmbedder(), 1.0)
         assert entry["pair_count"] == 28 + 15
         assert len(entry["top_pairs"]) == 10
         assert_matches_oracle(c, LexicalEmbedder(), 1.0)
+
+
+def grouping_peak(vectors) -> int:
+    """Bytes that ``_equal_vector_groups`` holds at its peak (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        clusters_module._equal_vector_groups(vectors)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGroupingMemory:
+    """The grouping keys each vector by its stored form, which costs about
+    what the vector holds: no key that copies every entry into new objects."""
+
+    def test_dense_keys_stay_within_the_vectors_size(self):
+        rng = np.random.default_rng(0)
+        vectors = list(rng.standard_normal((300, 384)))
+        vectors = [v / np.linalg.norm(v) for v in vectors]
+        assert grouping_peak(vectors) <= 2 * sum(v.nbytes for v in vectors)
+
+    def test_lexical_keys_stay_within_40_bytes_a_term(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(200)]
+        vectors = [lexical_vector(" ".join(rng.choice(words, 30))) for _ in range(300)]
+        assert grouping_peak(vectors) <= 40 * sum(map(len, vectors))

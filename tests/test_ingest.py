@@ -267,7 +267,7 @@ TRICKY_CELLS = ["", "0", "3", "5", "6", "1.5", " 4", "1_0", "٣", "-1", "+2",
                 str(2**63), str(2**63 - 1), "2**63", "abc", "a,b", "two\nlines",
                 'say "hi"', "4.3", "1e0", "nan", "inf", "0.9", "5.7"]
 JSON_VALUES = [None, True, False, 0, 1, 5, 6, -1, 2**63 - 1, 2**63, 2**64, 3.0, 1.5,
-               1e19, -0.0, float("nan"), float("inf"), "", "x1", "5", [], {}]
+               1e19, -0.0, float("nan"), float("inf"), "", "x1", "5", "x\ud800", [], {}]
 VALID_JSON = {"review_id": ["x1", "x2", "x3", ""], "reviewer_id": ["u1", "u2"],
               "app_id": ["a1", "a2"], "timestamp": [0, 10, 10.0, 2**63 - 1],
               "score": [1, 3, 5.0], "text": [None, "", "nice"]}
@@ -377,7 +377,8 @@ def test_jsonl_reviews_match_reference(lines):
     assert_matches_reference(lines)
 
 
-ODD_FIELDS = ["missing", None, True, False, "", 0.0, 1.0, 2.5, -0.0, float(2**63), -1, 6]
+ODD_FIELDS = ["missing", None, True, False, "", 0.0, 1.0, 2.5, -0.0, float(2**63), -1, 6,
+              "\udc00x"]
 
 
 @st.composite
